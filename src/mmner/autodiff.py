@@ -1,13 +1,17 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Row-major float64 storage on top of numpy, a per-thread gradient tape
-recording operations in creation order (which is already a valid
-topological order), and the small set of differentiable operations the
-rest of the package is built from. No views, no strides, no GPU.
+Row-major float64 storage on top of numpy and the small set of
+differentiable operations the rest of the package is built from. No views,
+no strides, no GPU. An op output holds its inputs (`_parents`), a closure
+pushing its gradient to them (`_backward`) and a creation number. backward()
+sweeps the graph reachable from the loss in reverse creation order and
+consumes each node it sweeps, so nothing else keeps a graph alive and no
+node is swept twice.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import Callable, Sequence
@@ -20,7 +24,6 @@ __all__ = [
     "ContractError",
     "ConfigError",
     "Tensor",
-    "GradientTape",
     "no_grad",
     "backward",
     "matmul",
@@ -66,6 +69,7 @@ class ConfigError(ValueError):
 
 
 _state = threading.local()
+_creation_seq = itertools.count()
 
 
 def _grad_enabled() -> bool:
@@ -73,7 +77,7 @@ def _grad_enabled() -> bool:
 
 
 class no_grad:
-    """Context manager disabling tape recording (inference / decoding)."""
+    """Context manager disabling graph recording (inference / decoding)."""
 
     def __enter__(self):
         self._prev = _grad_enabled()
@@ -85,34 +89,10 @@ class no_grad:
         return False
 
 
-class GradientTape:
-    """Ordered record of operation outputs for one forward pass.
-
-    Creation order of op outputs is a topological order of the graph, so
-    backward() can simply walk the list in reverse. A tape is consumed by
-    backward(); the next recorded operation starts a fresh tape, and a
-    second backward() on a consumed tape is an error.
-    """
-
-    __slots__ = ("nodes", "consumed")
-
-    def __init__(self):
-        self.nodes: list[Tensor] = []
-        self.consumed = False
-
-
-def _active_tape() -> GradientTape:
-    tape = getattr(_state, "tape", None)
-    if tape is None or tape.consumed:
-        tape = GradientTape()
-        _state.tape = tape
-    return tape
-
-
 class Tensor:
     """Dense row-major float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_tape")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -123,7 +103,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._tape: GradientTape | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -148,9 +127,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     # -- operator sugar ----------------------------------------------------
 
@@ -217,10 +193,13 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out.requires_grad = True
     out._parents = parents
     out._backward = backward_fn
-    tape = _active_tape()
-    tape.nodes.append(out)
-    out._tape = tape
+    out._seq = next(_creation_seq)
     return out
+
+
+def _consumed(g: np.ndarray | None = None) -> None:
+    """`_backward` of a node whose backward sweep has already run."""
+    raise ContractError("backward() already swept this graph node; run a new forward pass")
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -248,24 +227,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep seeding d(loss)/d(loss) = 1.
 
-    The loss must be a scalar. Every tape node reachable from it gets its
-    grad populated; a second call on the same (consumed) tape raises.
+    The loss must be a scalar. The interior nodes reachable from it through
+    `_parents` run `_backward` in reverse creation order (a topological
+    order), then are consumed: parents and closure are dropped. Reaching a
+    consumed node (a second call on the same loss, or a loss built on a
+    swept node) raises ContractError before any grad is written.
     """
     if loss.data.shape not in ((), (1,)):
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    tape = loss._tape
-    if tape is None:
-        # Leaf tensor used directly as the loss: d loss / d loss = 1.
-        if loss.requires_grad:
-            loss.grad = np.ones_like(loss.data)
-        return
-    if tape.consumed:
-        raise ContractError("backward() called twice on the same tape; run a new forward pass")
-    tape.consumed = True
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        if node.grad is not None and node._backward is not None:
+    found, pending = {}, [loss]
+    while pending:
+        node = pending.pop()
+        if node._backward is _consumed:
+            _consumed()
+        if node._backward is not None and id(node) not in found:
+            found[id(node)] = node
+            pending.extend(node._parents)
+    if loss.requires_grad:
+        loss.grad = np.ones_like(loss.data)
+    # Creation order fixes the order of every gradient sum, not just topology.
+    for node in sorted(found.values(), key=lambda n: n._seq, reverse=True):
+        if node.grad is not None:
             node._backward(node.grad)
+        node._parents = ()
+        node._backward = _consumed
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from mmner.autodiff import Tensor, backward
+from mmner.autodiff import Tensor, backward, no_grad
 
 DEFAULT_H = 1e-4
 
@@ -55,7 +55,7 @@ def check_gradients(
     """Compare analytic grads of scalar loss f() against central differences.
 
     Returns the error per parameter name. Analytic gradients are taken from
-    one forward+backward; numeric ones re-evaluate f per perturbed entry.
+    one forward+backward; numeric ones re-evaluate f per entry under no_grad.
     """
     for p in params.values():
         p.zero_grad()
@@ -67,7 +67,8 @@ def check_gradients(
     }
 
     def scalar_f() -> float:
-        return f().item()
+        with no_grad():
+            return f().item()
 
     errors = {}
     for name, p in params.items():

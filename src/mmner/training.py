@@ -48,6 +48,16 @@ class TrainConfig:
             raise ContractError(f"learning rate must be > 0, got {self.lr}")
         if self.preset not in PRESETS:
             raise ContractError(f"unknown preset {self.preset!r}")
+        if self.epochs < 1:
+            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.tau <= 0:
+            raise ContractError(f"tau must be > 0, got {self.tau}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.stop_at_f1 is not None and not 0.0 <= self.stop_at_f1 <= 1.0:
+            raise ContractError(f"stop_at_f1 must be in [0, 1], got {self.stop_at_f1}")
 
     def model_config(self) -> ModelConfig:
         return PRESETS[self.preset](

@@ -1,6 +1,8 @@
-"""Tensor op semantics, tape rules, and per-op gradient checks."""
+"""Tensor op semantics, backward-sweep rules, and per-op gradient checks."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,12 +191,38 @@ class TestBackwardBasics:
         with pytest.raises(ContractError):
             backward(loss)
 
-    def test_new_forward_resets_tape(self):
+    def test_new_forward_builds_new_graph(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         backward(ad.tensor_sum(ad.mul(x, x)))
         x.zero_grad()
         backward(ad.tensor_sum(ad.mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
+
+    def test_loss_built_on_swept_node_is_error(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, 5.0], requires_grad=True)
+        v = Tensor([7.0, 11.0], requires_grad=True)
+        h = ad.mul(x, w)
+        backward(ad.tensor_sum(h))
+        x.zero_grad()
+        w_grad = w.grad.copy()
+        with pytest.raises(ContractError):
+            backward(ad.tensor_sum(ad.mul(ad.mul(h, h), v)))
+        assert x.grad is None and v.grad is None
+        np.testing.assert_array_equal(w.grad, w_grad)
+
+    def test_disjoint_losses_from_one_forward(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, 5.0], requires_grad=True)
+        squares = ad.tensor_sum(ad.mul(x, x))
+        weighted = ad.tensor_sum(ad.mul(x, w))
+        backward(squares)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert w.grad is None
+        x.zero_grad()
+        backward(weighted)
+        np.testing.assert_array_equal(x.grad, [3.0, 5.0])
+        np.testing.assert_array_equal(w.grad, [1.0, 2.0])
 
     def test_detached_tensor_never_receives_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -330,6 +358,35 @@ class TestGradientChecks:
 
         errors = check_gradients(loss_fn, {"x": x})
         assert max_error(errors.values()) < GRAD_TOL
+
+
+class TestGraphMemory:
+    def test_memory_flat_over_many_forwards(self):
+        """Graphs are freed by reference counting alone, with or without backward."""
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+
+        def traced_growth(run_backward: bool) -> int:
+            traced = []
+            for i in range(1, 1001):
+                loss = ad.tensor_sum(ad.gelu(ad.matmul(ad.softmax(x, axis=-1), w)))
+                if run_backward:
+                    backward(loss)
+                if i in (10, 1000):
+                    traced.append(tracemalloc.get_traced_memory()[0])
+            return traced[1] - traced[0]
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            growth = [traced_growth(False), traced_growth(True)]
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert max(growth) < 16 * 1024, f"traced memory grew by {growth} bytes over 990 steps"
 
 
 class TestDeterminism:

@@ -30,6 +30,12 @@ class TestUsageErrors:
         assert code == 1
         assert "error" in err
 
+    def test_zero_batch_exits_1_with_one_line(self, tmp_path, capsys):
+        root = build_overfit_fixture(tmp_path, n_sentences=4)
+        code, _, err = run_cli(capsys, "train", str(root), "--batch", "0")
+        assert code == 1
+        assert err.count("\n") == 1 and "batch_size" in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -210,6 +210,14 @@ class TestConfigText:
         with pytest.raises(ContractError, match="key = value"):
             parse_config_text("alpha 0.5\n")
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("batch_size", 0), ("tau", 0.0), ("dropout", -0.1),
+        ("dropout", 1.0), ("stop_at_f1", -0.1), ("stop_at_f1", 1.5),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            TrainConfig(**{field: value})
+
 
 def tiny_train_config(**overrides):
     defaults = dict(
