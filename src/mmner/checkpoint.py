@@ -3,10 +3,15 @@
 Layout (all integers little-endian):
 
     magic      7 bytes   b"2MNER1\\n"
-    version    uint32    currently 1
+    version    uint32    2 (1 is still read)
     records    repeated  name_len uint32 | name utf-8 | rank uint32
                          | dims uint32 x rank | payload float32 x prod(dims)
-    checksum   uint64    FNV-1a over every record byte
+    checksum   uint64    over every record byte: BLAKE2b with an 8-byte
+                         digest read as a little-endian integer (version 2),
+                         or FNV-1a 64 (version 1)
+
+The two versions differ only in the checksum; a version-1 file loads to
+the same arrays. Saving always writes version 2.
 
 Parameters are stored at float32 precision; saving canonicalizes the live
 tensors to the same precision so that a save -> load round trip (and any
@@ -16,6 +21,7 @@ verified on load and any mismatch, truncation, or bad header is an error.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from pathlib import Path
 
@@ -24,7 +30,7 @@ import numpy as np
 from mmner.autodiff import Tensor
 
 MAGIC = b"2MNER1\n"
-VERSION = 1
+VERSION = 2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -40,6 +46,10 @@ def fnv1a_64(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def blake2b_64(data: bytes) -> int:
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
@@ -60,7 +70,7 @@ def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
             records += struct.pack("<I", dim)
         records += tensor.data.astype("<f4").tobytes()
     blob = MAGIC + struct.pack("<I", VERSION) + bytes(records)
-    blob += struct.pack("<Q", fnv1a_64(bytes(records)))
+    blob += struct.pack("<Q", blake2b_64(bytes(records)))
     Path(path).write_bytes(blob)
 
 
@@ -72,11 +82,12 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     if blob[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
     (version,) = struct.unpack_from("<I", blob, len(MAGIC))
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"{path}: unsupported version {version}")
+    checksum = fnv1a_64 if version == 1 else blake2b_64
     records = blob[len(MAGIC) + 4:-8]
     (stored_sum,) = struct.unpack_from("<Q", blob, len(blob) - 8)
-    if fnv1a_64(records) != stored_sum:
+    if checksum(records) != stored_sum:
         raise CheckpointError(f"{path}: checksum mismatch (corrupt checkpoint)")
 
     params: dict[str, np.ndarray] = {}

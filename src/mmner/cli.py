@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from mmner import __version__
-from mmner.autodiff import ContractError
+from mmner.autodiff import ContractError, NumericError
 from mmner.data import (
     Corpus,
     CorpusError,
@@ -253,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ContractError, CorpusError, ValueError, OSError) as exc:
+    except (ContractError, CorpusError, NumericError, ValueError, OSError) as exc:
         print(f"mmner: error: {exc}", file=sys.stderr)
         return 1
 

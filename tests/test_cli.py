@@ -5,6 +5,8 @@ import pytest
 
 from fixtures_util import build_overfit_fixture
 
+import mmner.cli
+from mmner.autodiff import NumericError
 from mmner.cli import main, read_predict_input
 
 
@@ -35,6 +37,15 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "train", str(root), "--batch", "0")
         assert code == 1
         assert err.count("\n") == 1 and "batch_size" in err
+
+    def test_numeric_error_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NumericError("softmax: non-finite input")
+
+        monkeypatch.setattr(mmner.cli, "train", diverge)
+        code, _, err = run_cli(capsys, "train", str(tmp_path))
+        assert code == 1
+        assert err == "mmner: error: softmax: non-finite input\n"
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 """Optimizer, schedule, loss composition, checkpoints, and training runs."""
 
+import hashlib
 import math
+import struct
 import warnings
 from pathlib import Path
 
@@ -11,7 +13,13 @@ from fixtures_util import build_overfit_fixture
 
 from mmner import autodiff as ad
 from mmner.autodiff import ContractError, Tensor, backward
-from mmner.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from mmner.checkpoint import (
+    MAGIC,
+    CheckpointError,
+    fnv1a_64,
+    load_checkpoint,
+    save_checkpoint,
+)
 from mmner.data import ImageStore, Vocabulary, parse_iob2
 from mmner.gradcheck import check_gradients, max_error
 from mmner.model import ModelConfig, MultimodalNerModel
@@ -183,6 +191,39 @@ class TestCheckpoint:
         blob[-1] ^= 0x01
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_saves_version_2(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self.make_params(), path)
+        blob = path.read_bytes()
+        assert struct.unpack_from("<I", blob, len(MAGIC)) == (2,)
+        records = blob[len(MAGIC) + 4:-8]
+        assert blob[-8:] == hashlib.blake2b(records, digest_size=8).digest()
+
+    def test_version_1_still_loads(self, tmp_path):
+        params = self.make_params()
+        records = b""
+        for name in sorted(params):
+            data = params[name].data.astype("<f4")
+            records += struct.pack("<I", len(name)) + name.encode()
+            records += struct.pack(f"<I{data.ndim}I", data.ndim, *data.shape) + data.tobytes()
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + records
+                         + struct.pack("<Q", fnv1a_64(records)))
+        loaded = load_checkpoint(path)
+        assert set(loaded) == set(params)
+        for name, tensor in params.items():
+            np.testing.assert_array_equal(
+                loaded[name], tensor.data.astype(np.float32).astype(np.float64))
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self.make_params(), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(MAGIC), 3)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="version 3"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
