@@ -7,6 +7,16 @@ pushing its gradient to them (`_backward`) and a creation number. backward()
 sweeps the graph reachable from the loss in reverse creation order and
 consumes each node it sweeps, so nothing else keeps a graph alive and no
 node is swept twice.
+
+Ops: elementwise arithmetic (add, sub, mul, neg, pow_scalar,
+maximum_scalar), activations (relu, gelu, dropout), linear algebra (matmul,
+linear, transpose2d, reshape, slicing, take_pairs, embedding_gather, concat,
+stack), reductions and normalization (tensor_sum, mean, softmax,
+log_sum_exp, layer_norm), conv2d, and multi-head scaled dot-product
+attention as one node. attention(q, k, v, heads) gives head i columns
+i*dh:(i+1)*dh of q, k and v (dh = d / heads) and writes its output to the
+same columns, i.e. head outputs side by side. softmax and attention share
+one max-shifted numpy softmax.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ __all__ = [
     "maximum_scalar",
     "dropout",
     "softmax",
+    "attention",
     "log_sum_exp",
     "layer_norm",
     "concat",
@@ -553,21 +564,67 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     return out
 
 
+def _softmax_array(x: np.ndarray, axis: int, op: str) -> np.ndarray:
+    """Max-shifted softmax of a numpy array; non-finite input is an error."""
+    if not np.isfinite(x).all():
+        raise NumericError(f"{op}: non-finite input")
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax along `axis`; each slice sums to 1."""
     if a.shape[axis] < 1:
         raise ShapeError(f"softmax over empty axis of shape {a.shape}")
-    if not np.isfinite(a.data).all():
-        raise NumericError("softmax: non-finite input")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = _softmax_array(a.data, axis, "softmax")
     out = Tensor(s)
     if _tracked(a):
         def _bw(g):
             dot = (g * s).sum(axis=axis, keepdims=True)
             _accum(a, s * (g - dot))
         _record(out, (a,), _bw)
+    return out
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(rows, heads * dh) -> (heads, rows, dh) view; head i is columns i*dh:(i+1)*dh."""
+    rows, d = x.shape
+    return x.reshape(rows, heads, d // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """Inverse of _split_heads: (heads, rows, dh) -> (rows, heads * dh)."""
+    heads, rows, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(rows, heads * dh)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention, recorded as one graph node.
+
+    q is (n, d), k and v are (m, d). Per head i, on columns i*dh:(i+1)*dh
+    with dh = d / heads: softmax_keys((q_i k_i^T) / sqrt(dh)) v_i. The
+    output is (n, d) with head i in columns i*dh:(i+1)*dh.
+    """
+    if q.ndim != 2 or k.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    d = q.shape[1]
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"attention: width {d} not divisible by {heads} heads")
+    if k.shape[0] < 1:
+        raise ShapeError(f"attention over zero keys, k {k.shape}")
+    scale = 1.0 / math.sqrt(d // heads)
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    s = _softmax_array(np.matmul(qh, kh.transpose(0, 2, 1)) * scale, -1, "attention")
+    out = Tensor(_merge_heads(np.matmul(s, vh)))
+    if _tracked(q, k, v):
+        def _bw(g):
+            gh = _split_heads(g, heads)
+            ds = np.matmul(gh, vh.transpose(0, 2, 1))
+            dlogits = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * scale
+            _accum(q, _merge_heads(np.matmul(dlogits, kh)))
+            _accum(k, _merge_heads(np.matmul(dlogits.transpose(0, 2, 1), qh)))
+            _accum(v, _merge_heads(np.matmul(s.transpose(0, 2, 1), gh)))
+        _record(out, (q, k, v), _bw)
     return out
 
 

@@ -5,6 +5,11 @@ keys/values (visual rows), attention logits are scaled by sqrt(d/m).
 Head outputs are concatenated, mapped by an output matrix, then the block
 closes with residual + LN and an MLP + LN stage, yielding image-aware
 token representations with the query shape.
+
+The per-head maps are stored stacked, (m, d/m, d) each for q, k and v, and
+applied as one (d, d) projection: row block i of the stack is head i, so
+column block i of text @ reshape(wq, (d, d))^T is head i's query. One
+`ad.attention` node then runs all heads.
 """
 
 from __future__ import annotations
@@ -56,21 +61,13 @@ class CrossAttentionBlock:
 
     def attention_weights(self, text: Tensor, visual: Tensor) -> list[np.ndarray]:
         """Per-head softmax weight matrices (n, v), for inspection."""
-        with ad.no_grad():
-            return [a.data for a in self._head_attention(text, visual)[1]]
-
-    def _head_attention(self, text: Tensor, visual: Tensor):
         scale = 1.0 / math.sqrt(self.head_dim)
-        outs, attns = [], []
-        for i in range(self.heads):
-            q = ad.matmul(text, ad.transpose2d(self.wq[i]))
-            k = ad.matmul(visual, ad.transpose2d(self.wk[i]))
-            v = ad.matmul(visual, ad.transpose2d(self.wv[i]))
-            logits = ad.mul(ad.matmul(q, ad.transpose2d(k)), Tensor(scale))
-            attn = ad.softmax(logits, axis=1)
-            outs.append(ad.matmul(attn, v))
-            attns.append(attn)
-        return outs, attns
+        return [ad._softmax_array((text.data @ wq.T) @ (visual.data @ wk.T).T * scale,
+                                  -1, "attention_weights")
+                for wq, wk in zip(self.wq.data, self.wk.data)]
+
+    def _project(self, x: Tensor, w: Tensor) -> Tensor:
+        return ad.matmul(x, ad.transpose2d(ad.reshape(w, (self.d, self.d))))
 
     def __call__(self, text: Tensor, visual: Tensor,
                  train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
@@ -80,8 +77,9 @@ class CrossAttentionBlock:
             raise ShapeError(
                 f"feature dim mismatch: text {text.shape}, visual {visual.shape}, d={self.d}"
             )
-        heads, _ = self._head_attention(text, visual)
-        ia = ad.matmul(ad.concat(heads, axis=1), ad.transpose2d(self.wo))
+        heads = ad.attention(self._project(text, self.wq), self._project(visual, self.wk),
+                             self._project(visual, self.wv), self.heads)
+        ia = ad.matmul(heads, ad.transpose2d(self.wo))
         ia = ad.dropout(ia, self.dropout, train, rng)
         fused = ad.layer_norm(ad.add(ia, text), self.ln1_g, self.ln1_b)
         h = ad.linear(fused, self.mlp_w1, self.mlp_b1)

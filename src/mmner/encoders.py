@@ -37,7 +37,12 @@ def _ones(shape) -> Tensor:
 
 
 class SelfAttention:
-    """Standard multi-head self-attention over one (k, d) sequence."""
+    """Standard multi-head self-attention over one (k, d) sequence.
+
+    Three affine maps give q, k and v; `ad.attention` runs every head in one
+    node (head i reads and writes columns i*d/m:(i+1)*d/m); an affine output
+    map mixes the heads.
+    """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
         if d % heads != 0:
@@ -64,14 +69,7 @@ class SelfAttention:
         q = ad.linear(x, self.wq, self.bq)
         k = ad.linear(x, self.wk, self.bk)
         v = ad.linear(x, self.wv, self.bv)
-        scale = 1.0 / math.sqrt(self.head_dim)
-        outs = []
-        for i in range(self.heads):
-            lo, hi = i * self.head_dim, (i + 1) * self.head_dim
-            qi, ki, vi = q[:, lo:hi], k[:, lo:hi], v[:, lo:hi]
-            logits = ad.mul(ad.matmul(qi, ad.transpose2d(ki)), Tensor(scale))
-            outs.append(ad.matmul(ad.softmax(logits, axis=1), vi))
-        return ad.linear(ad.concat(outs, axis=1), self.wo, self.bo)
+        return ad.linear(ad.attention(q, k, v, self.heads), self.wo, self.bo)
 
 
 class TransformerLayer:
@@ -148,7 +146,7 @@ class TextEncoder:
     """Token ids -> (n+2, d) rows; row 0 is CLS, row n+1 is SEP.
 
     Unknown ids map to the reserved UNK id; overlong sentences truncate to
-    max_len - 2 tokens and bump `truncation_count`.
+    max_len - 2 tokens.
     """
 
     UNK_ID = 1
@@ -164,7 +162,6 @@ class TextEncoder:
                              config.mlp_ratio, config.dropout)
             for _ in range(config.layers)
         ]
-        self.truncation_count = 0
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"token_table": self.token_table, "position_table": self.position_table}
@@ -177,11 +174,7 @@ class TextEncoder:
         if len(token_ids) < 1:
             raise ContractError("text_encode needs at least one token")
         ids = [t if 0 <= t < self.config.vocab_size else self.UNK_ID for t in token_ids]
-        limit = self.config.max_len - 2
-        if len(ids) > limit:
-            ids = ids[:limit]
-            self.truncation_count += 1
-        framed = [self.cls_id] + ids + [self.sep_id]
+        framed = [self.cls_id] + ids[: self.config.max_len - 2] + [self.sep_id]
         x = ad.add(
             ad.embedding_gather(self.token_table, framed),
             self.position_table[: len(framed)],

@@ -152,7 +152,6 @@ class MultimodalNerModel:
         mask = self.schema.invalid_transition_mask() if config.mask_invalid_transitions else None
         self.crf = LinearChainCrf(self.fused_dim, self.schema.num_labels, rng,
                                   transition_mask=mask)
-        self.truncation_count = 0
         # path -> (image copy, encoder parameter copies or None, output); see module doc
         self._encoded: dict[str, tuple[np.ndarray, list[np.ndarray] | None, Tensor]] = {}
 
@@ -205,10 +204,7 @@ class MultimodalNerModel:
 
     def _truncate(self, token_ids, label_ids):
         limit = self.config.max_len - 2
-        if len(token_ids) > limit:
-            self.truncation_count += 1
-            return token_ids[:limit], (label_ids[:limit] if label_ids is not None else None)
-        return token_ids, label_ids
+        return token_ids[:limit], (label_ids[:limit] if label_ids is not None else None)
 
     def _encode_image(self, path: str, encoder: VitEncoder | ConvEncoder,
                       image: np.ndarray, train: bool,

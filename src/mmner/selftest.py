@@ -120,6 +120,13 @@ def _op_cases():
         w = Tensor(u(rng, (4, 5)))
         return (a,), lambda: ad.tensor_sum(ad.mul(ad.softmax(a, axis=-1), w))
 
+    def c_attention(rng, u):
+        q = Tensor(2.0 * u(rng, (3, 4)), requires_grad=True)
+        k = Tensor(2.0 * u(rng, (5, 4)), requires_grad=True)
+        v = Tensor(u(rng, (5, 4)), requires_grad=True)
+        w = Tensor(u(rng, (3, 4)))
+        return (q, k, v), lambda: ad.tensor_sum(ad.mul(ad.attention(q, k, v, 2), w))
+
     def c_lse(rng, u):
         a = Tensor(u(rng, (4, 5)), requires_grad=True)
         return (a,), lambda: ad.tensor_sum(ad.log_sum_exp(a, axis=-1))
@@ -180,6 +187,7 @@ def _op_cases():
         "op.add": simple(c_add), "op.sub": simple(c_sub), "op.mul": simple(c_mul),
         "op.matmul": simple(c_matmul), "op.relu": simple(c_relu),
         "op.gelu": simple(c_gelu), "op.softmax": simple(c_softmax),
+        "op.attention": simple(c_attention),
         "op.log_sum_exp": simple(c_lse), "op.layer_norm": simple(c_layer_norm),
         "op.concat": simple(c_concat), "op.mean": simple(c_mean),
         "op.embedding_gather": simple(c_gather), "op.linear": simple(c_linear),

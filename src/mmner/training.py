@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from mmner import autodiff as ad
-from mmner.autodiff import ContractError, Tensor, backward
+from mmner.autodiff import ContractError, NumericError, Tensor, backward
 from mmner.checkpoint import load_checkpoint, save_checkpoint
 from mmner.data import Corpus, ImageStore, Vocabulary, make_batches, parse_iob2
 from mmner.metrics import EvalReport, evaluate
@@ -304,6 +304,12 @@ def train(config: TrainConfig, data_root: str | Path,
     file exists), ties broken toward the earlier epoch. The best model's
     checkpoint and sidecars are written to out_dir as they improve, and
     the in-memory model is restored to the best checkpoint at the end.
+
+    A non-finite loss term, or a NumericError while computing the losses or
+    their gradients, raises NumericError naming the epoch and optimizer step
+    before any parameter is updated. The counters are facts about the data:
+    eval-split tokens outside the vocabulary, distinct train/eval sentences
+    longer than max_len - 2 tokens, missing images, repaired labels.
     """
     root = Path(data_root)
     train_corpus = load_split(root, "train", repair=config.repair)
@@ -338,17 +344,25 @@ def train(config: TrainConfig, data_root: str | Path,
         batches = 0
         for batch in make_batches(train_corpus, config.batch_size,
                                   [config.seed, epoch], True, vocab, images):
-            crf_nll, cl_vit, cl_conv = model.batch_losses(
-                batch, train=True, rng=dropout_rng, tau=config.tau)
-            loss = total_loss(crf_nll, cl_vit, cl_conv, config.alpha)
-            backward(loss)
+            try:
+                crf_nll, cl_vit, cl_conv = model.batch_losses(
+                    batch, train=True, rng=dropout_rng, tau=config.tau)
+                terms = {"crf_nll": crf_nll.item(), "cl_vit": cl_vit.item(),
+                         "cl_conv": cl_conv.item()}
+                for name, value in terms.items():
+                    if not math.isfinite(value):
+                        raise NumericError(f"non-finite {name} = {value}")
+                loss = total_loss(crf_nll, cl_vit, cl_conv, config.alpha)
+                backward(loss)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch} step {step}: {exc}") from None
             clip_global_norm(params, 1.0)
             optimizer.step(lr_at(step, total_steps, config.lr))
             step += 1
             sums["loss"] += loss.item()
-            sums["crf"] += crf_nll.item()
-            sums["vit"] += cl_vit.item()
-            sums["conv"] += cl_conv.item()
+            sums["crf"] += terms["crf_nll"]
+            sums["vit"] += terms["cl_vit"]
+            sums["conv"] += terms["cl_conv"]
             batches += 1
         report = evaluate_model(model, eval_corpus, vocab, images)
         f1 = report.overall.f1
@@ -379,8 +393,11 @@ def train(config: TrainConfig, data_root: str | Path,
     final_report = evaluate_model(model, eval_corpus, vocab, images)
 
     counters = {
-        "unk_tokens": vocab.unk_count,
-        "truncated_sentences": model.truncation_count + model.text.truncation_count,
+        "unk_tokens": sum(tok not in vocab for ex in eval_corpus.examples for tok in ex.tokens),
+        "truncated_sentences": len({
+            tuple(ex.tokens) for corpus in (train_corpus, eval_corpus) for ex in corpus.examples
+            if len(ex.tokens) > model_cfg.max_len - 2
+        }),
         "missing_images": images.missing_count,
         "repaired_labels": train_corpus.repaired_labels
         + (dev_corpus.repaired_labels if dev_corpus is not None else 0),

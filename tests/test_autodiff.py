@@ -90,6 +90,65 @@ class TestSoftmax:
             ad.softmax(Tensor([0.0, np.inf]))
 
 
+def per_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Attention composed head by head from slice/matmul/mul/softmax/concat."""
+    dh = q.shape[1] // heads
+    scale = Tensor(1.0 / math.sqrt(dh))
+    outs = []
+    for i in range(heads):
+        cols = slice(i * dh, (i + 1) * dh)
+        logits = ad.mul(ad.matmul(q[:, cols], ad.transpose2d(k[:, cols])), scale)
+        outs.append(ad.matmul(ad.softmax(logits, axis=1), v[:, cols]))
+    return ad.concat(outs, axis=1)
+
+
+class TestAttention:
+    @staticmethod
+    def _inputs(seed, n=3, m=4, d=8, scale=1.0):
+        rng = np.random.default_rng(seed)
+        q, k, v = (Tensor(scale * _rand(rng, (rows, d)), requires_grad=True)
+                   for rows in (n, m, m))
+        weight = Tensor(_rand(rng, (n, d)))
+        return q, k, v, weight
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gradient_check(self, seed):
+        q, k, v, weight = self._inputs(seed, scale=2.0)
+        errors = check_gradients(
+            lambda: ad.tensor_sum(ad.mul(ad.attention(q, k, v, 2), weight)),
+            {"q": q, "k": k, "v": v},
+        )
+        assert max_error(errors.values()) < GRAD_TOL
+
+    @pytest.mark.parametrize("heads,m", [(1, 4), (2, 4), (4, 4), (1, 1), (2, 1), (4, 1)])
+    def test_matches_per_head_composition(self, heads, m):
+        results = []
+        for op in (ad.attention, per_head_attention):
+            q, k, v, weight = self._inputs(30 + heads + m, m=m, scale=2.0)
+            out = op(q, k, v, heads)
+            backward(ad.tensor_sum(ad.mul(out, weight)))
+            results.append([out.data, q.grad, k.grad, v.grad])
+        for fused, composed in zip(*results):
+            assert np.max(np.abs(fused - composed)) < 1e-12
+
+    def test_non_finite_logits_raise(self):
+        q, k, v, _ = self._inputs(0)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="attention"):
+            ad.attention(Tensor(q.data * 1e200), Tensor(k.data * 1e200), v, 2)
+
+    def test_width_not_divisible_by_heads(self):
+        q, k, v, _ = self._inputs(0)
+        with pytest.raises(ShapeError, match="divisible"):
+            ad.attention(q, k, v, 3)
+
+    def test_key_value_shape_mismatch(self):
+        q, k, v, _ = self._inputs(0)
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, v[:3], 2)
+        with pytest.raises(ShapeError):
+            ad.attention(q, k[:, :4], v[:, :4], 2)
+
+
 class TestLogSumExp:
     def test_singleton(self):
         out = ad.log_sum_exp(Tensor([3.75]))

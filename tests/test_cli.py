@@ -6,8 +6,10 @@ import pytest
 from fixtures_util import build_overfit_fixture
 
 import mmner.cli
+from mmner import autodiff as ad
 from mmner.autodiff import NumericError
 from mmner.cli import main, read_predict_input
+from mmner.model import MultimodalNerModel
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +48,19 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "train", str(tmp_path))
         assert code == 1
         assert err == "mmner: error: softmax: non-finite input\n"
+
+    def test_non_finite_loss_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        root = build_overfit_fixture(tmp_path, n_sentences=4)
+        batch_losses = MultimodalNerModel.batch_losses
+
+        def nan_cl_vit(self, *args, **kwargs):
+            crf_nll, cl_vit, cl_conv = batch_losses(self, *args, **kwargs)
+            return crf_nll, ad.mul(cl_vit, ad.Tensor(np.nan)), cl_conv
+
+        monkeypatch.setattr(MultimodalNerModel, "batch_losses", nan_cl_vit)
+        code, _, err = run_cli(capsys, "train", str(root), "--batch", "2")
+        assert code == 1
+        assert err == "mmner: error: epoch 1 step 0: non-finite cl_vit = nan\n"
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -69,10 +69,12 @@ class TestCrossAttention:
         visual = Tensor(rng.normal(size=(1, 8)))
         for attn in block.attention_weights(text, visual):
             np.testing.assert_allclose(attn, 1.0, atol=1e-15)
-        outs, _ = block._head_attention(text, visual)
-        for head in outs:
-            # every query receives the same transform of the lone visual token
-            np.testing.assert_allclose(head.data, np.tile(head.data[0], (4, 1)), atol=1e-15)
+        # every query receives the same transform of the lone visual token:
+        # the block output cannot depend on the query or key maps
+        base = block(text, visual).data
+        block.wq.data += rng.normal(0.0, 5.0, block.wq.shape)
+        block.wk.data += rng.normal(0.0, 5.0, block.wk.shape)
+        np.testing.assert_allclose(block(text, visual).data, base, atol=1e-15)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(2)

@@ -12,7 +12,7 @@ import pytest
 from fixtures_util import build_overfit_fixture
 
 from mmner import autodiff as ad
-from mmner.autodiff import ContractError, Tensor, backward
+from mmner.autodiff import ContractError, NumericError, Tensor, backward
 from mmner.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -400,6 +400,44 @@ class TestTrainLoop:
         assert set(result.counters) == {
             "unk_tokens", "truncated_sentences", "missing_images", "repaired_labels",
         }
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_counters_are_data_facts(self, tmp_path, epochs):
+        root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
+        overlong = "\n".join(["IMGID:ov000"] + [f"tok{i}\tO" for i in range(63)])
+        with (root / "train.iob2").open("a", encoding="utf-8") as fh:
+            fh.write(overlong + "\n\n")
+        (root / "dev.iob2").write_text("IMGID:ov001\nAna\tB-PER\nZanzibar\tB-LOC\n\n",
+                                       encoding="utf-8")
+        result = train(tiny_train_config(epochs=epochs), root)
+        assert len(result.epoch_logs) == epochs
+        assert result.counters["unk_tokens"] == 1
+        assert result.counters["truncated_sentences"] == 1
+
+    def test_non_finite_loss_term_stops_before_the_update(self, tmp_path, monkeypatch):
+        root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
+        batch_losses = MultimodalNerModel.batch_losses
+
+        def nan_cl_vit(self, *args, **kwargs):
+            crf_nll, cl_vit, cl_conv = batch_losses(self, *args, **kwargs)
+            return crf_nll, ad.mul(cl_vit, Tensor(np.nan)), cl_conv
+
+        steps = []
+        monkeypatch.setattr(MultimodalNerModel, "batch_losses", nan_cl_vit)
+        monkeypatch.setattr(Adam, "step", lambda self, lr: steps.append(lr))
+        with pytest.raises(NumericError, match=r"^epoch 1 step 0: non-finite cl_vit = nan$"):
+            train(tiny_train_config(epochs=1), root)
+        assert steps == []
+
+    def test_numeric_error_in_losses_names_epoch_and_step(self, tmp_path, monkeypatch):
+        root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
+
+        def diverge(self, *args, **kwargs):
+            raise NumericError("softmax: non-finite input")
+
+        monkeypatch.setattr(MultimodalNerModel, "batch_losses", diverge)
+        with pytest.raises(NumericError, match=r"^epoch 1 step 0: softmax: non-finite input$"):
+            train(tiny_train_config(epochs=1), root)
 
     def test_schema_mismatch_rejected(self, tmp_path):
         cfg = tiny_model_config()
