@@ -1,4 +1,4 @@
-"""Contrastive text-image alignment: pooling, projection heads, InfoNCE.
+"""Contrastive text-image alignment: projection heads and InfoNCE.
 
 The loss is the symmetric InfoNCE form: every pooled text embedding is an
 anchor scored against all N image embeddings of the batch (and vice
@@ -9,30 +9,12 @@ anchor pair; the reported value is the mean over all 2N anchors.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from mmner import autodiff as ad
 from mmner.autodiff import ContractError, NumericError, ShapeError, Tensor
 
 COSINE_EPS = 1e-12
-
-
-def pool(sequence: Tensor, mode: str) -> Tensor:
-    """Collapse (k, d) token rows to one d-vector.
-
-    cls_token returns row 0 verbatim (only meaningful for encoders that
-    prepend a class row); mean averages all rows.
-    """
-    if sequence.ndim != 2 or sequence.shape[0] < 1:
-        raise ShapeError(f"pool expects (k, d) with k >= 1, got {sequence.shape}")
-    if mode == "cls_token":
-        return sequence[0]
-    if mode == "mean":
-        return ad.mean(sequence, axis=0)
-    raise ContractError(f"unknown pooling mode {mode!r}")
 
 
 class ProjectionHead:
@@ -43,27 +25,12 @@ class ProjectionHead:
         self.b1 = Tensor(np.zeros(d_hidden), requires_grad=True)
         self.w2 = Tensor(rng.normal(0.0, 0.02, (d_hidden, d_out)), requires_grad=True)
         self.b2 = Tensor(np.zeros(d_out), requires_grad=True)
-        self.d_out = d_out
 
     def parameters(self) -> dict[str, Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def project(self, h: Tensor) -> Tensor:
-        return ad.linear(ad.relu(ad.linear(h, self.w1, self.b1)), self.w2, self.b2)
-
     def __call__(self, h: Tensor) -> Tensor:
-        return self.project(h)
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    temperature: float = 0.07
-    text_pooling: str = "cls_token"
-    image_pooling: str = "mean"
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ContractError(f"temperature must be > 0, got {self.temperature}")
+        return ad.linear(ad.relu(ad.linear(h, self.w1, self.b1)), self.w2, self.b2)
 
 
 def _normalize_rows(x: Tensor) -> Tensor:

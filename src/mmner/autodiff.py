@@ -139,57 +139,13 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, pow_scalar(other, -1.0))
-        return mul(self, _as_tensor(1.0 / other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_scalar(self, float(p))
-
     def __getitem__(self, key):
         return _slice(self, key)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose2d(self)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def sum(self, axis=None) -> "Tensor":
-        return tensor_sum(self, axis)
-
-    def mean(self, axis=None) -> "Tensor":
-        return mean(self, axis)
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -614,7 +570,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         raise ShapeError(f"attention over zero keys, k {k.shape}")
     scale = 1.0 / math.sqrt(d // heads)
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-    s = _softmax_array(np.matmul(qh, kh.transpose(0, 2, 1)) * scale, -1, "attention")
+    # Overflowing logits are reported once, by _softmax_array's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
+    s = _softmax_array(logits, -1, "attention")
     out = Tensor(_merge_heads(np.matmul(s, vh)))
     if _tracked(q, k, v):
         def _bw(g):

@@ -11,7 +11,9 @@ Layout (all integers little-endian):
                          or FNV-1a 64 (version 1)
 
 The two versions differ only in the checksum; a version-1 file loads to
-the same arrays. Saving always writes version 2.
+the same arrays. Saving always writes version 2. Reading version 1 stays
+on purpose: run directories saved before the switch to BLAKE2b hold
+version-1 files, and perfbench's tracing wraps `fnv1a_64` by name.
 
 Parameters are stored at float32 precision; saving canonicalizes the live
 tensors to the same precision so that a save -> load round trip (and any

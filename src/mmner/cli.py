@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ from mmner.data import (
     SentenceExample,
     cohens_kappa,
     dataset_stats,
-    parse_iob2,
     serialize_iob2,
 )
 from mmner.training import (
@@ -54,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--dropout", type=float, default=None)
-        p.add_argument("--preset", choices=("paper", "desk"), default=None)
         p.add_argument("--no-vit", dest="use_vit", action="store_const",
                        const=False, default=None)
         p.add_argument("--no-resnet", dest="use_resnet", action="store_const",
@@ -111,7 +108,7 @@ def merged_train_config(args) -> TrainConfig:
     flag_map = {
         "seed": args.seed, "alpha": args.alpha, "tau": args.tau, "lr": args.lr,
         "batch_size": args.batch, "epochs": args.epochs, "dropout": args.dropout,
-        "preset": args.preset, "use_vit": args.use_vit, "use_resnet": args.use_resnet,
+        "use_vit": args.use_vit, "use_resnet": args.use_resnet,
         "use_contrastive": args.use_contrastive,
         "mask_invalid_transitions": args.mask_invalid_transitions,
         "repair": args.repair, "stop_at_f1": args.stop_at_f1,
@@ -213,10 +210,19 @@ def cmd_stats(args) -> int:
 
 def cmd_kappa(args) -> int:
     rows = []
-    for line in Path(args.table).read_text(encoding="utf-8").splitlines():
+    for line_no, line in enumerate(
+            Path(args.table).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
-        if line:
-            rows.append([float(v) for v in line.split()])
+        if not line:
+            continue
+        try:
+            row = [float(v) for v in line.split()]
+        except ValueError:
+            raise ContractError(f"{args.table}:{line_no}: non-numeric count in {line!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ContractError(
+                f"{args.table}:{line_no}: {len(row)} counts, first row has {len(rows[0])}")
+        rows.append(row)
     print(cohens_kappa(np.array(rows)))
     return 0
 

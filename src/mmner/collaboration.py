@@ -14,8 +14,6 @@ column block i of text @ reshape(wq, (d, d))^T is head i's query. One
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from mmner import autodiff as ad
@@ -58,13 +56,6 @@ class CrossAttentionBlock:
             "mlp_w2": self.mlp_w2, "mlp_b2": self.mlp_b2,
             "ln2_g": self.ln2_g, "ln2_b": self.ln2_b,
         }
-
-    def attention_weights(self, text: Tensor, visual: Tensor) -> list[np.ndarray]:
-        """Per-head softmax weight matrices (n, v), for inspection."""
-        scale = 1.0 / math.sqrt(self.head_dim)
-        return [ad._softmax_array((text.data @ wq.T) @ (visual.data @ wk.T).T * scale,
-                                  -1, "attention_weights")
-                for wq, wk in zip(self.wq.data, self.wk.data)]
 
     def _project(self, x: Tensor, w: Tensor) -> Tensor:
         return ad.matmul(x, ad.transpose2d(ad.reshape(w, (self.d, self.d))))

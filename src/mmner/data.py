@@ -157,7 +157,6 @@ class Vocabulary:
         for tok in tokens:
             if tok not in self._index:
                 self._index[tok] = len(self._index) + 2
-        self.unk_count = 0
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "Vocabulary":
@@ -170,20 +169,10 @@ class Vocabulary:
         return token in self._index
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        ids = []
-        for tok in tokens:
-            idx = self._index.get(tok, UNK_ID)
-            if idx == UNK_ID:
-                self.unk_count += 1
-            ids.append(idx)
-        return ids
+        return [self._index.get(tok, UNK_ID) for tok in tokens]
 
     def tokens_in_order(self) -> list[str]:
         return sorted(self._index, key=self._index.__getitem__)
-
-    @classmethod
-    def from_token_list(cls, tokens: Sequence[str]) -> "Vocabulary":
-        return cls(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +262,16 @@ class ImageStore:
     """Loads <stem>.ppm files, resizing and normalizing to (3, R, R).
 
     Values land in [-1, 1] via (x - 0.5) / 0.5. A missing stem is replaced
-    by the configured default image (itself a stem, or flat mid-gray) and
-    counted, never raised.
+    by flat mid-gray (all zeros after normalization), one array shared by
+    every missing stem, and counted, never raised.
     """
 
-    def __init__(self, directory: str | Path | None, resolution: int,
-                 default_stem: str | None = None):
+    def __init__(self, directory: str | Path | None, resolution: int):
         self.directory = Path(directory) if directory is not None else None
         self.resolution = resolution
-        self.default_stem = default_stem
         self.missing_count = 0
         self._cache: dict[str, np.ndarray] = {}
-        self._default: np.ndarray | None = None
-
-    def _default_image(self) -> np.ndarray:
-        if self._default is None:
-            img = None
-            if self.default_stem and self.directory is not None:
-                p = self.directory / f"{self.default_stem}.ppm"
-                if p.exists():
-                    img = self._normalize(read_ppm(p))
-            if img is None:
-                img = np.zeros((3, self.resolution, self.resolution))
-            self._default = img
-        return self._default
+        self._default = np.zeros((3, resolution, resolution))
 
     def _normalize(self, raw: np.ndarray) -> np.ndarray:
         r = self.resolution
@@ -310,7 +285,7 @@ class ImageStore:
         path = self.directory / f"{stem}.ppm" if self.directory is not None else None
         if path is None or not path.exists():
             self.missing_count += 1
-            img = self._default_image()
+            img = self._default
         else:
             img = self._normalize(read_ppm(path))
         self._cache[stem] = img

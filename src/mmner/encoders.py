@@ -5,23 +5,21 @@ All weights are randomly initialized (normal, std 0.02 for embeddings and
 projection matrices; conv kernels use fan-in scaling; LN affine starts at
 identity). The two transformer branches deliberately use different
 sublayer orderings: the text branch normalizes the sublayer output before
-the residual add, the patch branch normalizes the sublayer input. Both
-can be switched to the conventional post-LN form via config.
+the residual add, the patch branch normalizes the sublayer input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from mmner import autodiff as ad
 from mmner.autodiff import ConfigError, ContractError, Tensor
 
-TEXT_SUBLAYER = "ln_then_add"   # y = LN(f(x)) + x, text-branch default
-VIT_SUBLAYER = "pre_ln"         # y = f(LN(x)) + x, patch-branch default
-POST_LN = "post_ln"             # y = LN(f(x) + x), conventional alternative
+TEXT_SUBLAYER = "ln_then_add"   # y = LN(f(x)) + x, text branch
+VIT_SUBLAYER = "pre_ln"         # y = f(LN(x)) + x, patch branch
 
 
 def _w(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
@@ -73,11 +71,11 @@ class SelfAttention:
 
 
 class TransformerLayer:
-    """One MHSA + MLP layer in any of the three sublayer orderings."""
+    """One MHSA + MLP layer in either sublayer ordering."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
                  sublayer: str, mlp_ratio: int = 4, dropout: float = 0.0):
-        if sublayer not in (TEXT_SUBLAYER, VIT_SUBLAYER, POST_LN):
+        if sublayer not in (TEXT_SUBLAYER, VIT_SUBLAYER):
             raise ConfigError(f"unknown sublayer ordering {sublayer!r}")
         self.sublayer = sublayer
         self.dropout = dropout
@@ -108,11 +106,8 @@ class TransformerLayer:
         if self.sublayer == TEXT_SUBLAYER:
             out = ad.dropout(f(x), self.dropout, train, rng)
             return ad.add(ad.layer_norm(out, ln_g, ln_b), x)
-        if self.sublayer == VIT_SUBLAYER:
-            out = ad.dropout(f(ad.layer_norm(x, ln_g, ln_b)), self.dropout, train, rng)
-            return ad.add(out, x)
-        out = ad.dropout(f(x), self.dropout, train, rng)
-        return ad.layer_norm(ad.add(out, x), ln_g, ln_b)
+        out = ad.dropout(f(ad.layer_norm(x, ln_g, ln_b)), self.dropout, train, rng)
+        return ad.add(out, x)
 
     def __call__(self, x: Tensor, train: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
@@ -133,7 +128,6 @@ class TextEncoderConfig:
     max_len: int = 64
     mlp_ratio: int = 4
     dropout: float = 0.1
-    sublayer: str = TEXT_SUBLAYER
 
     def __post_init__(self):
         if self.d % self.heads != 0:
@@ -158,7 +152,7 @@ class TextEncoder:
         self.token_table = _w(rng, (config.vocab_size + 2, config.d))
         self.position_table = _w(rng, (config.max_len, config.d))
         self.layers = [
-            TransformerLayer(config.d, config.heads, rng, config.sublayer,
+            TransformerLayer(config.d, config.heads, rng, TEXT_SUBLAYER,
                              config.mlp_ratio, config.dropout)
             for _ in range(config.layers)
         ]
@@ -199,8 +193,6 @@ class VitConfig:
     heads: int = 4
     mlp_ratio: int = 4
     dropout: float = 0.1
-    sublayer: str = VIT_SUBLAYER
-    class_token: bool = False
 
     def __post_init__(self):
         if self.image_size % self.patch_size != 0:
@@ -221,12 +213,10 @@ class VitEncoder:
     def __init__(self, config: VitConfig, rng: np.random.Generator):
         self.config = config
         patch_dim = config.channels * config.patch_size**2
-        rows = config.num_patches + (1 if config.class_token else 0)
         self.patch_proj = _w(rng, (patch_dim, config.embed_dim))
-        self.position_table = _w(rng, (rows, config.embed_dim))
-        self.class_embed = _w(rng, (config.embed_dim,)) if config.class_token else None
+        self.position_table = _w(rng, (config.num_patches, config.embed_dim))
         self.layers = [
-            TransformerLayer(config.embed_dim, config.heads, rng, config.sublayer,
+            TransformerLayer(config.embed_dim, config.heads, rng, VIT_SUBLAYER,
                              config.mlp_ratio, config.dropout)
             for _ in range(config.layers)
         ]
@@ -237,8 +227,6 @@ class VitEncoder:
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"patch_proj": self.patch_proj, "position_table": self.position_table}
-        if self.class_embed is not None:
-            params["class_embed"] = self.class_embed
         if self.out_proj is not None:
             params["out_proj"] = self.out_proj
         for i, layer in enumerate(self.layers):
@@ -267,8 +255,6 @@ class VitEncoder:
     def encode_patches(self, patches: np.ndarray, train: bool = False,
                        rng: np.random.Generator | None = None) -> Tensor:
         x = ad.matmul(Tensor(patches), self.patch_proj)
-        if self.class_embed is not None:
-            x = ad.concat([self.class_embed.reshape(1, -1), x], axis=0)
         x = ad.add(x, self.position_table)
         for layer in self.layers:
             x = layer(x, train, rng)

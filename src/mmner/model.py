@@ -3,9 +3,9 @@ fusion -> label emissions -> CRF.
 
 Per sentence, text rows 1..n (real tokens, CLS/SEP excluded) query each
 active visual path's tokens; the per-path fused outputs are concatenated
-feature-wise before the emission map. Pooled text (CLS row) and pooled
-visual tokens feed per-path projection heads whose batch outputs give the
-two contrastive terms.
+feature-wise before the emission map. The text CLS row and the mean of
+each path's visual tokens feed per-path projection heads whose batch
+outputs give the two contrastive terms.
 
 At inference the model keeps, per visual path (ViT, conv), a one-entry memo
 of the last encode: a copy of the image, the output, and, once the image
@@ -24,13 +24,13 @@ that later calls hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from mmner import autodiff as ad
 from mmner.autodiff import ConfigError, Tensor
-from mmner.alignment import ProjectionHead, contrastive_loss, pool
+from mmner.alignment import ProjectionHead, contrastive_loss
 from mmner.collaboration import CrossAttentionBlock
 from mmner.crf import LabelSchema, LinearChainCrf
 from mmner.data import Batch
@@ -66,29 +66,6 @@ class ModelConfig:
     use_resnet: bool = True
     use_contrastive: bool = True
     mask_invalid_transitions: bool = False
-    text_pooling: str = "cls_token"
-    image_pooling: str = "mean"
-
-    @classmethod
-    def desk(cls, **overrides) -> "ModelConfig":
-        return cls(**overrides)
-
-    @classmethod
-    def paper(cls, **overrides) -> "ModelConfig":
-        """Table-faithful dimensions (not trainable without pretrained
-        weights; construction alone allocates hundreds of millions of
-        parameters)."""
-        base = cls(
-            d=768, text_layers=12, vit_layers=12, heads=12, max_len=128,
-            image_size=224, patch_size=32, vit_embed_dim=768,
-            conv_stem_channels=64, conv_stem_kernel=5, conv_stem_stride=4,
-            conv_stage_channels=(512, 1024, 2048),
-            proj_hidden=768, proj_out=768,
-        )
-        return replace(base, **overrides)
-
-
-PRESETS = {"desk": ModelConfig.desk, "paper": ModelConfig.paper}
 
 
 def _identical(a: np.ndarray, b: np.ndarray) -> bool:
@@ -228,17 +205,17 @@ class MultimodalNerModel:
         text_rows = self.text.encode(token_ids, train, rng)
         n = text_rows.shape[0] - 2
         tokens = text_rows[1:n + 1]
-        pooled_text = pool(text_rows, self.config.text_pooling)
+        pooled_text = text_rows[0]
         fused_parts = []
         pooled = {}
         if self.vit is not None:
             vis = self._encode_image("vit", self.vit, image, train, rng)
             fused_parts.append(self.vit_fusion(tokens, vis, train, rng))
-            pooled["vit"] = (pooled_text, pool(vis, self.config.image_pooling))
+            pooled["vit"] = (pooled_text, ad.mean(vis, axis=0))
         if self.conv is not None:
             vis = self._encode_image("conv", self.conv, image, train, rng)
             fused_parts.append(self.conv_fusion(tokens, vis, train, rng))
-            pooled["conv"] = (pooled_text, pool(vis, self.config.image_pooling))
+            pooled["conv"] = (pooled_text, ad.mean(vis, axis=0))
         if fused_parts:
             fused = fused_parts[0] if len(fused_parts) == 1 else ad.concat(fused_parts, axis=1)
         else:

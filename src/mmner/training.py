@@ -21,7 +21,7 @@ from mmner.autodiff import ContractError, NumericError, Tensor, backward
 from mmner.checkpoint import load_checkpoint, save_checkpoint
 from mmner.data import Corpus, ImageStore, Vocabulary, make_batches, parse_iob2
 from mmner.metrics import EvalReport, evaluate
-from mmner.model import PRESETS, ModelConfig, MultimodalNerModel
+from mmner.model import ModelConfig, MultimodalNerModel
 
 
 @dataclass
@@ -33,7 +33,6 @@ class TrainConfig:
     tau: float = 0.07
     epochs: int = 10
     seed: int = 0
-    preset: str = "desk"
     use_vit: bool = True
     use_resnet: bool = True
     use_contrastive: bool = True
@@ -44,23 +43,21 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ContractError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.lr <= 0:
-            raise ContractError(f"learning rate must be > 0, got {self.lr}")
-        if self.preset not in PRESETS:
-            raise ContractError(f"unknown preset {self.preset!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ContractError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 1:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.tau <= 0:
-            raise ContractError(f"tau must be > 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ContractError(f"tau must be finite and > 0, got {self.tau}")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.stop_at_f1 is not None and not 0.0 <= self.stop_at_f1 <= 1.0:
             raise ContractError(f"stop_at_f1 must be in [0, 1], got {self.stop_at_f1}")
 
     def model_config(self) -> ModelConfig:
-        return PRESETS[self.preset](
+        return ModelConfig(
             dropout=self.dropout,
             use_vit=self.use_vit,
             use_resnet=self.use_resnet,
@@ -70,6 +67,8 @@ class TrainConfig:
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+_KIND_NAMES = {"bool": "boolean", "int": "integer", "float": "number",
+               "float | None": "number or none"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -84,25 +83,28 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_TYPES:
+        kind = _CONFIG_TYPES.get(key)
+        if kind is None:
             raise ContractError(f"config line {line_no}: unknown key {key!r}")
-        values[key] = _coerce(key, value)
+        try:
+            values[key] = _coerce(kind, value)
+        except ValueError:
+            raise ContractError(f"config line {line_no}: key {key}: "
+                                f"expected {_KIND_NAMES[kind]}, got {value!r}") from None
     return values
 
 
-def _coerce(key: str, value: str):
-    kind = _CONFIG_TYPES[key]
+def _coerce(kind: str, value: str):
+    """`value` as a field of type `kind`; ValueError if it is not one."""
     if kind == "bool":
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
-        raise ContractError(f"config key {key}: expected boolean, got {value!r}")
+        raise ValueError(value)
     if kind == "int":
         return int(value)
-    if kind == "str":
-        return value
-    if value.lower() == "none":
+    if kind == "float | None" and value.lower() == "none":
         return None
     return float(value)
 
@@ -282,7 +284,7 @@ def load_run(out_dir: str | Path) -> tuple[MultimodalNerModel, Vocabulary, Train
     out_dir = Path(out_dir)
     config = TrainConfig(**parse_config_text((out_dir / "config.cfg").read_text()))
     tokens = (out_dir / "vocab.txt").read_text(encoding="utf-8").splitlines()
-    vocab = Vocabulary.from_token_list([t for t in tokens if t])
+    vocab = Vocabulary([t for t in tokens if t])
     model = MultimodalNerModel(config.model_config(), len(vocab), config.seed)
     model.load_parameters(load_checkpoint(out_dir / "model.ckpt"))
     return model, vocab, config

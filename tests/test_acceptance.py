@@ -117,7 +117,7 @@ def test_c04_cross_attention_oracle():
 def test_c05_overfit_run(tmp_path):
     root = build_overfit_fixture(tmp_path / "data", n_sentences=32, seed=0)
     config = TrainConfig(alpha=0.8, lr=5e-3, batch_size=8, dropout=0.1, tau=0.07,
-                         epochs=300, seed=0, preset="desk", stop_at_f1=1.0)
+                         epochs=300, seed=0, stop_at_f1=1.0)
     t0 = time.perf_counter()
     result = train(config, root)
     elapsed = time.perf_counter() - t0
@@ -134,14 +134,14 @@ def test_c06_multimodal_signal_run(tmp_path):
 
     out_full = tmp_path / "run_full"
     full_cfg = TrainConfig(alpha=0.8, lr=5e-3, batch_size=8, dropout=0.1, tau=0.07,
-                           epochs=200, seed=0, preset="desk", stop_at_f1=1.0)
+                           epochs=200, seed=0, stop_at_f1=1.0)
     full_result = train(full_cfg, root, out_dir=out_full)
     assert full_result.final_report.token_accuracy >= 0.95, \
         f"held-out token accuracy {full_result.final_report.token_accuracy:.3f}"
 
     out_text = tmp_path / "run_text"
     text_cfg = TrainConfig(alpha=0.8, lr=5e-3, batch_size=8, dropout=0.1, tau=0.07,
-                           epochs=60, seed=0, preset="desk",
+                           epochs=60, seed=0,
                            use_vit=False, use_resnet=False, stop_at_f1=1.0)
     train(text_cfg, root, out_dir=out_text)
 
@@ -233,7 +233,7 @@ def test_c12_determinism(tmp_path):
 
     def run():
         config = TrainConfig(alpha=0.8, lr=5e-3, batch_size=4, dropout=0.1,
-                             tau=0.07, epochs=3, seed=11, preset="desk")
+                             tau=0.07, epochs=3, seed=11)
         return train(config, root)
 
     a, b = run(), run()

@@ -1,4 +1,4 @@
-"""Pooling, projection heads, and the contrastive loss vs a direct oracle."""
+"""Projection heads and the contrastive loss vs a direct oracle."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mmner import autodiff as ad
-from mmner.autodiff import ContractError, NumericError, ShapeError, Tensor, backward
-from mmner.alignment import ContrastiveConfig, ProjectionHead, contrastive_loss, pool
+from mmner.autodiff import ContractError, NumericError, Tensor, backward
+from mmner.alignment import ProjectionHead, contrastive_loss
 from mmner.gradcheck import check_gradients, max_error
 
 
@@ -30,29 +30,6 @@ def oracle_contrastive(text: np.ndarray, image: np.ndarray, tau: float) -> float
     return total / (2 * n)
 
 
-class TestPool:
-    def test_mean_of_identical_rows(self):
-        row = np.array([1.0, -2.0, 0.5])
-        seq = Tensor(np.tile(row, (4, 1)))
-        np.testing.assert_allclose(pool(seq, "mean").data, row, atol=1e-15)
-
-    def test_cls_token_returns_row_zero(self):
-        seq = Tensor([[9.0, 8.0], [1.0, 2.0]])
-        np.testing.assert_array_equal(pool(seq, "cls_token").data, [9.0, 8.0])
-
-    def test_mean_arithmetic(self):
-        seq = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(pool(seq, "mean").data, [0.5, 0.5])
-
-    def test_bad_mode(self):
-        with pytest.raises(ContractError):
-            pool(Tensor([[1.0]]), "max")
-
-    def test_empty_sequence(self):
-        with pytest.raises(ShapeError):
-            pool(Tensor(np.zeros((0, 3))), "mean")
-
-
 class TestProjectionHead:
     def test_zero_weights_yield_second_bias(self):
         rng = np.random.default_rng(0)
@@ -60,14 +37,14 @@ class TestProjectionHead:
         head.w1.data[:] = 0.0
         head.w2.data[:] = 0.0
         head.b2.data[:] = [0.1, -0.2, 0.3]
-        out = head.project(Tensor(rng.normal(size=4)))
+        out = head(Tensor(rng.normal(size=4)))
         np.testing.assert_allclose(out.data, [0.1, -0.2, 0.3])
 
     def test_output_dimension(self):
         rng = np.random.default_rng(1)
         for d_in, d_out in [(3, 5), (8, 2), (6, 6)]:
             head = ProjectionHead(d_in, 4, d_out, rng)
-            assert head.project(Tensor(rng.normal(size=d_in))).shape == (d_out,)
+            assert head(Tensor(rng.normal(size=d_in))).shape == (d_out,)
 
     def test_gradient_check(self):
         rng = np.random.default_rng(2)
@@ -76,7 +53,7 @@ class TestProjectionHead:
         weight = Tensor(rng.uniform(-1, 1, size=3))
         params = dict(head.parameters(), x=x)
         errors = check_gradients(
-            lambda: ad.tensor_sum(ad.mul(head.project(x), weight)), params
+            lambda: ad.tensor_sum(ad.mul(head(x), weight)), params
         )
         assert max_error(errors.values()) < 1e-5
 
@@ -149,8 +126,6 @@ class TestContrastiveLoss:
         x = Tensor(np.ones((2, 4)))
         with pytest.raises(ContractError):
             contrastive_loss(x, x, tau=0.0)
-        with pytest.raises(ContractError):
-            ContrastiveConfig(temperature=-1.0)
 
     def test_gradient_check(self):
         rng = np.random.default_rng(5)

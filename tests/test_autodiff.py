@@ -131,9 +131,10 @@ class TestAttention:
         for fused, composed in zip(*results):
             assert np.max(np.abs(fused - composed)) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_logits_raise(self):
         q, k, v, _ = self._inputs(0)
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="attention"):
+        with pytest.raises(NumericError, match="attention"):
             ad.attention(Tensor(q.data * 1e200), Tensor(k.data * 1e200), v, 2)
 
     def test_width_not_divisible_by_heads(self):

@@ -1,5 +1,7 @@
 """Command-line surface: arguments, exit codes, and file round trips."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,11 @@ class TestUsageErrors:
         assert code == 1
         assert err == "mmner: error: epoch 1 step 0: non-finite cl_vit = nan\n"
 
+    def test_preset_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "somewhere", "--preset", "desk"])
+        assert exc.value.code == 2
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -88,6 +95,20 @@ class TestKappa:
         table.write_text("5 0\n0 0\n")
         code, _, err = run_cli(capsys, "kappa", str(table))
         assert code == 1 and "undefined" in err
+
+    def test_ragged_table_names_line(self, tmp_path, capsys):
+        table = tmp_path / "t.txt"
+        table.write_text("5 0\n# note\n0\n")
+        code, _, err = run_cli(capsys, "kappa", str(table))
+        assert code == 1
+        assert err == f"mmner: error: {table}:3: 1 counts, first row has 2\n"
+
+    def test_non_numeric_table_names_line(self, tmp_path, capsys):
+        table = tmp_path / "t.txt"
+        table.write_text("5 0\n0 x\n")
+        code, _, err = run_cli(capsys, "kappa", str(table))
+        assert code == 1
+        assert err == f"mmner: error: {table}:2: non-numeric count in '0 x'\n"
 
 
 class TestStats:
@@ -180,6 +201,20 @@ class TestTrainEvalPredict:
         assert code == 0
         assert target.exists() and "IMGID:" in target.read_text()
 
+    def test_eval_rejects_preset_line(self, trained_run, tmp_path, capsys):
+        # run directories written before the preset option was removed carry
+        # `preset = desk` as line 8 of config.cfg
+        root, out = trained_run
+        old = tmp_path / "old_run"
+        shutil.copytree(out, old)
+        lines = (old / "config.cfg").read_text().splitlines(keepends=True)
+        lines.insert(7, "preset = desk\n")
+        (old / "config.cfg").write_text("".join(lines))
+        code, text, err = run_cli(
+            capsys, "eval", str(root), "--checkpoint", str(old), "--split", "train")
+        assert code == 1 and text == ""
+        assert err == "mmner: error: config line 8: unknown key 'preset'\n"
+
 
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, tmp_path, capsys):
@@ -198,6 +233,18 @@ class TestConfigPrecedence:
         cfg.write_text("purple = 7\n")
         code, _, err = run_cli(capsys, "train", str(root), "--config", str(cfg))
         assert code == 1 and "unknown key" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("epochs = 1.5", "key epochs: expected integer, got '1.5'"),
+        ("lr = abc", "key lr: expected number, got 'abc'"),
+        ("lr = none", "key lr: expected number, got 'none'"),
+    ])
+    def test_bad_config_value_names_line_and_key(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        code, _, err = run_cli(capsys, "train", str(tmp_path), "--config", str(cfg))
+        assert code == 1
+        assert err == f"mmner: error: config line 2: {message}\n"
 
     def test_ablation_flags_reach_model(self, tmp_path, capsys):
         root = build_overfit_fixture(tmp_path / "data", n_sentences=4)

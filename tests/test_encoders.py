@@ -8,7 +8,6 @@ import pytest
 from mmner import autodiff as ad
 from mmner.autodiff import ConfigError, ContractError, Tensor
 from mmner.encoders import (
-    POST_LN,
     ConvEncoder,
     ConvEncoderConfig,
     ResidualBlock,
@@ -201,11 +200,6 @@ class TestVitEncoder:
         out = enc.encode(np.zeros((3, 32, 32)))
         assert out.shape == (16, 6)
 
-    def test_class_token_prepends_row(self):
-        enc = make_vit(layers=0, class_token=True)
-        out = enc.encode(np.zeros((3, 32, 32)))
-        assert out.shape == (17, 8)
-
     def test_gradient_check_one_layer(self):
         enc = make_vit(image=8, patch=4, layers=1, seed=9)
         rng = np.random.default_rng(10)
@@ -218,10 +212,6 @@ class TestVitEncoder:
             enc.parameters(),
         )
         assert max_error(errors.values()) < 1e-5
-
-    def test_post_ln_variant_runs(self):
-        enc = make_vit(layers=1, sublayer=POST_LN)
-        assert enc.encode(np.zeros((3, 32, 32))).shape == (16, 8)
 
 
 def make_conv(image=32, out_dim=8, seed=0, **kw):

@@ -235,7 +235,7 @@ class TestCheckpoint:
 
 class TestConfigText:
     def test_round_trip(self):
-        cfg = TrainConfig(alpha=0.5, lr=1e-3, epochs=3, preset="desk", use_vit=False)
+        cfg = TrainConfig(alpha=0.5, lr=1e-3, epochs=3, use_vit=False)
         parsed = TrainConfig(**parse_config_text(format_config(cfg)))
         assert parsed == cfg
 
@@ -254,6 +254,7 @@ class TestConfigText:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("batch_size", 0), ("tau", 0.0), ("dropout", -0.1),
         ("dropout", 1.0), ("stop_at_f1", -0.1), ("stop_at_f1", 1.5),
+        ("lr", math.nan), ("lr", math.inf), ("tau", math.nan), ("tau", math.inf),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):
@@ -263,7 +264,7 @@ class TestConfigText:
 def tiny_train_config(**overrides):
     defaults = dict(
         alpha=0.8, lr=5e-3, batch_size=8, dropout=0.0, tau=0.07,
-        epochs=2, seed=0, preset="desk",
+        epochs=2, seed=0,
     )
     defaults.update(overrides)
     return TrainConfig(**defaults)
