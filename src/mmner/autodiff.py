@@ -6,17 +6,18 @@ no strides, no GPU. An op output holds its inputs (`_parents`), a closure
 pushing its gradient to them (`_backward`) and a creation number. backward()
 sweeps the graph reachable from the loss in reverse creation order and
 consumes each node it sweeps, so nothing else keeps a graph alive and no
-node is swept twice.
+node is swept twice; it keeps gradients only on the leaves and the loss.
 
 Ops: elementwise arithmetic (add, sub, mul, neg, pow_scalar,
 maximum_scalar), activations (relu, gelu, dropout), linear algebra (matmul,
 linear, transpose2d, reshape, slicing, take_pairs, embedding_gather, concat,
 stack), reductions and normalization (tensor_sum, mean, softmax,
-log_sum_exp, layer_norm), conv2d, and multi-head scaled dot-product
-attention as one node. attention(q, k, v, heads) gives head i columns
-i*dh:(i+1)*dh of q, k and v (dh = d / heads) and writes its output to the
-same columns, i.e. head outputs side by side. softmax and attention share
-one max-shifted numpy softmax.
+log_sum_exp, layer_norm), conv2d over an (N, C, H, W) batch as one
+matrix product, and multi-head scaled dot-product attention as one node.
+attention(q, k, v, heads) gives head i columns i*dh:(i+1)*dh of q, k and v
+(dh = d / heads) and writes its output to the same columns, i.e. head
+outputs side by side. softmax and attention share one max-shifted numpy
+softmax.
 """
 
 from __future__ import annotations
@@ -196,8 +197,9 @@ def backward(loss: Tensor) -> None:
 
     The loss must be a scalar. The interior nodes reachable from it through
     `_parents` run `_backward` in reverse creation order (a topological
-    order), then are consumed: parents and closure are dropped. Reaching a
-    consumed node (a second call on the same loss, or a loss built on a
+    order), then are consumed: parents, closure and gradient are dropped,
+    so after the sweep only the loss and the leaves hold `.grad`. Reaching
+    a consumed node (a second call on the same loss, or a loss built on a
     swept node) raises ContractError before any grad is written.
     """
     if loss.data.shape not in ((), (1,)):
@@ -216,6 +218,8 @@ def backward(loss: Tensor) -> None:
     for node in sorted(found.values(), key=lambda n: n._seq, reverse=True):
         if node.grad is not None:
             node._backward(node.grad)
+            if node is not loss:
+                node.grad = None
         node._parents = ()
         node._backward = _consumed
 
@@ -290,7 +294,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = Tensor(0.5 * x * (1.0 + t))
     if _tracked(a):
@@ -352,8 +356,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b) for x of rank 1 or 2; w is (d_in, d_out)."""
-    if w.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != w.shape[0]:
+    """x @ w (+ b) over the last axis of x, any leading axes; w is (d_in, d_out)."""
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: x {x.shape} vs w {w.shape}")
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias {b.shape} vs w {w.shape}")
@@ -365,23 +369,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if tracked:
         def _bw(g):
             _accum(x, g @ w.data.T)
-            if x.ndim == 1:
-                _accum(w, np.outer(x.data, g))
-            else:
-                _accum(w, x.data.T @ g)
+            g2 = g.reshape(-1, w.shape[1])
+            _accum(w, x.data.reshape(-1, w.shape[0]).T @ g2)
             if b is not None:
-                _accum(b, g if g.ndim == 1 else g.sum(axis=0))
+                _accum(b, g2.sum(axis=0))
         parents = (x, w) if b is None else (x, w, b)
         _record(out, parents, _bw)
     return out
 
 
 def transpose2d(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose2d needs rank 2, got {a.shape}")
-    out = Tensor(a.data.T)
+    """Swap the last two axes: a matrix transpose per leading index."""
+    if a.ndim < 2:
+        raise ShapeError(f"transpose2d needs rank >= 2, got {a.shape}")
+    out = Tensor(a.data.swapaxes(-1, -2))
     if _tracked(a):
-        _record(out, (a,), lambda g: _accum(a, g.T))
+        _record(out, (a,), lambda g: _accum(a, g.swapaxes(-1, -2)))
     return out
 
 
@@ -641,10 +644,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution of x (C,H,W) with w (CO,C,kh,kw), optional bias (CO,)."""
-    if x.ndim != 3 or w.ndim != 4 or x.shape[0] != w.shape[1]:
+    """2-d convolution of a batch x (N, C, H, W) with w (CO, C, kh, kw),
+    optional bias (CO,); the output is (N, CO, Ho, Wo).
+
+    im2col over the whole batch: the columns are gathered as
+    (C, kh, kw, N, Ho, Wo), so one matrix product covers every image, and
+    padding is a slice assignment into one zero buffer. The backward col2im
+    uses the same layout.
+    """
+    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: x {x.shape} vs w {w.shape}")
-    c, h, ww = x.shape
+    n, c, h, ww = x.shape
     co, _, kh, kw = w.shape
     if b is not None and b.shape != (co,):
         raise ShapeError(f"conv2d: bias {b.shape} vs out channels {co}")
@@ -653,34 +663,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} too large for input {h}x{ww}")
 
-    xp = x.data
+    # Channel-major (C, N, H + 2p, W + 2p), so each kernel offset's windows
+    # land in cols[:, ki, kj] as they are.
+    xp = x.data.transpose(1, 0, 2, 3)
     if padding:
-        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((c, kh, kw, h_out, w_out))
+        xp = np.zeros((c, n, h + 2 * padding, ww + 2 * padding))
+        xp[:, :, padding:padding + h, padding:padding + ww] = x.data.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, h_out, w_out))
     for ki in range(kh):
         for kj in range(kw):
-            cols[:, ki, kj] = xp[:, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride]
-    cols2 = cols.reshape(c * kh * kw, h_out * w_out)
+            cols[:, ki, kj] = xp[:, :, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride]
+    cols2 = cols.reshape(c * kh * kw, n * h_out * w_out)
     wmat = w.data.reshape(co, c * kh * kw)
     out2 = wmat @ cols2
     if b is not None:
-        out2 = out2 + b.data[:, None]
-    out = Tensor(out2.reshape(co, h_out, w_out))
+        out2 += b.data[:, None]
+    out = Tensor(out2.reshape(co, n, h_out, w_out).transpose(1, 0, 2, 3))
 
     tracked = _tracked(x, w, b) if b is not None else _tracked(x, w)
     if tracked:
         def _bw(g):
-            g2 = g.reshape(co, h_out * w_out)
+            g2 = g.transpose(1, 0, 2, 3).reshape(co, n * h_out * w_out)
             _accum(w, (g2 @ cols2.T).reshape(w.shape))
             if b is not None:
                 _accum(b, g2.sum(axis=1))
-            dcols = (wmat.T @ g2).reshape(c, kh, kw, h_out, w_out)
-            dxp = np.zeros_like(xp)
+            if not x.requires_grad:
+                return
+            dcols = (wmat.T @ g2).reshape(c, kh, kw, n, h_out, w_out)
+            dxp = np.zeros(xp.shape)
             for ki in range(kh):
                 for kj in range(kw):
-                    dxp[:, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride] += dcols[:, ki, kj]
-            dx = dxp[:, padding:padding + h, padding:padding + ww] if padding else dxp
-            _accum(x, dx)
+                    dxp[:, :, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride] += dcols[:, ki, kj]
+            if padding:
+                dxp = dxp[:, :, padding:padding + h, padding:padding + ww]
+            _accum(x, dxp.transpose(1, 0, 2, 3))
         parents = (x, w) if b is None else (x, w, b)
         _record(out, parents, _bw)
     return out

@@ -19,11 +19,14 @@ Parameters are stored at float32 precision; saving canonicalizes the live
 tensors to the same precision so that a save -> load round trip (and any
 later re-save) reproduces forward outputs bit for bit. The checksum is
 verified on load and any mismatch, truncation, or bad header is an error.
+The file is written through `write_atomic`, so a failed save leaves the
+previous checkpoint as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from pathlib import Path
 
@@ -54,6 +57,21 @@ def blake2b_64(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write `data` to a temp file beside `path`, then `os.replace` it over
+    `path`: `path` holds its old bytes or all of `data`, and a failed write
+    removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
     """Write named parameters; see module docstring for the format.
 
@@ -73,7 +91,7 @@ def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
         records += tensor.data.astype("<f4").tobytes()
     blob = MAGIC + struct.pack("<I", VERSION) + bytes(records)
     blob += struct.pack("<Q", blake2b_64(bytes(records)))
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

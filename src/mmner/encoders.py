@@ -333,10 +333,10 @@ class ResidualBlock:
 
 
 class ConvEncoder:
-    """Stem + 3 stages of 2 residual blocks -> (grid^2, d) visual tokens.
+    """Stem + 3 stages of 2 residual blocks -> (grid^2, d) visual tokens per image.
 
-    The final feature map (c_out, g, g) flattens to g^2 tokens which an
-    affine map takes into the shared d-dimensional text space.
+    Each image's final feature map (c_out, g, g) flattens to g^2 tokens
+    which an affine map takes into the shared d-dimensional text space.
     """
 
     def __init__(self, config: ConvEncoderConfig, rng: np.random.Generator):
@@ -363,19 +363,23 @@ class ConvEncoder:
             params.update({f"block{i}.{k}": v for k, v in block.parameters().items()})
         return params
 
-    def encode(self, image: np.ndarray, train: bool = False,
+    def encode(self, images: np.ndarray, train: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
+        """(N, C, H, W) images -> (N, g^2, d) tokens, the whole stack in each conv.
+
+        The stack draws no dropout, so `train` and `rng` change nothing.
+        """
         cfg = self.config
-        if image.shape != (cfg.in_channels, cfg.image_size, cfg.image_size):
+        if images.shape[1:] != (cfg.in_channels, cfg.image_size, cfg.image_size):
             raise ContractError(
-                f"image shape {image.shape} vs configured "
-                f"({cfg.in_channels}, {cfg.image_size}, {cfg.image_size})"
+                f"image stack shape {images.shape} vs configured "
+                f"(N, {cfg.in_channels}, {cfg.image_size}, {cfg.image_size})"
             )
         pad = cfg.stem_kernel // 2
-        x = ad.relu(ad.conv2d(Tensor(image), self.stem_w, self.stem_b,
+        x = ad.relu(ad.conv2d(Tensor(images), self.stem_w, self.stem_b,
                               stride=cfg.stem_stride, padding=pad))
         for block in self.blocks:
             x = block(x)
         g = cfg.grid
-        tokens = ad.transpose2d(x.reshape(cfg.feature_dim, g * g))
+        tokens = ad.transpose2d(x.reshape(len(images), cfg.feature_dim, g * g))
         return ad.linear(tokens, self.proj_w, self.proj_b)

@@ -7,14 +7,21 @@ feature-wise before the emission map. The text CLS row and the mean of
 each path's visual tokens feed per-path projection heads whose batch
 outputs give the two contrastive terms.
 
+The conv stack runs once per batch: `batch_losses` encodes the batch's
+stacked (N, C, H, W) images in one call and hands sentence i row block i;
+a single-image caller (`predict`, `sentence_forward`) encodes a stack of
+one. The ViT, the text encoder and the fusion blocks run per sentence, and
+the dropout draws keep their per-sentence order (text, ViT, ViT fusion,
+conv fusion) on the one shared rng; the conv stack draws none.
+
 At inference the model keeps, per visual path (ViT, conv), a one-entry memo
-of the last encode: a copy of the image, the output, and, once the image
-has repeated, a copy of each of that encoder's parameter arrays. It is
-consulted only when no graph is recorded (`train=False` under `no_grad`, as
-in `predict`), and hits only when the image and every encoder parameter
-equal their stored copies by value, compared bit for bit (same dtype, shape
-and bytes). Any change to the weights, by reassignment or in place, or to
-the image is therefore a miss, which encodes as usual and replaces the
+of the last encode: a copy of the image (the image stack, on the conv
+path), the output, and, once the image has repeated, a copy of each of that
+encoder's parameter arrays. It is consulted only when no graph is recorded
+(`train=False` under `no_grad`, as in `predict`), and hits only when the
+image and every encoder parameter equal their stored copies by value,
+compared bit for bit (same dtype, shape and bytes). Any change to the
+weights, by reassignment or in place, or to the image is therefore a miss, which encodes as usual and replaces the
 entry; graph-recording calls never read or write it. A new image takes no
 weight snapshot (copying ~1 MB of desk-model weights on every call would
 slow streams of distinct images), so a run of one repeated image encodes
@@ -201,7 +208,16 @@ class MultimodalNerModel:
 
     def sentence_forward(self, token_ids: list[int], image: np.ndarray,
                          train: bool = False, rng: np.random.Generator | None = None):
-        """Emissions (n, L) plus the pooled vectors the alignment terms need."""
+        """Emissions (n, L) plus the pooled vectors the alignment terms need,
+        for one sentence and its (C, H, W) image."""
+        conv_rows = None
+        if self.conv is not None:
+            conv_rows = self._encode_image("conv", self.conv, image[None], train, rng)[0]
+        return self._fuse(token_ids, image, conv_rows, train, rng)
+
+    def _fuse(self, token_ids: list[int], image: np.ndarray, conv_rows: Tensor | None,
+              train: bool, rng: np.random.Generator | None):
+        """sentence_forward given this sentence's (g^2, d) conv tokens."""
         text_rows = self.text.encode(token_ids, train, rng)
         n = text_rows.shape[0] - 2
         tokens = text_rows[1:n + 1]
@@ -212,10 +228,9 @@ class MultimodalNerModel:
             vis = self._encode_image("vit", self.vit, image, train, rng)
             fused_parts.append(self.vit_fusion(tokens, vis, train, rng))
             pooled["vit"] = (pooled_text, ad.mean(vis, axis=0))
-        if self.conv is not None:
-            vis = self._encode_image("conv", self.conv, image, train, rng)
-            fused_parts.append(self.conv_fusion(tokens, vis, train, rng))
-            pooled["conv"] = (pooled_text, ad.mean(vis, axis=0))
+        if conv_rows is not None:
+            fused_parts.append(self.conv_fusion(tokens, conv_rows, train, rng))
+            pooled["conv"] = (pooled_text, ad.mean(conv_rows, axis=0))
         if fused_parts:
             fused = fused_parts[0] if len(fused_parts) == 1 else ad.concat(fused_parts, axis=1)
         else:
@@ -229,11 +244,17 @@ class MultimodalNerModel:
         A disabled image path (or a batch too small to form negative
         pairs) contributes an exact scalar zero.
         """
+        conv_rows = None
+        if self.conv is not None:
+            conv_rows = self._encode_image("conv", self.conv, np.stack(batch.images), train, rng)
         nlls = []
         path_pooled: dict[str, list] = {"vit": [], "conv": []}
-        for token_ids, label_ids, image in zip(batch.token_ids, batch.label_ids, batch.images):
+        for i, (token_ids, label_ids, image) in enumerate(
+                zip(batch.token_ids, batch.label_ids, batch.images)):
             token_ids, label_ids = self._truncate(token_ids, label_ids)
-            emissions, pooled = self.sentence_forward(token_ids, image, train, rng)
+            emissions, pooled = self._fuse(token_ids, image,
+                                           conv_rows[i] if conv_rows is not None else None,
+                                           train, rng)
             nlls.append(self.crf.nll(emissions, label_ids))
             for key, pair in pooled.items():
                 path_pooled[key].append(pair)

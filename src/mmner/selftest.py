@@ -178,7 +178,7 @@ def _op_cases():
         return (a,), loss
 
     def c_conv2d(rng, u):
-        x = Tensor(u(rng, (2, 5, 5)), requires_grad=True)
+        x = Tensor(u(rng, (2, 2, 5, 5)), requires_grad=True)
         w = Tensor(u(rng, (3, 2, 3, 3)), requires_grad=True)
         b = Tensor(u(rng, (3,)), requires_grad=True)
         return (x, w, b), lambda: ad.tensor_sum(ad.conv2d(x, w, b, stride=2, padding=1))
@@ -223,8 +223,8 @@ def _composite_cases():
     def conv_block(rng):
         block = ResidualBlock(2, 3, stride=2, rng=rng)
         params = dict(block.parameters())
-        x = Tensor(rng.uniform(-1, 1, (2, 4, 4)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, (3, 2, 2)))
+        x = Tensor(rng.uniform(-1, 1, (2, 2, 4, 4)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (2, 3, 2, 2)))
         params["x"] = x
         return lambda: ad.tensor_sum(ad.mul(block(x), w)), params
 

@@ -4,7 +4,8 @@ train/eval loops, run reports, and checkpoint/sidecar handling.
 A run directory holds three files: `model.ckpt` (binary checkpoint),
 `vocab.txt` (one token per line, id order), and `config.cfg` (the same
 `key = value` grammar the CLI's --config flag accepts), which together
-are sufficient to rebuild the model for eval/predict.
+are sufficient to rebuild the model for eval/predict. Each file is
+replaced atomically (`checkpoint.write_atomic`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from mmner import autodiff as ad
 from mmner.autodiff import ContractError, NumericError, Tensor, backward
-from mmner.checkpoint import load_checkpoint, save_checkpoint
+from mmner.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from mmner.data import Corpus, ImageStore, Vocabulary, make_batches, parse_iob2
 from mmner.metrics import EvalReport, evaluate
 from mmner.model import ModelConfig, MultimodalNerModel
@@ -55,6 +56,8 @@ class TrainConfig:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.stop_at_f1 is not None and not 0.0 <= self.stop_at_f1 <= 1.0:
             raise ContractError(f"stop_at_f1 must be in [0, 1], got {self.stop_at_f1}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -274,9 +277,9 @@ def save_run_artifacts(out_dir: Path, model: MultimodalNerModel,
                        vocab: Vocabulary, config: TrainConfig) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model.parameters(), out_dir / "model.ckpt")
-    (out_dir / "vocab.txt").write_text(
-        "\n".join(vocab.tokens_in_order()) + "\n", encoding="utf-8")
-    (out_dir / "config.cfg").write_text(format_config(config), encoding="utf-8")
+    vocab_text = "\n".join(vocab.tokens_in_order()) + "\n"
+    write_atomic(out_dir / "vocab.txt", vocab_text.encode("utf-8"))
+    write_atomic(out_dir / "config.cfg", format_config(config).encode("utf-8"))
 
 
 def load_run(out_dir: str | Path) -> tuple[MultimodalNerModel, Vocabulary, TrainConfig]:
@@ -309,7 +312,8 @@ def train(config: TrainConfig, data_root: str | Path,
 
     A non-finite loss term, or a NumericError while computing the losses or
     their gradients, raises NumericError naming the epoch and optimizer step
-    before any parameter is updated. The counters are facts about the data:
+    before any parameter is updated; a NumericError in an epoch's eval names
+    that epoch. The counters are facts about the data:
     eval-split tokens outside the vocabulary, distinct train/eval sentences
     longer than max_len - 2 tokens, missing images, repaired labels.
     """
@@ -366,7 +370,10 @@ def train(config: TrainConfig, data_root: str | Path,
             sums["vit"] += terms["cl_vit"]
             sums["conv"] += terms["cl_conv"]
             batches += 1
-        report = evaluate_model(model, eval_corpus, vocab, images)
+        try:
+            report = evaluate_model(model, eval_corpus, vocab, images)
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch} eval: {exc}") from None
         f1 = report.overall.f1
         logs.append(EpochLog(
             epoch=epoch,

@@ -307,6 +307,48 @@ class TestBackwardBasics:
         assert x.grad.shape == x.data.shape
         assert w.grad.shape == w.data.shape
 
+    def test_only_leaves_and_loss_keep_gradients(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        h = ad.matmul(x, w)
+        g = ad.gelu(h)
+        loss = ad.tensor_sum(ad.mul(g, g))
+        backward(loss)
+        assert h.grad is None and g.grad is None
+        assert x.grad is not None and w.grad is not None
+        np.testing.assert_array_equal(loss.grad, 1.0)
+
+
+def per_image_conv(x, w, b, stride, padding):
+    """conv2d of each image as a stack of one, concatenated along the batch."""
+    return ad.concat([ad.conv2d(x[i:i + 1], w, b, stride=stride, padding=padding)
+                      for i in range(x.shape[0])], axis=0)
+
+
+class TestConv2dBatch:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
+    def test_matches_per_image_calls(self, n, stride, padding):
+        rng = np.random.default_rng(n)
+        x = Tensor(_rand(rng, (n, 2, 6, 6)), requires_grad=True)
+        w = Tensor(_rand(rng, (3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(_rand(rng, (3,)), requires_grad=True)
+        results = []
+        for conv in (ad.conv2d, per_image_conv):
+            out = conv(x, w, b, stride, padding)
+            weight = Tensor(np.arange(out.size, dtype=float).reshape(out.shape) / out.size)
+            backward(ad.tensor_sum(ad.mul(out, weight)))
+            results.append([out.data] + [t.grad for t in (x, w, b)])
+            for t in (x, w, b):
+                t.zero_grad()
+        for batched, single in zip(*results):
+            np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12)
+
+    def test_image_not_a_batch_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.conv2d(Tensor(np.zeros((2, 6, 6))), Tensor(np.zeros((3, 2, 3, 3))))
+
 
 def _rand(rng, shape):
     return rng.uniform(-1.0, 1.0, size=shape)
@@ -326,7 +368,7 @@ def _op_cases(rng):
         "table": (5, 3),
         "w": (4, 4),
         "bias": (4,),
-        "img": (2, 6, 6),
+        "img": (2, 2, 6, 6),
         "kern": (3, 2, 3, 3),
         "kbias": (3,),
     }

@@ -8,6 +8,7 @@ import pytest
 from fixtures_util import build_overfit_fixture
 
 import mmner.cli
+import mmner.training
 from mmner import autodiff as ad
 from mmner.autodiff import NumericError
 from mmner.cli import main, read_predict_input
@@ -41,6 +42,23 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "train", str(root), "--batch", "0")
         assert code == 1
         assert err.count("\n") == 1 and "batch_size" in err
+
+    def test_negative_seed_exits_1_with_one_line(self, tmp_path, capsys):
+        root = build_overfit_fixture(tmp_path, n_sentences=4)
+        code, _, err = run_cli(capsys, "train", str(root), "--seed", "-1", "--epochs", "1")
+        assert code == 1
+        assert err == "mmner: error: seed must be >= 0, got -1\n"
+
+    def test_numeric_error_in_eval_names_its_epoch(self, tmp_path, capsys, monkeypatch):
+        root = build_overfit_fixture(tmp_path, n_sentences=4)
+
+        def diverge(*args, **kwargs):
+            raise NumericError("softmax: non-finite input")
+
+        monkeypatch.setattr(mmner.training, "evaluate_model", diverge)
+        code, _, err = run_cli(capsys, "train", str(root), "--batch", "2", "--epochs", "1")
+        assert code == 1
+        assert err == "mmner: error: epoch 1 eval: softmax: non-finite input\n"
 
     def test_numeric_error_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):

@@ -225,21 +225,21 @@ class TestConvEncoder:
     def test_desk_grid(self):
         enc = make_conv(image=32)
         assert enc.config.grid == 4
-        out = enc.encode(np.zeros((3, 32, 32)))
-        assert out.shape == (16, 8)
+        out = enc.encode(np.zeros((1, 3, 32, 32)))
+        assert out.shape == (1, 16, 8)
 
     def test_paper_shaped_config_gives_seven_by_seven(self):
         enc = make_conv(image=224, stem_kernel=5, stem_stride=4)
         assert enc.config.grid == 7
-        out = enc.encode(np.zeros((3, 224, 224)))
-        assert out.shape == (49, 8)
+        out = enc.encode(np.zeros((1, 3, 224, 224)))
+        assert out.shape == (1, 49, 8)
 
     def test_zero_projection_constant_bias(self):
         enc = make_conv()
         enc.proj_w.data[:] = 0.0
         enc.proj_b.data[:] = 0.7
         rng = np.random.default_rng(11)
-        out = enc.encode(rng.normal(size=(3, 32, 32)))
+        out = enc.encode(rng.normal(size=(1, 3, 32, 32)))
         np.testing.assert_allclose(out.data, 0.7, atol=1e-15)
 
     def test_indivisible_image_rejected(self):
@@ -248,13 +248,31 @@ class TestConvEncoder:
 
     def test_wrong_image_shape(self):
         with pytest.raises(ContractError):
-            make_conv().encode(np.zeros((3, 16, 16)))
+            make_conv().encode(np.zeros((1, 3, 16, 16)))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_batch_matches_per_image_encodes(self, n):
+        enc = make_conv(image=16)
+        images = np.random.default_rng(n).uniform(-1, 1, size=(n, 3, 16, 16))
+        params = enc.parameters()
+        results = []
+        for encode in (enc.encode,
+                       lambda x: ad.concat([enc.encode(x[i:i + 1]) for i in range(n)], axis=0)):
+            out = encode(images)
+            weight = Tensor(np.sin(np.arange(out.size, dtype=float)).reshape(out.shape))
+            ad.backward(ad.tensor_sum(ad.mul(out, weight)))
+            results.append([out.data] + [params[k].grad for k in sorted(params)])
+            for p in params.values():
+                p.zero_grad()
+        assert results[0][0].shape == (n, 4, 8)
+        for batched, single in zip(*results):
+            np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12)
 
     def test_residual_block_gradient_check(self):
         rng = np.random.default_rng(12)
         block = ResidualBlock(2, 3, stride=2, rng=np.random.default_rng(13))
-        x = Tensor(rng.uniform(-1, 1, size=(2, 4, 4)), requires_grad=True)
-        weight = Tensor(rng.uniform(-1, 1, size=(3, 2, 2)))
+        x = Tensor(rng.uniform(-1, 1, size=(1, 2, 4, 4)), requires_grad=True)
+        weight = Tensor(rng.uniform(-1, 1, size=(1, 3, 2, 2)))
         params = dict(block.parameters(), x=x)
         errors = check_gradients(
             lambda: ad.tensor_sum(ad.mul(block(x), weight)), params
@@ -269,7 +287,7 @@ class TestConvEncoder:
         block.w2.data[:] = 0.0
         block.b2.data[:] = 0.0
         rng = np.random.default_rng(15)
-        x = rng.uniform(0.1, 1.0, size=(4, 6, 6))  # positive so relu is identity
+        x = rng.uniform(0.1, 1.0, size=(1, 4, 6, 6))  # positive so relu is identity
         out = block(Tensor(x))
         np.testing.assert_allclose(out.data, x, atol=1e-15)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mmner import autodiff as ad
+from mmner.alignment import contrastive_loss
 from mmner.data import Batch
 from mmner.encoders import ConvEncoder, VitEncoder
 from mmner.model import ModelConfig, MultimodalNerModel
@@ -132,4 +133,42 @@ def test_batch_losses_encode_once_per_sentence(encode_counts, train):
     batch = Batch(examples=[None] * 4, token_ids=ids,
                   label_ids=[[0] * len(t) for t in ids], images=[image] * 4)
     model.batch_losses(batch, train=train, rng=np.random.default_rng(0))
-    assert encode_counts == {"vit": 4, "conv": 4}
+    assert encode_counts == {"vit": 4, "conv": 1}
+
+
+def per_sentence_losses(model, batch, rng, tau=0.07):
+    """batch_losses composed from sentence_forward, which encodes each image
+    through the conv stack on its own."""
+    nlls, pooled = [], {"vit": [], "conv": []}
+    for ids, labels, image in zip(batch.token_ids, batch.label_ids, batch.images):
+        emissions, pairs = model.sentence_forward(ids, image, True, rng)
+        nlls.append(model.crf.nll(emissions, labels))
+        for key, pair in pairs.items():
+            pooled[key].append(pair)
+
+    def path_loss(key):
+        text_head, image_head = getattr(model, f"{key}_text_head"), getattr(model, f"{key}_image_head")
+        texts = ad.stack([text_head(t) for t, _ in pooled[key]])
+        images = ad.stack([image_head(v) for _, v in pooled[key]])
+        return contrastive_loss(texts, images, tau)
+
+    return ad.mean(ad.stack(nlls)), path_loss("vit"), path_loss("conv")
+
+
+def test_batch_losses_match_per_image_conv_encodes():
+    model = make_model()
+    assert model.config.dropout == 0.1
+    ids = [IDS, [3, 4], [5], IDS, [9, 8, 7]]
+    batch = Batch(examples=[None] * 5, token_ids=ids,
+                  label_ids=[[i % 3 for i in range(len(t))] for t in ids], images=make_images(5))
+    params = model.parameters()
+    results = []
+    for losses in (lambda rng: model.batch_losses(batch, train=True, rng=rng),
+                   lambda rng: per_sentence_losses(model, batch, rng)):
+        terms = losses(np.random.default_rng(3))
+        ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
+        results.append([t.data for t in terms] + [params[k].grad for k in sorted(params)])
+        for p in params.values():
+            p.zero_grad()
+    for batched, single in zip(*results):
+        np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12)

@@ -23,6 +23,8 @@ from mmner.checkpoint import (
 from mmner.data import ImageStore, Vocabulary, parse_iob2
 from mmner.gradcheck import check_gradients, max_error
 from mmner.model import ModelConfig, MultimodalNerModel
+import mmner.checkpoint
+import mmner.training
 from mmner.training import (
     Adam,
     TrainConfig,
@@ -32,6 +34,7 @@ from mmner.training import (
     load_run,
     lr_at,
     parse_config_text,
+    save_run_artifacts,
     total_loss,
     train,
 )
@@ -255,6 +258,7 @@ class TestConfigText:
         ("epochs", 0), ("batch_size", 0), ("tau", 0.0), ("dropout", -0.1),
         ("dropout", 1.0), ("stop_at_f1", -0.1), ("stop_at_f1", 1.5),
         ("lr", math.nan), ("lr", math.inf), ("tau", math.nan), ("tau", math.inf),
+        ("seed", -1),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):
@@ -440,6 +444,20 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match=r"^epoch 1 step 0: softmax: non-finite input$"):
             train(tiny_train_config(epochs=1), root)
 
+    def test_numeric_error_in_eval_names_its_epoch(self, tmp_path, monkeypatch):
+        root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
+        calls = []
+
+        def diverge_on_second_eval(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("softmax: non-finite input")
+            return evaluate_model(*args)
+
+        monkeypatch.setattr(mmner.training, "evaluate_model", diverge_on_second_eval)
+        with pytest.raises(NumericError, match=r"^epoch 2 eval: softmax: non-finite input$"):
+            train(tiny_train_config(epochs=3), root)
+
     def test_schema_mismatch_rejected(self, tmp_path):
         cfg = tiny_model_config()
         model = MultimodalNerModel(cfg, vocab_size=8, seed=0)
@@ -447,3 +465,51 @@ class TestTrainLoop:
         arrays["crf.emission_b"] = np.zeros(5)  # wrong label count
         with pytest.raises(Exception, match="schema"):
             model.load_parameters(arrays)
+
+
+class HalfWrite:
+    """File stand-in whose write stores the first half of the data, then fails."""
+
+    def __init__(self, file):
+        self.file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        self.file.write(data[: len(data) // 2])
+        self.file.flush()
+        raise OSError("no space left on device")
+
+
+class TestAtomicArtifacts:
+    @pytest.mark.parametrize("name", ["model.ckpt", "vocab.txt", "config.cfg"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        model = MultimodalNerModel(tiny_model_config(), vocab_size=8, seed=0)
+        out = tmp_path / "run"
+        save_run_artifacts(out, model, Vocabulary(["a", "b"]), TrainConfig(seed=1))
+        before = (out / name).read_bytes()
+        for p in model.parameters().values():
+            p.data += 0.5
+
+        def failing_open(path, *args, **kwargs):
+            file = open(path, *args, **kwargs)
+            return HalfWrite(file) if Path(path).name.startswith(f".{name}.") else file
+
+        monkeypatch.setattr(mmner.checkpoint, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space left"):
+            save_run_artifacts(out, model, Vocabulary(["a", "b", "c"]), TrainConfig(seed=2))
+        assert (out / name).read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["config.cfg", "model.ckpt", "vocab.txt"]
+
+    def test_save_replaces_every_file(self, tmp_path):
+        model = MultimodalNerModel(tiny_model_config(), vocab_size=8, seed=0)
+        out = tmp_path / "run"
+        save_run_artifacts(out, model, Vocabulary(["a"]), TrainConfig(seed=1))
+        save_run_artifacts(out, model, Vocabulary(["a", "b"]), TrainConfig(seed=2))
+        assert (out / "vocab.txt").read_text() == "a\nb\n"
+        assert "seed = 2\n" in (out / "config.cfg").read_text()
+        assert sorted(p.name for p in out.iterdir()) == ["config.cfg", "model.ckpt", "vocab.txt"]
