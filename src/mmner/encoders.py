@@ -140,7 +140,8 @@ class TextEncoder:
     """Token ids -> (n+2, d) rows; row 0 is CLS, row n+1 is SEP.
 
     Unknown ids map to the reserved UNK id; overlong sentences truncate to
-    max_len - 2 tokens.
+    max_len - 2 tokens. This is the model's only truncation: a caller with
+    labels cuts them to the rows it gets back.
     """
 
     UNK_ID = 1

@@ -1,32 +1,39 @@
 """Full model assembly: encoders -> alignment heads -> cross-attention
 fusion -> label emissions -> CRF.
 
-Per sentence, text rows 1..n (real tokens, CLS/SEP excluded) query each
-active visual path's tokens; the per-path fused outputs are concatenated
-feature-wise before the emission map. The text CLS row and the mean of
-each path's visual tokens feed per-path projection heads whose batch
-outputs give the two contrastive terms.
+The visual paths are data: `paths` maps "vit", then "conv" (each only when
+enabled) to a `VisualPath` of encoder, fusion block, and text and image
+projection heads, built in that order. The order fixes the seeded init
+draws and the parameter names (`{key}.*`, `{key}_fusion.*`,
+`{key}_text_head.*`, `{key}_image_head.*`) in order, and so the checkpoint
+and Adam state layouts.
 
-The conv stack runs once per batch: `batch_losses` encodes the batch's
-stacked (N, C, H, W) images in one call and hands sentence i row block i;
-a single-image caller (`predict`, `sentence_forward`) encodes a stack of
-one. The ViT, the text encoder and the fusion blocks run per sentence, and
-the dropout draws keep their per-sentence order (text, ViT, ViT fusion,
-conv fusion) on the one shared rng; the conv stack draws none.
+`forward` is the one forward pass: a generator over a batch's id lists and
+its (N, C, H, W) image stack that yields, per sentence, the emissions and
+each path's pooled pair. `batch_losses` builds sentence i's NLL before it
+asks for sentence i+1; `predict` takes the one sentence of a stack of one.
+Text rows 1..n (real tokens, CLS/SEP excluded; `TextEncoder` truncates)
+query each path's visual tokens, and the fused outputs are concatenated
+feature-wise before the emission map. The text CLS row and the mean of a
+path's visual tokens feed that path's projection heads, whose batch outputs
+give its contrastive term. A path whose encoder takes a whole stack (the
+conv stack) encodes it once before the first sentence; the ViT encodes per
+sentence. Dropout draws keep their per-sentence order (text, ViT, ViT
+fusion, conv fusion) on the one shared rng; the conv stack draws none.
 
-At inference the model keeps, per visual path (ViT, conv), a one-entry memo
-of the last encode: a copy of the image (the image stack, on the conv
-path), the output, and, once the image has repeated, a copy of each of that
-encoder's parameter arrays. It is consulted only when no graph is recorded
+At inference the model keeps, per path key, a one-entry memo of the last
+encode: a copy of the image (the image stack, on the conv path), the
+output, and, once the image has repeated, a copy of each of that encoder's
+parameter arrays. It is consulted only when no graph is recorded
 (`train=False` under `no_grad`, as in `predict`), and hits only when the
 image and every encoder parameter equal their stored copies by value,
 compared bit for bit (same dtype, shape and bytes). Any change to the
-weights, by reassignment or in place, or to the image is therefore a miss, which encodes as usual and replaces the
-entry; graph-recording calls never read or write it. A new image takes no
-weight snapshot (copying ~1 MB of desk-model weights on every call would
-slow streams of distinct images), so a run of one repeated image encodes
-twice: at its first sighting and at the second, which stores the snapshot
-that later calls hit.
+weights, by reassignment or in place, or to the image is therefore a miss,
+which encodes as usual and replaces the entry; graph-recording calls never
+read or write it. A new image takes no weight snapshot (copying ~1 MB of
+desk-model weights on every call would slow streams of distinct images),
+so a run of one repeated image encodes twice: at its first sighting and at
+the second, which stores the snapshot that later calls hit.
 """
 
 from __future__ import annotations
@@ -79,6 +86,14 @@ def _identical(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@dataclass
+class VisualPath:
+    encoder: VitEncoder | ConvEncoder
+    fusion: CrossAttentionBlock
+    text_head: ProjectionHead
+    image_head: ProjectionHead
+
+
 class MultimodalNerModel:
     def __init__(self, config: ModelConfig, vocab_size: int, seed: int,
                  schema: LabelSchema | None = None):
@@ -93,15 +108,8 @@ class MultimodalNerModel:
             ),
             rng,
         )
-        self.vit: VitEncoder | None = None
-        self.conv: ConvEncoder | None = None
-        self.vit_fusion: CrossAttentionBlock | None = None
-        self.conv_fusion: CrossAttentionBlock | None = None
-        self.vit_text_head = self.vit_image_head = None
-        self.conv_text_head = self.conv_image_head = None
-
-        if config.use_vit:
-            self.vit = VitEncoder(
+        encoders = (
+            ("vit", config.use_vit, lambda: VitEncoder(
                 VitConfig(
                     image_size=config.image_size, patch_size=config.patch_size,
                     embed_dim=config.vit_embed_dim, out_dim=config.d,
@@ -109,13 +117,8 @@ class MultimodalNerModel:
                     mlp_ratio=config.mlp_ratio, dropout=config.dropout,
                 ),
                 rng,
-            )
-            self.vit_fusion = CrossAttentionBlock(
-                config.d, config.heads, rng, config.mlp_ratio, config.dropout)
-            self.vit_text_head = ProjectionHead(config.d, config.proj_hidden, config.proj_out, rng)
-            self.vit_image_head = ProjectionHead(config.d, config.proj_hidden, config.proj_out, rng)
-        if config.use_resnet:
-            self.conv = ConvEncoder(
+            )),
+            ("conv", config.use_resnet, lambda: ConvEncoder(
                 ConvEncoderConfig(
                     image_size=config.image_size,
                     stem_channels=config.conv_stem_channels,
@@ -125,33 +128,37 @@ class MultimodalNerModel:
                     out_dim=config.d,
                 ),
                 rng,
-            )
-            self.conv_fusion = CrossAttentionBlock(
-                config.d, config.heads, rng, config.mlp_ratio, config.dropout)
-            self.conv_text_head = ProjectionHead(config.d, config.proj_hidden, config.proj_out, rng)
-            self.conv_image_head = ProjectionHead(config.d, config.proj_hidden, config.proj_out, rng)
+            )),
+        )
+        self.paths: dict[str, VisualPath] = {}
+        for key, enabled, make_encoder in encoders:
+            if enabled:  # the seeded draws go encoder, fusion, text head, image head
+                self.paths[key] = VisualPath(
+                    make_encoder(),
+                    CrossAttentionBlock(config.d, config.heads, rng, config.mlp_ratio,
+                                        config.dropout),
+                    ProjectionHead(config.d, config.proj_hidden, config.proj_out, rng),
+                    ProjectionHead(config.d, config.proj_hidden, config.proj_out, rng),
+                )
+        # perfbench's tracing finds the fusion blocks under these two names
+        self.vit_fusion, self.conv_fusion = (
+            self.paths[key].fusion if key in self.paths else None for key in ("vit", "conv"))
 
-        paths = int(config.use_vit) + int(config.use_resnet)
-        self.fused_dim = config.d * max(paths, 1)
+        self.fused_dim = config.d * max(len(self.paths), 1)
         mask = self.schema.invalid_transition_mask() if config.mask_invalid_transitions else None
         self.crf = LinearChainCrf(self.fused_dim, self.schema.num_labels, rng,
                                   transition_mask=mask)
-        # path -> (image copy, encoder parameter copies or None, output); see module doc
+        # path key -> (image copy, encoder parameter copies or None, output); see module doc
         self._encoded: dict[str, tuple[np.ndarray, list[np.ndarray] | None, Tensor]] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
     def _components(self):
         comps = {"text": self.text, "crf": self.crf}
-        if self.vit is not None:
+        for key, path in self.paths.items():
             comps.update({
-                "vit": self.vit, "vit_fusion": self.vit_fusion,
-                "vit_text_head": self.vit_text_head, "vit_image_head": self.vit_image_head,
-            })
-        if self.conv is not None:
-            comps.update({
-                "conv": self.conv, "conv_fusion": self.conv_fusion,
-                "conv_text_head": self.conv_text_head, "conv_image_head": self.conv_image_head,
+                key: path.encoder, f"{key}_fusion": path.fusion,
+                f"{key}_text_head": path.text_head, f"{key}_image_head": path.image_head,
             })
         return comps
 
@@ -186,16 +193,12 @@ class MultimodalNerModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _truncate(self, token_ids, label_ids):
-        limit = self.config.max_len - 2
-        return token_ids[:limit], (label_ids[:limit] if label_ids is not None else None)
-
-    def _encode_image(self, path: str, encoder: VitEncoder | ConvEncoder,
-                      image: np.ndarray, train: bool,
+    def _encode_image(self, key: str, image: np.ndarray, train: bool,
                       rng: np.random.Generator | None) -> Tensor:
+        encoder = self.paths[key].encoder
         if train or ad._grad_enabled():
             return encoder.encode(image, train, rng)
-        entry = self._encoded.get(path)
+        entry = self._encoded.get(key)
         snapshot = None
         if entry is not None and _identical(entry[0], image):
             weights = [p.data for p in encoder.parameters().values()]
@@ -203,39 +206,33 @@ class MultimodalNerModel:
                 return entry[2]
             snapshot = [w.copy() for w in weights]
         out = encoder.encode(image, train, rng)
-        self._encoded[path] = (image.copy(), snapshot, out)
+        self._encoded[key] = (image.copy(), snapshot, out)
         return out
 
-    def sentence_forward(self, token_ids: list[int], image: np.ndarray,
-                         train: bool = False, rng: np.random.Generator | None = None):
-        """Emissions (n, L) plus the pooled vectors the alignment terms need,
-        for one sentence and its (C, H, W) image."""
-        conv_rows = None
-        if self.conv is not None:
-            conv_rows = self._encode_image("conv", self.conv, image[None], train, rng)[0]
-        return self._fuse(token_ids, image, conv_rows, train, rng)
-
-    def _fuse(self, token_ids: list[int], image: np.ndarray, conv_rows: Tensor | None,
-              train: bool, rng: np.random.Generator | None):
-        """sentence_forward given this sentence's (g^2, d) conv tokens."""
-        text_rows = self.text.encode(token_ids, train, rng)
-        n = text_rows.shape[0] - 2
-        tokens = text_rows[1:n + 1]
-        pooled_text = text_rows[0]
-        fused_parts = []
-        pooled = {}
-        if self.vit is not None:
-            vis = self._encode_image("vit", self.vit, image, train, rng)
-            fused_parts.append(self.vit_fusion(tokens, vis, train, rng))
-            pooled["vit"] = (pooled_text, ad.mean(vis, axis=0))
-        if conv_rows is not None:
-            fused_parts.append(self.conv_fusion(tokens, conv_rows, train, rng))
-            pooled["conv"] = (pooled_text, ad.mean(conv_rows, axis=0))
-        if fused_parts:
-            fused = fused_parts[0] if len(fused_parts) == 1 else ad.concat(fused_parts, axis=1)
-        else:
-            fused = tokens
-        return self.crf.emissions(fused), pooled
+    def forward(self, token_ids: list[list[int]], images: np.ndarray,
+                train: bool = False, rng: np.random.Generator | None = None):
+        """Yield, per sentence, its emissions (n, L) and a dict mapping each
+        path key to the (text CLS row, mean visual token) pair its
+        contrastive term needs. `images` is the (N, C, H, W) stack, row i
+        belonging to sentence i."""
+        stacked = {key: self._encode_image(key, images, train, rng)
+                   for key, path in self.paths.items()
+                   if isinstance(path.encoder, ConvEncoder)}
+        for i, ids in enumerate(token_ids):
+            text_rows = self.text.encode(ids, train, rng)
+            tokens = text_rows[1:text_rows.shape[0] - 1]
+            pooled_text = text_rows[0]
+            fused, pooled = [], {}
+            for key, path in self.paths.items():
+                if key in stacked:
+                    visual = stacked[key][i]
+                else:
+                    visual = self._encode_image(key, images[i], train, rng)
+                fused.append(path.fusion(tokens, visual, train, rng))
+                pooled[key] = (pooled_text, ad.mean(visual, axis=0))
+            if len(fused) > 1:
+                fused = [ad.concat(fused, axis=1)]
+            yield self.crf.emissions(fused[0] if fused else tokens), pooled
 
     def batch_losses(self, batch: Batch, train: bool = False,
                      rng: np.random.Generator | None = None, tau: float = 0.07):
@@ -244,40 +241,29 @@ class MultimodalNerModel:
         A disabled image path (or a batch too small to form negative
         pairs) contributes an exact scalar zero.
         """
-        conv_rows = None
-        if self.conv is not None:
-            conv_rows = self._encode_image("conv", self.conv, np.stack(batch.images), train, rng)
         nlls = []
-        path_pooled: dict[str, list] = {"vit": [], "conv": []}
-        for i, (token_ids, label_ids, image) in enumerate(
-                zip(batch.token_ids, batch.label_ids, batch.images)):
-            token_ids, label_ids = self._truncate(token_ids, label_ids)
-            emissions, pooled = self._fuse(token_ids, image,
-                                           conv_rows[i] if conv_rows is not None else None,
-                                           train, rng)
-            nlls.append(self.crf.nll(emissions, label_ids))
-            for key, pair in pooled.items():
-                path_pooled[key].append(pair)
+        pooled: dict[str, list] = {key: [] for key in self.paths}
+        sentences = self.forward(batch.token_ids, np.stack(batch.images), train, rng)
+        for (emissions, pairs), label_ids in zip(sentences, batch.label_ids):
+            nlls.append(self.crf.nll(emissions, label_ids[:emissions.shape[0]]))
+            for key, pair in pairs.items():
+                pooled[key].append(pair)
         crf_nll = ad.mean(ad.stack(nlls))
-
-        def path_loss(key, text_head, image_head):
-            pairs = path_pooled[key]
+        terms = []
+        for key in ("vit", "conv"):
+            pairs = pooled.get(key, [])
             if not self.config.use_contrastive or len(pairs) < 2:
-                return Tensor(0.0)
-            texts = ad.stack([text_head(t) for t, _ in pairs])
-            images = ad.stack([image_head(v) for _, v in pairs])
-            return contrastive_loss(texts, images, tau)
-
-        cl_vit = path_loss("vit", self.vit_text_head, self.vit_image_head) \
-            if self.vit is not None else Tensor(0.0)
-        cl_conv = path_loss("conv", self.conv_text_head, self.conv_image_head) \
-            if self.conv is not None else Tensor(0.0)
-        return crf_nll, cl_vit, cl_conv
+                terms.append(Tensor(0.0))
+                continue
+            path = self.paths[key]
+            texts = ad.stack([path.text_head(t) for t, _ in pairs])
+            images = ad.stack([path.image_head(v) for _, v in pairs])
+            terms.append(contrastive_loss(texts, images, tau))
+        return crf_nll, *terms
 
     def predict(self, token_ids: list[int], image: np.ndarray) -> list[str]:
-        """Viterbi-decoded tag strings for one sentence."""
-        token_ids, _ = self._truncate(token_ids, None)
+        """Viterbi-decoded tag strings for one sentence and its (C, H, W) image."""
         with ad.no_grad():
-            emissions, _ = self.sentence_forward(token_ids, image, train=False)
+            emissions, _ = next(self.forward([token_ids], image[None]))
             path, _ = self.crf.viterbi(emissions)
         return self.schema.decode(path)

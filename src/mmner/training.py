@@ -313,9 +313,10 @@ def train(config: TrainConfig, data_root: str | Path,
     A non-finite loss term, or a NumericError while computing the losses or
     their gradients, raises NumericError naming the epoch and optimizer step
     before any parameter is updated; a NumericError in an epoch's eval names
-    that epoch. The counters are facts about the data:
-    eval-split tokens outside the vocabulary, distinct train/eval sentences
-    longer than max_len - 2 tokens, missing images, repaired labels.
+    that epoch, and one in the final eval says "final eval". The counters
+    are facts about the data: eval-split tokens outside the vocabulary,
+    distinct train/eval sentences longer than max_len - 2 tokens, missing
+    images, repaired labels.
     """
     root = Path(data_root)
     train_corpus = load_split(root, "train", repair=config.repair)
@@ -399,7 +400,10 @@ def train(config: TrainConfig, data_root: str | Path,
         model.load_parameters(load_checkpoint(out_path / "model.ckpt"))
     elif best_arrays is not None:
         model.load_parameters(best_arrays)
-    final_report = evaluate_model(model, eval_corpus, vocab, images)
+    try:
+        final_report = evaluate_model(model, eval_corpus, vocab, images)
+    except NumericError as exc:
+        raise NumericError(f"final eval: {exc}") from None
 
     counters = {
         "unk_tokens": sum(tok not in vocab for ex in eval_corpus.examples for tok in ex.tokens),

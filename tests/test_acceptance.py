@@ -17,9 +17,7 @@ from fixtures_util import (
     build_multimodal_fixture,
     build_overfit_fixture,
 )
-from test_alignment import oracle_contrastive
-from test_collaboration import oracle_block
-from test_crf import oracle_all_scores, oracle_best_path, oracle_log_partition
+from test_crf import oracle_best_path, oracle_log_partition
 
 from mmner import autodiff as ad
 from mmner.autodiff import Tensor
@@ -30,7 +28,8 @@ from mmner.crf import LinearChainCrf
 from mmner.data import ImageStore, cohens_kappa, parse_iob2
 from mmner.metrics import evaluate
 from mmner.model import ModelConfig, MultimodalNerModel
-from mmner.selftest import gradient_suite
+from mmner.selftest import (_direct_contrastive, _enum_scores, _loop_cross_attention,
+                            gradient_suite)
 from mmner.training import TrainConfig, load_run, lr_at, total_loss, train
 
 
@@ -71,7 +70,7 @@ def test_c02_crf_enumeration_oracle():
                 assert path == ref_path and score == ref_score
                 total = sum(
                     math.exp(s - log_z)
-                    for s in oracle_all_scores(em, trans, crf.begin, crf.end).values()
+                    for _, s in _enum_scores(em, trans, crf.begin, crf.end)
                 )
                 worst_prob_sum = max(worst_prob_sum, abs(total - 1.0))
     elapsed = time.perf_counter() - t0
@@ -87,7 +86,7 @@ def test_c03_contrastive_oracle():
             t = rng.normal(size=(n, 16))
             i = rng.normal(size=(n, 16))
             got = contrastive_loss(Tensor(t), Tensor(i), tau=0.07).item()
-            assert abs(got - oracle_contrastive(t, i, 0.07)) < 1e-10
+            assert abs(got - _direct_contrastive(t, i, 0.07)) < 1e-10
             scales_t = rng.uniform(0.1, 10.0, size=(n, 1))
             scales_i = rng.uniform(0.1, 10.0, size=(n, 1))
             base = contrastive_loss(Tensor(t), Tensor(i), tau=0.3).item()
@@ -109,7 +108,7 @@ def test_c04_cross_attention_oracle():
         text = rng.normal(size=(4, 8))
         visual = rng.normal(size=(5, 8))
         got = block(Tensor(text), Tensor(visual)).data
-        assert np.max(np.abs(got - oracle_block(block, text, visual))) < 1e-10
+        assert np.max(np.abs(got - _loop_cross_attention(block, text, visual))) < 1e-10
         permuted = block(Tensor(text), Tensor(visual[rng.permutation(5)])).data
         assert np.max(np.abs(got - permuted)) < 1e-10
 
@@ -212,12 +211,12 @@ def test_c11_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model.parameters(), path)
     with ad.no_grad():
-        before = [model.sentence_forward(ids, img)[0].data.copy() for ids, img in batch]
+        before = [next(model.forward([ids], img[None]))[0].data.copy() for ids, img in batch]
 
     twin = MultimodalNerModel(cfg, vocab_size=12, seed=99)  # different init
     twin.load_parameters(load_checkpoint(path))
     with ad.no_grad():
-        after = [twin.sentence_forward(ids, img)[0].data.copy() for ids, img in batch]
+        after = [next(twin.forward([ids], img[None]))[0].data.copy() for ids, img in batch]
     for a, b in zip(before, after):
         np.testing.assert_array_equal(a, b)
 

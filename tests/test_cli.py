@@ -51,14 +51,21 @@ class TestUsageErrors:
 
     def test_numeric_error_in_eval_names_its_epoch(self, tmp_path, capsys, monkeypatch):
         root = build_overfit_fixture(tmp_path, n_sentences=4)
+        evaluate_model = mmner.training.evaluate_model
+        # one epoch evaluates once, then the final eval is call 2
+        for failing_call, prefix in ((1, "epoch 1 eval"), (2, "final eval")):
+            calls = []
 
-        def diverge(*args, **kwargs):
-            raise NumericError("softmax: non-finite input")
+            def diverge_on(*args, _failing_call=failing_call, **kwargs):
+                calls.append(1)
+                if len(calls) == _failing_call:
+                    raise NumericError("softmax: non-finite input")
+                return evaluate_model(*args, **kwargs)
 
-        monkeypatch.setattr(mmner.training, "evaluate_model", diverge)
-        code, _, err = run_cli(capsys, "train", str(root), "--batch", "2", "--epochs", "1")
-        assert code == 1
-        assert err == "mmner: error: epoch 1 eval: softmax: non-finite input\n"
+            monkeypatch.setattr(mmner.training, "evaluate_model", diverge_on)
+            code, _, err = run_cli(capsys, "train", str(root), "--batch", "2", "--epochs", "1")
+            assert code == 1
+            assert err == f"mmner: error: {prefix}: softmax: non-finite input\n"
 
     def test_numeric_error_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
@@ -275,5 +282,5 @@ class TestConfigPrecedence:
         from mmner.training import load_run
         model, _, config = load_run(out)
         assert not config.use_vit and not config.use_resnet
-        assert model.vit is None and model.conv is None
+        assert model.paths == {}
         assert model.crf.emission_w.shape[0] == model.config.d

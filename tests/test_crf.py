@@ -10,29 +10,13 @@ from mmner import autodiff as ad
 from mmner.autodiff import ContractError, Tensor, backward
 from mmner.crf import NEG_INF, LabelSchema, LinearChainCrf
 from mmner.gradcheck import check_gradients, max_error, rel_error
+from mmner.selftest import _enum_scores
 
 
-# --- independent oracles: plain loops over all L^n paths -------------------
-
-def oracle_path_score(em, trans, path, begin, end):
-    """Sequential left-to-right sum, same term order as the dynamic program."""
-    s = trans[begin, path[0]] + em[0, path[0]]
-    for i in range(1, len(path)):
-        s = s + trans[path[i - 1], path[i]]
-        s = s + em[i, path[i]]
-    return s + trans[path[-1], end]
-
-
-def oracle_all_scores(em, trans, begin, end):
-    n, L = em.shape
-    scores = {}
-    for path in itertools.product(range(L), repeat=n):
-        scores[path] = oracle_path_score(em, trans, path, begin, end)
-    return scores
-
+# --- folds of the shipped enumeration oracle over all L^n paths ------------
 
 def oracle_log_partition(em, trans, begin, end):
-    values = np.array(list(oracle_all_scores(em, trans, begin, end).values()))
+    values = np.array([s for _, s in _enum_scores(em, trans, begin, end)])
     m = values.max()
     return m + math.log(np.exp(values - m).sum())
 
@@ -42,7 +26,7 @@ def oracle_best_path(em, trans, begin, end):
     smallest, matching lowest-index backpointer decisions."""
     best = None
     best_score = None
-    for path, s in oracle_all_scores(em, trans, begin, end).items():
+    for path, s in _enum_scores(em, trans, begin, end):
         if best is None or s > best_score or (
             s == best_score and tuple(reversed(path)) < tuple(reversed(best))
         ):
@@ -54,7 +38,7 @@ def oracle_marginals(em, trans, begin, end):
     n, L = em.shape
     log_z = oracle_log_partition(em, trans, begin, end)
     marg = np.zeros((n, L))
-    for path, s in oracle_all_scores(em, trans, begin, end).items():
+    for path, s in _enum_scores(em, trans, begin, end):
         p = math.exp(s - log_z)
         for i, y in enumerate(path):
             marg[i, y] += p
@@ -94,7 +78,7 @@ class TestScore:
         expected = np.sum(em_terms) + np.sum(tr_terms)
         assert crf.score(em, path).item() == expected
         # and against the sequential walk within float tolerance
-        walk = oracle_path_score(em.data, crf.transitions.data, path, crf.begin, crf.end)
+        walk = dict(_enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))[tuple(path)]
         assert crf.score(em, path).item() == pytest.approx(walk, abs=1e-12)
 
     def test_label_out_of_range(self):
@@ -159,7 +143,7 @@ class TestNll:
             crf = make_crf(L, seed)
             em = Tensor(rng.normal(size=(n, L)))
             path = list(rng.integers(0, L, size=n))
-            scores = oracle_all_scores(em.data, crf.transitions.data, crf.begin, crf.end)
+            scores = dict(_enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))
             log_z = oracle_log_partition(em.data, crf.transitions.data, crf.begin, crf.end)
             p_gold = math.exp(scores[tuple(path)] - log_z)
             assert crf.nll(em, path).item() == pytest.approx(-math.log(p_gold), abs=1e-8)
@@ -173,7 +157,7 @@ class TestNll:
             log_z = crf.log_partition(em).item()
             total = sum(
                 math.exp(s - log_z)
-                for s in oracle_all_scores(em.data, crf.transitions.data, crf.begin, crf.end).values()
+                for _, s in _enum_scores(em.data, crf.transitions.data, crf.begin, crf.end)
             )
             assert total == pytest.approx(1.0, abs=1e-8)
 

@@ -1,5 +1,8 @@
-"""The inference memo of visual-encoder outputs: reuse only what an
-encode of the same image with the same weights would give."""
+"""The assembled model: its parameter layout, the visual paths, the one
+forward, and the inference memo of visual-encoder outputs, which may reuse
+only what an encode of the same image with the same weights would give."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ def make_images(n, seed=1):
 
 def inference_emissions(model, ids, image):
     with ad.no_grad():
-        return model.sentence_forward(ids, image)[0].data.copy()
+        return next(model.forward([ids], image[None]))[0].data.copy()
 
 
 def memoized_emissions(model, ids, image):
@@ -40,7 +43,7 @@ def memoized_emissions(model, ids, image):
 
 def graph_emissions(model, ids, image):
     """The same forward while a graph is recorded, which never uses the memo."""
-    return model.sentence_forward(ids, image)[0].data.copy()
+    return next(model.forward([ids], image[None]))[0].data.copy()
 
 
 @pytest.fixture
@@ -62,7 +65,7 @@ def test_inference_matches_graph_forward_bitwise():
     a, b = make_images(2)
     for ids, image in [(IDS, a), ([4, 4], a), (IDS, b), ([9], b), (IDS, a)]:
         with ad.no_grad():
-            emissions = model.sentence_forward(ids, image)[0]
+            emissions = next(model.forward([ids], image[None]))[0]
             path, _ = model.crf.viterbi(emissions)
         reference = graph_emissions(model, ids, image)
         np.testing.assert_array_equal(emissions.data, reference)
@@ -111,7 +114,7 @@ def test_one_image_encodes_twice(encode_counts):
     assert all(t == tags[0] for t in tags)
     model.predict(IDS, image.copy())  # equal by value, not the same object
     assert encode_counts == {"vit": 2, "conv": 2}
-    model.vit.patch_proj.data += 0.05  # a miss on the ViT path only
+    model.paths["vit"].encoder.patch_proj.data += 0.05  # a miss on the ViT path only
     for _ in range(3):
         model.predict(IDS, image)
     assert encode_counts == {"vit": 3, "conv": 2}
@@ -137,19 +140,19 @@ def test_batch_losses_encode_once_per_sentence(encode_counts, train):
 
 
 def per_sentence_losses(model, batch, rng, tau=0.07):
-    """batch_losses composed from sentence_forward, which encodes each image
-    through the conv stack on its own."""
+    """batch_losses composed from one-sentence forwards, each of which
+    encodes its image through the conv stack on its own."""
     nlls, pooled = [], {"vit": [], "conv": []}
     for ids, labels, image in zip(batch.token_ids, batch.label_ids, batch.images):
-        emissions, pairs = model.sentence_forward(ids, image, True, rng)
+        emissions, pairs = next(model.forward([ids], image[None], True, rng))
         nlls.append(model.crf.nll(emissions, labels))
         for key, pair in pairs.items():
             pooled[key].append(pair)
 
     def path_loss(key):
-        text_head, image_head = getattr(model, f"{key}_text_head"), getattr(model, f"{key}_image_head")
-        texts = ad.stack([text_head(t) for t, _ in pooled[key]])
-        images = ad.stack([image_head(v) for _, v in pooled[key]])
+        path = model.paths[key]
+        texts = ad.stack([path.text_head(t) for t, _ in pooled[key]])
+        images = ad.stack([path.image_head(v) for _, v in pooled[key]])
         return contrastive_loss(texts, images, tau)
 
     return ad.mean(ad.stack(nlls)), path_loss("vit"), path_loss("conv")
@@ -172,3 +175,74 @@ def test_batch_losses_match_per_image_conv_encodes():
             p.zero_grad()
     for batched, single in zip(*results):
         np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12)
+
+
+PATH_FLAGS = [(True, True), (True, False), (False, True), (False, False)]
+LAYER = ["attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
+         "ln1_g", "ln1_b", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "ln2_g", "ln2_b"]
+FUSION = ["wq", "wk", "wv", "wo", "ln1_g", "ln1_b", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
+          "ln2_g", "ln2_b"]
+HEAD = ["w1", "b1", "w2", "b2"]
+# each stage's first block changes width and carries a shortcut projection
+CONV = ["stem_w", "stem_b", "proj_w", "proj_b"] + [
+    f"block{i}.{w}" for i in range(6)
+    for w in ["w1", "b1", "w2", "b2"] + (["ws", "bs"] if i % 2 == 0 else [])]
+
+
+def prefixed(prefix, names):
+    return [f"{prefix}.{n}" for n in names]
+
+
+def path_names(key, encoder_names):
+    return (prefixed(key, encoder_names) + prefixed(f"{key}_fusion", FUSION)
+            + prefixed(f"{key}_text_head", HEAD) + prefixed(f"{key}_image_head", HEAD))
+
+
+@pytest.mark.parametrize("use_vit,use_resnet", PATH_FLAGS)
+def test_parameter_names_in_order(use_vit, use_resnet):
+    # checkpoints and the Adam state are keyed and ordered by these names
+    model = MultimodalNerModel(replace(CONFIG, use_vit=use_vit, use_resnet=use_resnet),
+                               vocab_size=12, seed=0)
+    expected = prefixed("text", ["token_table", "position_table"] + prefixed("layer0", LAYER))
+    expected += ["crf.emission_w", "crf.emission_b", "crf.transitions"]
+    if use_vit:
+        expected += path_names("vit", ["patch_proj", "position_table"]
+                               + prefixed("layer0", LAYER) + prefixed("layer1", LAYER))
+    if use_resnet:
+        expected += path_names("conv", CONV)
+    assert list(model.parameters()) == expected
+
+
+@pytest.mark.parametrize("use_vit,use_resnet", PATH_FLAGS)
+def test_fusion_aliases_follow_paths(use_vit, use_resnet):
+    # perfbench's tracing looks the fusion blocks up as model.vit_fusion and
+    # model.conv_fusion, so those names must track the paths dict
+    model = MultimodalNerModel(replace(CONFIG, use_vit=use_vit, use_resnet=use_resnet),
+                               vocab_size=12, seed=0)
+    for key, alias, on in (("vit", model.vit_fusion, use_vit),
+                           ("conv", model.conv_fusion, use_resnet)):
+        if on:
+            assert alias is model.paths[key].fusion
+        else:
+            assert alias is None and key not in model.paths
+
+
+def test_overlong_sentence_matches_hand_truncation():
+    limit = CONFIG.max_len - 2
+    model = make_model()
+    long_ids = [2 + i % 10 for i in range(limit + 5)]
+    ids = [IDS, long_ids, [5]]
+    labels = [[i % 3 for i in range(len(t))] for t in ids]
+    images = make_images(3)
+    params = model.parameters()
+    results = []
+    for cut in (None, limit):
+        batch = Batch(examples=[None] * 3, token_ids=[t[:cut] for t in ids],
+                      label_ids=[l[:cut] for l in labels], images=images)
+        terms = model.batch_losses(batch, train=True, rng=np.random.default_rng(3))
+        ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
+        results.append([t.data for t in terms] + [params[k].grad for k in sorted(params)])
+        for p in params.values():
+            p.zero_grad()
+    for whole, truncated in zip(*results):
+        np.testing.assert_array_equal(whole, truncated)

@@ -294,8 +294,8 @@ class TestModelAssembly:
             model = MultimodalNerModel(cfg, vocab_size=10, seed=0)
             assert model.fused_dim == want
             rng = np.random.default_rng(0)
-            emissions, pooled = model.sentence_forward(
-                [2, 3, 4], rng.normal(size=(3, 8, 8)))
+            emissions, pooled = next(model.forward(
+                [[2, 3, 4]], rng.normal(size=(1, 3, 8, 8))))
             assert emissions.shape == (3, 9)
             assert set(pooled) == ({"vit"} if use_vit and not use_resnet else
                                    {"conv"} if use_resnet and not use_vit else
@@ -304,7 +304,7 @@ class TestModelAssembly:
     def test_text_only_reduces_to_text_to_crf(self):
         cfg = tiny_model_config(use_vit=False, use_resnet=False)
         model = MultimodalNerModel(cfg, vocab_size=10, seed=0)
-        assert model.vit is None and model.conv is None
+        assert model.paths == {}
         assert model.crf.emission_w.shape == (8, 9)
 
     def test_disabled_contrastive_changes_loss_not_shapes(self, tmp_path):
@@ -347,11 +347,11 @@ class TestModelAssembly:
             nlls = []
             pooled_t, pooled_v = [], []
             for ids, labels, img in zip(batch_tokens, batch_labels, batch_images):
-                emissions, pooled = model.sentence_forward(ids, img)
+                emissions, pooled = next(model.forward([ids], img[None]))
                 nlls.append(model.crf.nll(emissions, labels))
                 t, v = pooled["vit"]
-                pooled_t.append(model.vit_text_head(t))
-                pooled_v.append(model.vit_image_head(v))
+                pooled_t.append(model.paths["vit"].text_head(t))
+                pooled_v.append(model.paths["vit"].image_head(v))
             from mmner.alignment import contrastive_loss
             cl = contrastive_loss(ad.stack(pooled_t), ad.stack(pooled_v), 0.5)
             return total_loss(ad.mean(ad.stack(nlls)), cl, Tensor(0.0), alpha=0.8)
@@ -385,11 +385,11 @@ class TestTrainLoop:
         ids = vocab.encode(corpus.examples[0].tokens)
         img = store.load(corpus.examples[0].image_ref)
         with ad.no_grad():
-            before, _ = model.sentence_forward(ids, img)
+            before, _ = next(model.forward([ids], img[None]))
         save_checkpoint(model.parameters(), out / "model2.ckpt")
         model.load_parameters(load_checkpoint(out / "model2.ckpt"))
         with ad.no_grad():
-            after, _ = model.sentence_forward(ids, img)
+            after, _ = next(model.forward([ids], img[None]))
         np.testing.assert_array_equal(before.data, after.data)
 
     def test_alpha_one_logs_zero_contrastive_contribution(self, tmp_path):
@@ -446,17 +446,19 @@ class TestTrainLoop:
 
     def test_numeric_error_in_eval_names_its_epoch(self, tmp_path, monkeypatch):
         root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
-        calls = []
+        # three epochs evaluate three times, then the final eval is call 4
+        for failing_call, prefix in ((2, "epoch 2 eval"), (4, "final eval")):
+            calls = []
 
-        def diverge_on_second_eval(*args):
-            calls.append(1)
-            if len(calls) == 2:
-                raise NumericError("softmax: non-finite input")
-            return evaluate_model(*args)
+            def diverge_on(*args, _failing_call=failing_call):
+                calls.append(1)
+                if len(calls) == _failing_call:
+                    raise NumericError("softmax: non-finite input")
+                return evaluate_model(*args)
 
-        monkeypatch.setattr(mmner.training, "evaluate_model", diverge_on_second_eval)
-        with pytest.raises(NumericError, match=r"^epoch 2 eval: softmax: non-finite input$"):
-            train(tiny_train_config(epochs=3), root)
+            monkeypatch.setattr(mmner.training, "evaluate_model", diverge_on)
+            with pytest.raises(NumericError, match=rf"^{prefix}: softmax: non-finite input$"):
+                train(tiny_train_config(epochs=3), root)
 
     def test_schema_mismatch_rejected(self, tmp_path):
         cfg = tiny_model_config()
