@@ -16,11 +16,11 @@ on purpose: run directories saved before the switch to BLAKE2b hold
 version-1 files, and perfbench's tracing wraps `fnv1a_64` by name.
 
 Parameters are stored at float32 precision; saving canonicalizes the live
-tensors to the same precision so that a save -> load round trip (and any
-later re-save) reproduces forward outputs bit for bit. The checksum is
-verified on load and any mismatch, truncation, or bad header is an error.
-The file is written through `write_atomic`, so a failed save leaves the
-previous checkpoint as it was.
+tensors to the same precision (`canonicalize`) so that a save -> load round
+trip (and any later re-save) reproduces forward outputs bit for bit. The
+checksum is verified on load and any mismatch, truncation, or bad header
+is an error. The file is written through `write_atomic`, so a failed save
+leaves the previous checkpoint as it was.
 """
 
 from __future__ import annotations
@@ -72,16 +72,23 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
+def canonicalize(params: dict[str, Tensor]) -> None:
+    """Round each tensor's data to float32 precision, in place: the values
+    a checkpoint stores, so that a save -> load round trip reproduces them."""
+    for tensor in params.values():
+        tensor.data = tensor.data.astype(np.float32).astype(np.float64)
+
+
 def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
     """Write named parameters; see module docstring for the format.
 
-    Side effect: each tensor's data is rounded to float32 precision (the
-    checkpoint is the source of truth for parameter values).
+    Side effect: `canonicalize(params)` runs first, so the live tensors hold
+    exactly the values written.
     """
+    canonicalize(params)
     records = bytearray()
     for name in sorted(params):
         tensor = params[name]
-        tensor.data = tensor.data.astype(np.float32).astype(np.float64)
         name_bytes = name.encode("utf-8")
         records += struct.pack("<I", len(name_bytes))
         records += name_bytes

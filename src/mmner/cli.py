@@ -23,6 +23,7 @@ from mmner.data import (
     SentenceExample,
     cohens_kappa,
     dataset_stats,
+    iob2_blocks,
     serialize_iob2,
 )
 from mmner.training import (
@@ -154,27 +155,11 @@ def read_predict_input(path: Path, raw: bool) -> list[SentenceExample]:
             if tokens:
                 examples.append(SentenceExample(tokens, ["O"] * len(tokens), ""))
         return examples
-    language = "unk"
-    image_ref = ""
-    tokens: list[str] = []
-
-    def flush():
-        nonlocal language, image_ref, tokens
-        if tokens:
-            examples.append(SentenceExample(tokens, ["O"] * len(tokens), image_ref, language))
-        language, image_ref, tokens = "unk", "", []
-
-    for line in text.splitlines():
-        if not line.strip():
-            flush()
-        elif line.startswith("LANG:") and not tokens:
-            language = line[len("LANG:"):].strip()
-        elif line.startswith("IMGID:") and not tokens:
-            image_ref = line[len("IMGID:"):].strip()
-        else:
-            tokens.append(line.split("\t")[0])
-    flush()
-    return examples
+    return [
+        SentenceExample([row.split("\t")[0] for _, row in block.rows], ["O"] * len(block.rows),
+                        block.image_ref or "", block.language)
+        for block in iob2_blocks(text) if block.rows
+    ]
 
 
 def cmd_predict(args) -> int:
@@ -184,8 +169,6 @@ def cmd_predict(args) -> int:
     labeled = []
     for ex in examples:
         tags = model.predict(vocab.encode(ex.tokens), images.load(ex.image_ref))
-        if len(tags) < len(ex.tokens):
-            tags = tags + ["O"] * (len(ex.tokens) - len(tags))
         labeled.append(SentenceExample(ex.tokens, tags, ex.image_ref or "none", ex.language))
     output = serialize_iob2(Corpus(labeled))
     if args.out is not None:

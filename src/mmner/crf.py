@@ -9,8 +9,6 @@ finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from mmner import autodiff as ad
@@ -21,19 +19,10 @@ NEG_INF = -1e4
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 
 
-@dataclass(frozen=True)
 class LabelSchema:
     """Ordered IOB2 tag set plus synthetic BEGIN/END transition indices."""
 
-    entity_types: tuple[str, ...] = ENTITY_TYPES
-    tags: tuple[str, ...] = field(init=False)
-
-    def __post_init__(self):
-        tags = ["O"]
-        for etype in self.entity_types:
-            tags.append(f"B-{etype}")
-            tags.append(f"I-{etype}")
-        object.__setattr__(self, "tags", tuple(tags))
+    tags = ("O",) + tuple(f"{prefix}-{etype}" for etype in ENTITY_TYPES for prefix in "BI")
 
     @property
     def num_labels(self) -> int:

@@ -8,6 +8,14 @@ IOB2 file grammar (one sentence block, repeated, blank-line separated):
     <token>\t<label>     one line per token
     <blank line>
 
+`iob2_blocks` is the one reader of this grammar. Headers count only in
+header position: any LANG lines, then at most one IMGID line; every later
+line of the block is a token row, even one that starts with LANG: or IMGID:.
+`parse_iob2` validates its blocks against the grammar above. `mmner predict`
+reads the same blocks more loosely: the label column and the IMGID line are
+optional (a row's token is its first tab field), and a LANG code is kept as
+written.
+
 Images are binary PPM (P6, maxval 255) only. A sentence with several
 images appears as several duplicated blocks, one per IMGID.
 """
@@ -15,9 +23,9 @@ images appears as several duplicated blocks, one per IMGID.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +36,7 @@ from mmner.metrics import extract_spans
 LANGUAGES = ("en", "fr", "es", "de")
 PAD_ID = 0
 UNK_ID = 1
+SCHEMA = LabelSchema()
 
 
 class CorpusError(ValueError):
@@ -54,86 +63,89 @@ class SentenceExample:
 class Corpus:
     examples: list[SentenceExample]
     split: str = "train"
-    schema: LabelSchema = field(default_factory=LabelSchema)
     repaired_labels: int = 0
 
     def __len__(self) -> int:
         return len(self.examples)
 
 
-def parse_iob2(path: str | Path, repair: bool = False, split: str = "train",
-               schema: LabelSchema | None = None) -> Corpus:
+class Iob2Block(NamedTuple):
+    line: int                    # the block's first line
+    language: str                # LANG code as written, or "unk"
+    image_ref: str | None        # IMGID stem, None without an IMGID line
+    image_line: int              # the IMGID line (0 without one)
+    rows: list[tuple[int, str]]  # (line, text) of every line after the headers
+
+
+def iob2_blocks(text: str) -> Iterator[Iob2Block]:
+    """Split IOB2 text into its non-empty blocks, in file order.
+
+    Header lines count only in header position: any LANG lines (the last
+    one wins), then at most one IMGID line. Every later line of the block
+    is a row, whatever it starts with. Rows are not parsed.
+    """
+    block: list[tuple[int, str]] = []
+    for line_no, line in enumerate(text.splitlines() + [""], start=1):
+        if line.strip():
+            block.append((line_no, line))
+            continue
+        if not block:
+            continue
+        language, image_ref, image_line = "unk", None, 0
+        i = 0
+        while i < len(block) and block[i][1].startswith("LANG:"):
+            language = block[i][1][len("LANG:"):].strip()
+            i += 1
+        if i < len(block) and block[i][1].startswith("IMGID:"):
+            image_line, header = block[i]
+            image_ref = header[len("IMGID:"):].strip()
+            i += 1
+        yield Iob2Block(block[0][0], language, image_ref, image_line, block[i:])
+        block = []
+
+
+def parse_iob2(path: str | Path, repair: bool = False, split: str = "train") -> Corpus:
     """Parse one IOB2 file into a Corpus, examples in file order.
 
-    Label strings outside the schema fail with the offending line number.
-    A dangling I-X fails validation (or becomes B-X under repair=True,
-    counted in Corpus.repaired_labels).
+    Every block needs an IMGID and `token<TAB>label` rows. A block of LANG
+    lines alone is skipped. Label strings outside the tag set fail with the
+    offending line number. A dangling I-X fails validation (or becomes B-X
+    under repair=True, counted in Corpus.repaired_labels).
     """
     path = Path(path)
-    schema = schema or LabelSchema()
-    valid = set(schema.tags)
     examples: list[SentenceExample] = []
     repaired = 0
-
-    language = "unk"
-    image_ref: str | None = None
-    tokens: list[str] = []
-    labels: list[str] = []
-    block_start_line = 1
-
-    def flush(line_no: int):
-        nonlocal language, image_ref, tokens, labels, repaired
-        if image_ref is None and not tokens:
-            language = "unk"
-            return
+    for start, language, image_ref, image_line, rows in iob2_blocks(
+            path.read_text(encoding="utf-8")):
         if image_ref is None:
-            raise CorpusError(f"{path}:{block_start_line}: sentence block without IMGID line")
+            if not rows:
+                continue
+            raise CorpusError(f"{path}:{rows[0][0]}: expected IMGID line, got {rows[0][1]!r}")
+        if not image_ref:
+            raise CorpusError(f"{path}:{image_line}: empty IMGID")
+        tokens, labels = [], []
+        for line_no, line in rows:
+            fields = line.split("\t")
+            if len(fields) != 2 or not fields[0]:
+                raise CorpusError(f"{path}:{line_no}: expected 'token<TAB>label', got {line!r}")
+            if fields[1] not in SCHEMA.tags:
+                raise CorpusError(f"{path}:{line_no}: unknown label {fields[1]!r}")
+            tokens.append(fields[0])
+            labels.append(fields[1])
         if not tokens:
-            raise CorpusError(f"{path}:{block_start_line}: IMGID block without token lines")
-        bad = schema.iob2_violations(labels)
+            raise CorpusError(f"{path}:{start}: IMGID block without token lines")
+        bad = SCHEMA.iob2_violations(labels)
         if bad:
-            if repair:
-                labels, n = schema.repair(labels)
-                repaired += n
-            else:
+            if not repair:
                 raise CorpusError(
-                    f"{path}: sentence {len(examples)} (line {block_start_line}): "
+                    f"{path}: sentence {len(examples)} (line {start}): "
                     f"I- tag without same-type opener at token position(s) {bad}"
                 )
+            labels, n = SCHEMA.repair(labels)
+            repaired += n
+        language = language if language in LANGUAGES else "unk"
         examples.append(SentenceExample(tokens, labels, image_ref, language))
-        language = "unk"
-        image_ref = None
-        tokens, labels = [], []
-
-    text = path.read_text(encoding="utf-8")
-    line_no = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            flush(line_no)
-            block_start_line = line_no + 1
-            continue
-        if not tokens and image_ref is None and line.startswith("LANG:"):
-            code = line[len("LANG:"):].strip()
-            language = code if code in LANGUAGES else "unk"
-            continue
-        if image_ref is None and line.startswith("IMGID:"):
-            image_ref = line[len("IMGID:"):].strip()
-            if not image_ref:
-                raise CorpusError(f"{path}:{line_no}: empty IMGID")
-            continue
-        if image_ref is None:
-            raise CorpusError(f"{path}:{line_no}: expected IMGID line, got {line!r}")
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0]:
-            raise CorpusError(f"{path}:{line_no}: expected 'token<TAB>label', got {line!r}")
-        token, label = fields
-        if label not in valid:
-            raise CorpusError(f"{path}:{line_no}: unknown label {label!r}")
-        tokens.append(token)
-        labels.append(label)
-    flush(line_no + 1)
-    return Corpus(examples, split=split, schema=schema, repaired_labels=repaired)
+    return Corpus(examples, split=split, repaired_labels=repaired)
 
 
 def serialize_iob2(corpus: Corpus) -> str:
@@ -325,13 +337,12 @@ def make_batches(
     order = np.arange(len(corpus.examples))
     if shuffle:
         order = np.random.default_rng(seed).permutation(order)
-    schema = corpus.schema
     for lo in range(0, len(order), batch_size):
         chunk = [corpus.examples[i] for i in order[lo:lo + batch_size]]
         yield Batch(
             examples=chunk,
             token_ids=[vocab.encode(ex.tokens) for ex in chunk],
-            label_ids=[schema.encode(ex.labels) for ex in chunk],
+            label_ids=[SCHEMA.encode(ex.labels) for ex in chunk],
             images=[images.load(ex.image_ref) for ex in chunk],
         )
 

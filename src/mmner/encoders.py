@@ -244,14 +244,8 @@ class VitEncoder:
                 f"({cfg.channels}, {cfg.image_size}, {cfg.image_size})"
             )
         p = cfg.patch_size
-        grid = cfg.image_size // p
-        patches = np.empty((grid * grid, cfg.channels * p * p))
-        idx = 0
-        for gy in range(grid):
-            for gx in range(grid):
-                patches[idx] = image[:, gy * p:(gy + 1) * p, gx * p:(gx + 1) * p].reshape(-1)
-                idx += 1
-        return patches
+        g = cfg.image_size // p
+        return image.reshape(c, g, p, g, p).transpose(1, 3, 0, 2, 4).reshape(g * g, c * p * p)
 
     def encode_patches(self, patches: np.ndarray, train: bool = False,
                        rng: np.random.Generator | None = None) -> Tensor:

@@ -115,17 +115,13 @@ class EvalReport:
         return "\n".join(out)
 
 
-def evaluate(
-    gold: Iterable[Sequence[str]],
-    pred: Iterable[Sequence[str]],
-    entity_types: tuple[str, ...] = ENTITY_TYPES,
-) -> EvalReport:
+def evaluate(gold: Iterable[Sequence[str]], pred: Iterable[Sequence[str]]) -> EvalReport:
     """Span-level evaluation of aligned gold/pred label sequences."""
     gold = list(gold)
     pred = list(pred)
     if len(gold) != len(pred):
         raise ContractError(f"{len(gold)} gold sequences vs {len(pred)} predicted")
-    scores = {t: TypeScore() for t in entity_types}
+    scores = {t: TypeScore() for t in ENTITY_TYPES}
     tokens_right = 0
     tokens_total = 0
     for g_seq, p_seq in zip(gold, pred):
@@ -139,7 +135,7 @@ def evaluate(
         p_spans = set(extract_spans(p_seq))
         for s in p_spans:
             if s.type not in scores:
-                raise ContractError(f"span type {s.type!r} not in schema {entity_types}")
+                raise ContractError(f"span type {s.type!r} not in schema {ENTITY_TYPES}")
             if s in g_spans:
                 scores[s.type].tp += 1
             else:

@@ -95,10 +95,9 @@ class VisualPath:
 
 
 class MultimodalNerModel:
-    def __init__(self, config: ModelConfig, vocab_size: int, seed: int,
-                 schema: LabelSchema | None = None):
+    def __init__(self, config: ModelConfig, vocab_size: int, seed: int):
         self.config = config
-        self.schema = schema or LabelSchema()
+        self.schema = LabelSchema()
         rng = np.random.default_rng(seed)
         self.text = TextEncoder(
             TextEncoderConfig(
@@ -262,8 +261,10 @@ class MultimodalNerModel:
         return crf_nll, *terms
 
     def predict(self, token_ids: list[int], image: np.ndarray) -> list[str]:
-        """Viterbi-decoded tag strings for one sentence and its (C, H, W) image."""
+        """Viterbi-decoded tag strings for one sentence and its (C, H, W) image,
+        one per id: tokens past the first max_len - 2 (cut by the text
+        encoder) get "O"."""
         with ad.no_grad():
             emissions, _ = next(self.forward([token_ids], image[None]))
             path, _ = self.crf.viterbi(emissions)
-        return self.schema.decode(path)
+        return self.schema.decode(path) + ["O"] * (len(token_ids) - len(path))

@@ -19,7 +19,7 @@ import numpy as np
 
 from mmner import autodiff as ad
 from mmner.autodiff import ContractError, NumericError, Tensor, backward
-from mmner.checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from mmner.checkpoint import canonicalize, load_checkpoint, save_checkpoint, write_atomic
 from mmner.data import Corpus, ImageStore, Vocabulary, make_batches, parse_iob2
 from mmner.metrics import EvalReport, evaluate
 from mmner.model import ModelConfig, MultimodalNerModel
@@ -210,12 +210,8 @@ def evaluate_model(model: MultimodalNerModel, corpus: Corpus,
     """Viterbi-decode every sentence and score spans against gold."""
     gold, pred = [], []
     for ex in corpus.examples:
-        ids = vocab.encode(ex.tokens)
-        tags = model.predict(ids, images.load(ex.image_ref))
-        if len(tags) < len(ex.labels):  # truncated sentence: pad with O
-            tags = tags + ["O"] * (len(ex.labels) - len(tags))
         gold.append(ex.labels)
-        pred.append(tags)
+        pred.append(model.predict(vocab.encode(ex.tokens), images.load(ex.image_ref)))
     return evaluate(gold, pred)
 
 
@@ -306,9 +302,12 @@ def train(config: TrainConfig, data_root: str | Path,
     """Full training run; returns per-epoch logs and the best-model report.
 
     Model selection is by dev-split overall F1 (train-split F1 when no dev
-    file exists), ties broken toward the earlier epoch. The best model's
-    checkpoint and sidecars are written to out_dir as they improve, and
-    the in-memory model is restored to the best checkpoint at the end.
+    file exists), ties broken toward the earlier epoch. At each new best the
+    live parameters are canonicalized to float32 precision (as a checkpoint
+    stores them) and copied in memory, and, with an out_dir, the checkpoint
+    and sidecars are written there; training goes on from the canonicalized
+    state either way, so out_dir never changes the numbers. At the end the
+    model is restored from the in-memory copy.
 
     A non-finite loss term, or a NumericError while computing the losses or
     their gradients, raises NumericError naming the epoch and optimizer step
@@ -344,7 +343,7 @@ def train(config: TrainConfig, data_root: str | Path,
     logs: list[EpochLog] = []
     best_f1 = -1.0
     best_epoch = -1
-    best_arrays: dict[str, np.ndarray] | None = None
+    best_arrays: dict[str, np.ndarray] = {}
     step = 0
     for epoch in range(1, config.epochs + 1):
         sums = {"loss": 0.0, "crf": 0.0, "vit": 0.0, "conv": 0.0}
@@ -387,19 +386,14 @@ def train(config: TrainConfig, data_root: str | Path,
         if f1 > best_f1:
             best_f1 = f1
             best_epoch = epoch
+            canonicalize(params)  # as a save would, whether or not there is an out_dir
+            best_arrays = {k: p.data.copy() for k, p in params.items()}
             if out_path is not None:
                 save_run_artifacts(out_path, model, vocab, config)
-                best_arrays = None  # checkpoint on disk is authoritative
-            else:
-                best_arrays = {k: p.data.copy() for k, p in params.items()}
         if config.stop_at_f1 is not None and f1 >= config.stop_at_f1:
             break
 
-    # restore the best parameters for the final report
-    if out_path is not None and (out_path / "model.ckpt").exists():
-        model.load_parameters(load_checkpoint(out_path / "model.ckpt"))
-    elif best_arrays is not None:
-        model.load_parameters(best_arrays)
+    model.load_parameters(best_arrays)  # the best state, for the final report
     try:
         final_report = evaluate_model(model, eval_corpus, vocab, images)
     except NumericError as exc:

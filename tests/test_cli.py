@@ -226,6 +226,27 @@ class TestTrainEvalPredict:
         assert code == 0
         assert target.exists() and "IMGID:" in target.read_text()
 
+    def test_predict_headers_only_in_header_position(self, trained_run, tmp_path, capsys):
+        # A LANG line after the IMGID line, or a second IMGID line, is a
+        # token row, as parse_iob2 reads it; so is a header after a row.
+        _, out = trained_run
+        source = tmp_path / "in.iob2"
+        source.write_text("LANG:xx\nIMGID:ov001\nLANG:en\nParis\n\n"
+                          "IMGID:a\nIMGID:b\n\nLima\tB-LOC\tjunk\nIMGID:c\n\nLANG:de\n")
+        examples = read_predict_input(source, raw=False)
+        assert [(ex.tokens, ex.image_ref, ex.language) for ex in examples] == [
+            (["LANG:en", "Paris"], "ov001", "xx"),
+            (["IMGID:b"], "a", "unk"),
+            (["Lima", "IMGID:c"], "", "unk"),
+        ]
+        code, text, err = run_cli(capsys, "predict", str(source), "--checkpoint", str(out))
+        assert code == 0 and err == ""
+        assert [l.split("\t")[0] for l in text.splitlines()] == [
+            "LANG:xx", "IMGID:ov001", "LANG:en", "Paris", "",
+            "IMGID:a", "IMGID:b", "",
+            "IMGID:none", "Lima", "IMGID:c", "",
+        ]
+
     def test_eval_rejects_preset_line(self, trained_run, tmp_path, capsys):
         # run directories written before the preset option was removed carry
         # `preset = desk` as line 8 of config.cfg

@@ -14,6 +14,7 @@ from mmner.data import (
     bilinear_resize,
     cohens_kappa,
     dataset_stats,
+    iob2_blocks,
     make_batches,
     parse_iob2,
     read_ppm,
@@ -112,6 +113,62 @@ class TestParseIob2:
             assert (a.tokens, a.labels, a.image_ref, a.language) == (
                 b.tokens, b.labels, b.image_ref, b.language)
         assert serialize_iob2(again) == serialized
+
+
+# A well-formed block ahead of each case, then two blank lines, so the case's
+# block starts on line 5: its line numbers are pinned relative to the file.
+LEAD = "IMGID:a\nLa\tO\n\n\n"
+
+
+class TestIob2Errors:
+    """Every parse_iob2 error keeps its message and line on blocks that
+    start with LANG lines."""
+
+    @pytest.mark.parametrize("block, message", [
+        ("LANG:en\nIMGID:x\n", ":5: IMGID block without token lines"),
+        ("LANG:fr\nLANG:en\nIMGID:x\nParis\tI-LOC\n",
+         ": sentence 1 (line 5): I- tag without same-type opener at token position(s) [0]"),
+        ("LANG:en\nIMGID:\nParis\tB-LOC\n", ":6: empty IMGID"),
+        ("LANG:en\nIMGID:  \n", ":6: empty IMGID"),
+        ("LANG:en\nParis\tB-LOC\n", ":6: expected IMGID line, got 'Paris\\tB-LOC'"),
+        ("LANG:en\nIMGID:x\nParis B-LOC\n",
+         ":7: expected 'token<TAB>label', got 'Paris B-LOC'"),
+        ("LANG:en\nIMGID:x\nParis\tB-LOC\tO\n",
+         ":7: expected 'token<TAB>label', got 'Paris\\tB-LOC\\tO'"),
+        ("LANG:en\nIMGID:x\n\tO\n", ":7: expected 'token<TAB>label', got '\\tO'"),
+        ("LANG:en\nIMGID:x\nParis\tB-CITY\n", ":7: unknown label 'B-CITY'"),
+        ("LANG:en\nIMGID:x\nLANG:fr\n", ":7: expected 'token<TAB>label', got 'LANG:fr'"),
+        ("LANG:en\nIMGID:x\nIMGID:y\nParis\tB-LOC\n",
+         ":7: expected 'token<TAB>label', got 'IMGID:y'"),
+    ])
+    def test_message_and_line(self, tmp_path, block, message):
+        path = write_corpus(tmp_path / "t.iob2", LEAD + block + "\n")
+        with pytest.raises(CorpusError) as info:
+            parse_iob2(path)
+        assert str(info.value) == f"{path}{message}"
+
+    def test_lang_only_block_is_skipped(self, tmp_path):
+        corpus = parse_iob2(write_corpus(tmp_path / "t.iob2", LEAD + "LANG:en\n\n" + SIMPLE))
+        assert [ex.image_ref for ex in corpus.examples] == ["a", "img_001"]
+
+    def test_language_outside_the_four_reads_unk(self, tmp_path):
+        text = "LANG: en \nIMGID:x\nParis\tB-LOC\n\nLANG:xx\nIMGID:y\nParis\tB-LOC\n"
+        corpus = parse_iob2(write_corpus(tmp_path / "t.iob2", text))
+        assert [ex.language for ex in corpus.examples] == ["en", "unk"]
+
+
+class TestIob2Blocks:
+    def test_headers_only_in_header_position(self):
+        text = ("\n\nLANG:xx\nLANG: fr \nIMGID: s1 \nLANG:en\nIMGID:s2\nA\tO\n \n"
+                "B\nIMGID:s3\n\n\nLANG:de\n")
+        assert list(iob2_blocks(text)) == [
+            (3, "fr", "s1", 5, [(6, "LANG:en"), (7, "IMGID:s2"), (8, "A\tO")]),
+            (10, "unk", None, 0, [(10, "B"), (11, "IMGID:s3")]),
+            (14, "de", None, 0, []),
+        ]
+
+    def test_empty_text_has_no_blocks(self):
+        assert list(iob2_blocks("")) == [] and list(iob2_blocks("\n \n\t\n")) == []
 
 
 class TestVocabulary:

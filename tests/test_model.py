@@ -246,3 +246,14 @@ def test_overlong_sentence_matches_hand_truncation():
             p.zero_grad()
     for whole, truncated in zip(*results):
         np.testing.assert_array_equal(whole, truncated)
+
+
+def test_predict_tags_every_token_of_an_overlong_sentence():
+    model = make_model()
+    (image,) = make_images(1)
+    ids = [(i % 10) + 2 for i in range(CONFIG.max_len + 3)]
+    kept = CONFIG.max_len - 2
+    tags = model.predict(ids, image)
+    assert len(tags) == len(ids)
+    assert tags[:kept] == model.predict(ids[:kept], image)
+    assert tags[kept:] == ["O"] * (len(ids) - kept)

@@ -374,6 +374,17 @@ class TestTrainLoop:
         assert [l.eval_f1 for l in a.epoch_logs] == [l.eval_f1 for l in b.epoch_logs]
         assert a.final_report.kv_lines() == b.final_report.kv_lines()
 
+    def test_out_dir_does_not_change_training(self, tmp_path):
+        # Each new best is canonicalized to float32 precision whether or not
+        # it is saved, so training goes on from the same state either way.
+        root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
+        runs = [train(tiny_train_config(epochs=3, lr=1e-3), root, out_dir=out)
+                for out in (tmp_path / "run", None)]
+        saved, unsaved = ([repr(v) for log in r.epoch_logs for v in vars(log).values()]
+                          for r in runs)
+        assert saved == unsaved
+        assert runs[0].kv_lines() == runs[1].kv_lines()
+
     def test_checkpoint_round_trip_preserves_forward(self, tmp_path):
         root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
         out = tmp_path / "run"
