@@ -133,10 +133,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Copy of this tensor that never receives gradient."""
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -4,12 +4,15 @@ selftest.
 Exit codes: 0 on success, 1 on runtime failure (message on stderr), 2 on
 usage errors (argparse). A --config file uses line-oriented `key = value`
 pairs with TrainConfig field names; explicit flags override file values.
+Each train flag's dest is its TrainConfig field. Every text file mmner
+reads is decoded as `utf-8-sig`: UTF-8, a leading byte-order mark dropped.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=None, help="CRF loss weight")
         p.add_argument("--tau", type=float, default=None, help="contrastive temperature")
         p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--batch", type=int, default=None)
+        p.add_argument("--batch", dest="batch_size", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--dropout", type=float, default=None)
         p.add_argument("--no-vit", dest="use_vit", action="store_const",
@@ -105,18 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
 def merged_train_config(args) -> TrainConfig:
     values = {}
     if args.config is not None:
-        values.update(parse_config_text(Path(args.config).read_text(encoding="utf-8")))
-    flag_map = {
-        "seed": args.seed, "alpha": args.alpha, "tau": args.tau, "lr": args.lr,
-        "batch_size": args.batch, "epochs": args.epochs, "dropout": args.dropout,
-        "use_vit": args.use_vit, "use_resnet": args.use_resnet,
-        "use_contrastive": args.use_contrastive,
-        "mask_invalid_transitions": args.mask_invalid_transitions,
-        "repair": args.repair, "stop_at_f1": args.stop_at_f1,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            values[key] = value
+        values.update(parse_config_text(Path(args.config).read_text(encoding="utf-8-sig")))
+    for f in fields(TrainConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
     return TrainConfig(**values)
 
 
@@ -147,7 +142,7 @@ def cmd_eval(args) -> int:
 
 def read_predict_input(path: Path, raw: bool) -> list[SentenceExample]:
     """Sentences to label; gold labels, if present, are ignored."""
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     examples: list[SentenceExample] = []
     if raw:
         for line in text.splitlines():
@@ -194,7 +189,7 @@ def cmd_stats(args) -> int:
 def cmd_kappa(args) -> int:
     rows = []
     for line_no, line in enumerate(
-            Path(args.table).read_text(encoding="utf-8").splitlines(), start=1):
+            Path(args.table).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

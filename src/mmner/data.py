@@ -34,7 +34,6 @@ from mmner.crf import ENTITY_TYPES, LabelSchema
 from mmner.metrics import extract_spans
 
 LANGUAGES = ("en", "fr", "es", "de")
-PAD_ID = 0
 UNK_ID = 1
 SCHEMA = LabelSchema()
 
@@ -116,7 +115,7 @@ def parse_iob2(path: str | Path, repair: bool = False, split: str = "train") -> 
     examples: list[SentenceExample] = []
     repaired = 0
     for start, language, image_ref, image_line, rows in iob2_blocks(
-            path.read_text(encoding="utf-8")):
+            path.read_text(encoding="utf-8-sig")):
         if image_ref is None:
             if not rows:
                 continue
@@ -310,13 +309,9 @@ class ImageStore:
 
 @dataclass
 class Batch:
-    examples: list[SentenceExample]
     token_ids: list[list[int]]
     label_ids: list[list[int]]
     images: list[np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.examples)
 
 
 def make_batches(
@@ -330,7 +325,7 @@ def make_batches(
     """Deterministic batch stream; file order when shuffle is off.
 
     Sequences are kept ragged per sentence (the model consumes sentences
-    one at a time); padding to rectangular arrays happens in to_arrays().
+    one at a time).
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
@@ -340,29 +335,10 @@ def make_batches(
     for lo in range(0, len(order), batch_size):
         chunk = [corpus.examples[i] for i in order[lo:lo + batch_size]]
         yield Batch(
-            examples=chunk,
             token_ids=[vocab.encode(ex.tokens) for ex in chunk],
             label_ids=[SCHEMA.encode(ex.labels) for ex in chunk],
             images=[images.load(ex.image_ref) for ex in chunk],
         )
-
-
-IGNORE_LABEL = -1
-
-
-def to_arrays(batch: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rectangular views: padded ids (PAD), lengths, labels (IGNORE_LABEL
-    on padding), stacked images."""
-    n = len(batch)
-    lengths = np.array([len(t) for t in batch.token_ids], dtype=np.intp)
-    width = int(lengths.max()) if n else 0
-    ids = np.full((n, width), PAD_ID, dtype=np.intp)
-    labels = np.full((n, width), IGNORE_LABEL, dtype=np.intp)
-    for i, (t, l) in enumerate(zip(batch.token_ids, batch.label_ids)):
-        ids[i, :len(t)] = t
-        labels[i, :len(l)] = l
-    images = np.stack(batch.images) if batch.images else np.zeros((0, 3, 0, 0))
-    return ids, lengths, labels, images
 
 
 # ---------------------------------------------------------------------------

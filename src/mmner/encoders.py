@@ -1,6 +1,10 @@
 """The three feature extractors: text transformer, patch transformer
 (ViT-style), and a small residual convolution stack.
 
+Each reads its sizes from the model's one config, `ModelConfig`, whose
+construction checks every shape constraint. Both transformers are `d` wide,
+and every image has `CHANNELS` = 3 channels, as `read_ppm` returns them.
+
 All weights are randomly initialized (normal, std 0.02 for embeddings and
 projection matrices; conv kernels use fan-in scaling; LN affine starts at
 identity). The two transformer branches deliberately use different
@@ -11,13 +15,17 @@ the residual add, the patch branch normalizes the sublayer input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from mmner import autodiff as ad
 from mmner.autodiff import ConfigError, ContractError, Tensor
 
+if TYPE_CHECKING:
+    from mmner.model import ModelConfig
+
+CHANNELS = 3
 TEXT_SUBLAYER = "ln_then_add"   # y = LN(f(x)) + x, text branch
 VIT_SUBLAYER = "pre_ln"         # y = f(LN(x)) + x, patch branch
 
@@ -119,23 +127,6 @@ class TransformerLayer:
 # text encoder
 
 
-@dataclass
-class TextEncoderConfig:
-    vocab_size: int
-    d: int = 64
-    layers: int = 2
-    heads: int = 4
-    max_len: int = 64
-    mlp_ratio: int = 4
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.d % self.heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.max_len < 3:
-            raise ConfigError(f"max_len={self.max_len} cannot hold CLS + token + SEP")
-
-
 class TextEncoder:
     """Token ids -> (n+2, d) rows; row 0 is CLS, row n+1 is SEP.
 
@@ -146,16 +137,17 @@ class TextEncoder:
 
     UNK_ID = 1
 
-    def __init__(self, config: TextEncoderConfig, rng: np.random.Generator):
-        self.config = config
-        self.cls_id = config.vocab_size
-        self.sep_id = config.vocab_size + 1
-        self.token_table = _w(rng, (config.vocab_size + 2, config.d))
+    def __init__(self, config: ModelConfig, vocab_size: int, rng: np.random.Generator):
+        self.max_len = config.max_len
+        self.vocab_size = vocab_size
+        self.cls_id = vocab_size
+        self.sep_id = vocab_size + 1
+        self.token_table = _w(rng, (vocab_size + 2, config.d))
         self.position_table = _w(rng, (config.max_len, config.d))
         self.layers = [
             TransformerLayer(config.d, config.heads, rng, TEXT_SUBLAYER,
                              config.mlp_ratio, config.dropout)
-            for _ in range(config.layers)
+            for _ in range(config.text_layers)
         ]
 
     def parameters(self) -> dict[str, Tensor]:
@@ -168,8 +160,8 @@ class TextEncoder:
                rng: np.random.Generator | None = None) -> Tensor:
         if len(token_ids) < 1:
             raise ContractError("text_encode needs at least one token")
-        ids = [t if 0 <= t < self.config.vocab_size else self.UNK_ID for t in token_ids]
-        framed = [self.cls_id] + ids[: self.config.max_len - 2] + [self.sep_id]
+        ids = [t if 0 <= t < self.vocab_size else self.UNK_ID for t in token_ids]
+        framed = [self.cls_id] + ids[: self.max_len - 2] + [self.sep_id]
         x = ad.add(
             ad.embedding_gather(self.token_table, framed),
             self.position_table[: len(framed)],
@@ -183,68 +175,35 @@ class TextEncoder:
 # patch (ViT-style) encoder
 
 
-@dataclass
-class VitConfig:
-    channels: int = 3
-    image_size: int = 32
-    patch_size: int = 8
-    embed_dim: int = 64    # D_v
-    out_dim: int = 64      # d; a learned projection is added iff != embed_dim
-    layers: int = 2
-    heads: int = 4
-    mlp_ratio: int = 4
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.image_size % self.patch_size != 0:
-            raise ConfigError(
-                f"image size {self.image_size} not divisible by patch size {self.patch_size}"
-            )
-        if self.embed_dim % self.heads != 0:
-            raise ConfigError(f"embed_dim={self.embed_dim} not divisible by heads={self.heads}")
-
-    @property
-    def num_patches(self) -> int:
-        return (self.image_size // self.patch_size) ** 2
-
-
 class VitEncoder:
-    """(C, H, W) image -> one row per patch after K transformer layers."""
+    """(C, H, W) image -> one d-wide row per patch after K transformer layers."""
 
-    def __init__(self, config: VitConfig, rng: np.random.Generator):
-        self.config = config
-        patch_dim = config.channels * config.patch_size**2
-        self.patch_proj = _w(rng, (patch_dim, config.embed_dim))
-        self.position_table = _w(rng, (config.num_patches, config.embed_dim))
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+        self.image_size = config.image_size
+        self.patch_size = config.patch_size
+        grid = config.image_size // config.patch_size
+        self.patch_proj = _w(rng, (CHANNELS * config.patch_size**2, config.d))
+        self.position_table = _w(rng, (grid * grid, config.d))
         self.layers = [
-            TransformerLayer(config.embed_dim, config.heads, rng, VIT_SUBLAYER,
+            TransformerLayer(config.d, config.heads, rng, VIT_SUBLAYER,
                              config.mlp_ratio, config.dropout)
-            for _ in range(config.layers)
+            for _ in range(config.vit_layers)
         ]
-        if config.out_dim != config.embed_dim:
-            self.out_proj = _w(rng, (config.embed_dim, config.out_dim))
-        else:
-            self.out_proj = None
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"patch_proj": self.patch_proj, "position_table": self.position_table}
-        if self.out_proj is not None:
-            params["out_proj"] = self.out_proj
         for i, layer in enumerate(self.layers):
             params.update({f"layer{i}.{k}": v for k, v in layer.parameters().items()})
         return params
 
     def extract_patches(self, image: np.ndarray) -> np.ndarray:
         """Raster-order (N, C*P*P) patch matrix; channel-major within a patch."""
-        cfg = self.config
-        c, h, w = image.shape
-        if (c, h, w) != (cfg.channels, cfg.image_size, cfg.image_size):
+        c, size, p = CHANNELS, self.image_size, self.patch_size
+        if image.shape != (c, size, size):
             raise ContractError(
-                f"image shape {image.shape} vs configured "
-                f"({cfg.channels}, {cfg.image_size}, {cfg.image_size})"
+                f"image shape {image.shape} vs configured ({c}, {size}, {size})"
             )
-        p = cfg.patch_size
-        g = cfg.image_size // p
+        g = size // p
         return image.reshape(c, g, p, g, p).transpose(1, 3, 0, 2, 4).reshape(g * g, c * p * p)
 
     def encode_patches(self, patches: np.ndarray, train: bool = False,
@@ -253,8 +212,6 @@ class VitEncoder:
         x = ad.add(x, self.position_table)
         for layer in self.layers:
             x = layer(x, train, rng)
-        if self.out_proj is not None:
-            x = ad.matmul(x, self.out_proj)
         return x
 
     def encode(self, image: np.ndarray, train: bool = False,
@@ -264,32 +221,6 @@ class VitEncoder:
 
 # ---------------------------------------------------------------------------
 # residual convolution encoder
-
-
-@dataclass
-class ConvEncoderConfig:
-    in_channels: int = 3
-    image_size: int = 32
-    stem_channels: int = 8
-    stem_kernel: int = 3
-    stem_stride: int = 1
-    stage_channels: tuple[int, int, int] = (8, 12, 16)
-    out_dim: int = 64
-
-    def __post_init__(self):
-        downsample = self.stem_stride * 2 ** len(self.stage_channels)
-        if self.image_size % downsample != 0:
-            raise ConfigError(
-                f"image size {self.image_size} not divisible by total stride {downsample}"
-            )
-
-    @property
-    def grid(self) -> int:
-        return self.image_size // (self.stem_stride * 2 ** len(self.stage_channels))
-
-    @property
-    def feature_dim(self) -> int:
-        return self.stage_channels[-1]
 
 
 class ResidualBlock:
@@ -334,22 +265,26 @@ class ConvEncoder:
     which an affine map takes into the shared d-dimensional text space.
     """
 
-    def __init__(self, config: ConvEncoderConfig, rng: np.random.Generator):
-        self.config = config
-        k = config.stem_kernel
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+        self.image_size = config.image_size
+        self.stem_stride = config.conv_stem_stride
+        self.stem_pad = config.conv_stem_kernel // 2
+        self.grid = config.image_size // (config.conv_stem_stride
+                                          * 2 ** len(config.conv_stage_channels))
+        k = config.conv_stem_kernel
         self.stem_w = Tensor(
-            rng.normal(0.0, math.sqrt(2.0 / (config.in_channels * k * k)),
-                       (config.stem_channels, config.in_channels, k, k)),
+            rng.normal(0.0, math.sqrt(2.0 / (CHANNELS * k * k)),
+                       (config.conv_stem_channels, CHANNELS, k, k)),
             requires_grad=True)
-        self.stem_b = _zeros(config.stem_channels)
+        self.stem_b = _zeros(config.conv_stem_channels)
         self.blocks: list[ResidualBlock] = []
-        c_prev = config.stem_channels
-        for c_out in config.stage_channels:
+        c_prev = config.conv_stem_channels
+        for c_out in config.conv_stage_channels:
             self.blocks.append(ResidualBlock(c_prev, c_out, 2, rng))
             self.blocks.append(ResidualBlock(c_out, c_out, 1, rng))
             c_prev = c_out
-        self.proj_w = _w(rng, (config.feature_dim, config.out_dim))
-        self.proj_b = _zeros(config.out_dim)
+        self.proj_w = _w(rng, (c_prev, config.d))
+        self.proj_b = _zeros(config.d)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"stem_w": self.stem_w, "stem_b": self.stem_b,
@@ -364,17 +299,16 @@ class ConvEncoder:
 
         The stack draws no dropout, so `train` and `rng` change nothing.
         """
-        cfg = self.config
-        if images.shape[1:] != (cfg.in_channels, cfg.image_size, cfg.image_size):
+        size = self.image_size
+        if images.shape[1:] != (CHANNELS, size, size):
             raise ContractError(
                 f"image stack shape {images.shape} vs configured "
-                f"(N, {cfg.in_channels}, {cfg.image_size}, {cfg.image_size})"
+                f"(N, {CHANNELS}, {size}, {size})"
             )
-        pad = cfg.stem_kernel // 2
         x = ad.relu(ad.conv2d(Tensor(images), self.stem_w, self.stem_b,
-                              stride=cfg.stem_stride, padding=pad))
+                              stride=self.stem_stride, padding=self.stem_pad))
         for block in self.blocks:
             x = block(x)
-        g = cfg.grid
-        tokens = ad.transpose2d(x.reshape(len(images), cfg.feature_dim, g * g))
+        g = self.grid
+        tokens = ad.transpose2d(x.reshape(len(images), self.proj_w.shape[0], g * g))
         return ad.linear(tokens, self.proj_w, self.proj_b)

@@ -1,6 +1,10 @@
 """Full model assembly: encoders -> alignment heads -> cross-attention
 fusion -> label emissions -> CRF.
 
+`ModelConfig` is the model's one config: every component reads its sizes
+from it, and constructing it checks every shape constraint (a visual
+path's only when that path is on), so a bad size fails before any draw.
+
 The visual paths are data: `paths` maps "vit", then "conv" (each only when
 enabled) to a `VisualPath` of encoder, fusion block, and text and image
 projection heads, built in that order. The order fixes the seeded init
@@ -48,14 +52,7 @@ from mmner.alignment import ProjectionHead, contrastive_loss
 from mmner.collaboration import CrossAttentionBlock
 from mmner.crf import LabelSchema, LinearChainCrf
 from mmner.data import Batch
-from mmner.encoders import (
-    ConvEncoder,
-    ConvEncoderConfig,
-    TextEncoder,
-    TextEncoderConfig,
-    VitConfig,
-    VitEncoder,
-)
+from mmner.encoders import ConvEncoder, TextEncoder, VitEncoder
 
 
 @dataclass
@@ -68,7 +65,6 @@ class ModelConfig:
     mlp_ratio: int = 4
     image_size: int = 32
     patch_size: int = 8
-    vit_embed_dim: int = 64
     conv_stem_channels: int = 8
     conv_stem_kernel: int = 3
     conv_stem_stride: int = 1
@@ -80,6 +76,21 @@ class ModelConfig:
     use_resnet: bool = True
     use_contrastive: bool = True
     mask_invalid_transitions: bool = False
+
+    def __post_init__(self):
+        if self.d % self.heads != 0:
+            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
+        if self.max_len < 3:
+            raise ConfigError(f"max_len={self.max_len} cannot hold CLS + token + SEP")
+        if self.use_vit and self.image_size % self.patch_size != 0:
+            raise ConfigError(
+                f"image size {self.image_size} not divisible by patch size {self.patch_size}"
+            )
+        downsample = self.conv_stem_stride * 2 ** len(self.conv_stage_channels)
+        if self.use_resnet and self.image_size % downsample != 0:
+            raise ConfigError(
+                f"image size {self.image_size} not divisible by total stride {downsample}"
+            )
 
 
 def _identical(a: np.ndarray, b: np.ndarray) -> bool:
@@ -99,41 +110,13 @@ class MultimodalNerModel:
         self.config = config
         self.schema = LabelSchema()
         rng = np.random.default_rng(seed)
-        self.text = TextEncoder(
-            TextEncoderConfig(
-                vocab_size=vocab_size, d=config.d, layers=config.text_layers,
-                heads=config.heads, max_len=config.max_len,
-                mlp_ratio=config.mlp_ratio, dropout=config.dropout,
-            ),
-            rng,
-        )
-        encoders = (
-            ("vit", config.use_vit, lambda: VitEncoder(
-                VitConfig(
-                    image_size=config.image_size, patch_size=config.patch_size,
-                    embed_dim=config.vit_embed_dim, out_dim=config.d,
-                    layers=config.vit_layers, heads=config.heads,
-                    mlp_ratio=config.mlp_ratio, dropout=config.dropout,
-                ),
-                rng,
-            )),
-            ("conv", config.use_resnet, lambda: ConvEncoder(
-                ConvEncoderConfig(
-                    image_size=config.image_size,
-                    stem_channels=config.conv_stem_channels,
-                    stem_kernel=config.conv_stem_kernel,
-                    stem_stride=config.conv_stem_stride,
-                    stage_channels=config.conv_stage_channels,
-                    out_dim=config.d,
-                ),
-                rng,
-            )),
-        )
+        self.text = TextEncoder(config, vocab_size, rng)
         self.paths: dict[str, VisualPath] = {}
-        for key, enabled, make_encoder in encoders:
+        for key, enabled, encoder in (("vit", config.use_vit, VitEncoder),
+                                      ("conv", config.use_resnet, ConvEncoder)):
             if enabled:  # the seeded draws go encoder, fusion, text head, image head
                 self.paths[key] = VisualPath(
-                    make_encoder(),
+                    encoder(config, rng),
                     CrossAttentionBlock(config.d, config.heads, rng, config.mlp_ratio,
                                         config.dropout),
                     ProjectionHead(config.d, config.proj_hidden, config.proj_out, rng),

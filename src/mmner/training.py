@@ -281,8 +281,9 @@ def save_run_artifacts(out_dir: Path, model: MultimodalNerModel,
 def load_run(out_dir: str | Path) -> tuple[MultimodalNerModel, Vocabulary, TrainConfig]:
     """Rebuild the trained model from a run directory's three artifacts."""
     out_dir = Path(out_dir)
-    config = TrainConfig(**parse_config_text((out_dir / "config.cfg").read_text()))
-    tokens = (out_dir / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    config_text = (out_dir / "config.cfg").read_text(encoding="utf-8-sig")
+    config = TrainConfig(**parse_config_text(config_text))
+    tokens = (out_dir / "vocab.txt").read_text(encoding="utf-8-sig").splitlines()
     vocab = Vocabulary([t for t in tokens if t])
     model = MultimodalNerModel(config.model_config(), len(vocab), config.seed)
     model.load_parameters(load_checkpoint(out_dir / "model.ckpt"))

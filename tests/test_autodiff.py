@@ -284,14 +284,6 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(x.grad, [3.0, 5.0])
         np.testing.assert_array_equal(w.grad, [1.0, 2.0])
 
-    def test_detached_tensor_never_receives_gradient(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        d = x.detach()
-        loss = ad.tensor_sum(ad.mul(ad.mul(x, x), d))
-        backward(loss)
-        assert d.grad is None
-        assert x.grad is not None
-
     def test_no_grad_context(self):
         x = Tensor([1.0], requires_grad=True)
         with ad.no_grad():

@@ -1,6 +1,7 @@
 """Command-line surface: arguments, exit codes, and file round trips."""
 
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ import mmner.cli
 import mmner.training
 from mmner import autodiff as ad
 from mmner.autodiff import NumericError
-from mmner.cli import main, read_predict_input
+from mmner.cli import build_parser, main, merged_train_config, read_predict_input
+from mmner.data import parse_iob2
 from mmner.model import MultimodalNerModel
+from mmner.training import TrainConfig, load_run
 
 
 def run_cli(capsys, *argv):
@@ -262,7 +265,98 @@ class TestTrainEvalPredict:
         assert err == "mmner: error: config line 8: unknown key 'preset'\n"
 
 
+def with_bom(source, target):
+    """Copy a text file, prefixing a UTF-8 byte-order mark."""
+    target.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    return target
+
+
+class TestByteOrderMark:
+    """Every text file mmner reads gives the same result with a leading BOM."""
+
+    def test_corpus(self, trained_run, tmp_path):
+        root, _ = trained_run
+        plain = root / "train.iob2"
+        assert parse_iob2(with_bom(plain, tmp_path / "train.iob2")) == parse_iob2(plain)
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_predict_output(self, trained_run, tmp_path, capsys, raw):
+        root, out = trained_run
+        plain = root / "train.iob2"
+        if raw:
+            plain = tmp_path / "raw.txt"
+            plain.write_text("Ana Moreno visited Paris\nnothing here\n", encoding="utf-8")
+        outputs = []
+        for i, source in enumerate((plain, with_bom(plain, tmp_path / "bom.txt"))):
+            target = tmp_path / f"pred{i}.iob2"
+            code, _, err = run_cli(
+                capsys, "predict", str(source), "--checkpoint", str(out),
+                "--images", str(root / "images"), "--out", str(target),
+                *(["--raw"] if raw else []))
+            assert code == 0 and err == ""
+            outputs.append(target.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_run_directory(self, trained_run, tmp_path):
+        _, out = trained_run
+        bom_run = tmp_path / "run"
+        shutil.copytree(out, bom_run)
+        for name in ("config.cfg", "vocab.txt"):
+            with_bom(out / name, bom_run / name)
+        (model, vocab, config), (bom_model, bom_vocab, bom_config) = map(load_run, (out, bom_run))
+        assert bom_config == config
+        assert bom_vocab.tokens_in_order() == vocab.tokens_in_order()
+        image = np.zeros((3, model.config.image_size, model.config.image_size))
+        ids = vocab.encode(vocab.tokens_in_order()[:6])
+        assert bom_model.predict(ids, image) == model.predict(ids, image)
+
+    def test_config_file(self, tmp_path):
+        plain = tmp_path / "run.cfg"
+        plain.write_text("epochs = 5\nlr = 1e-3\n", encoding="utf-8")
+        configs = [
+            merged_train_config(build_parser().parse_args(["train", "d", "--config", str(p)]))
+            for p in (plain, with_bom(plain, tmp_path / "bom.cfg"))]
+        assert configs[0] == configs[1] == TrainConfig(epochs=5, lr=1e-3)
+
+    def test_kappa_table(self, tmp_path, capsys):
+        plain = tmp_path / "t.txt"
+        plain.write_text("20 5\n10 15\n", encoding="utf-8")
+        results = [run_cli(capsys, "kappa", str(p))
+                   for p in (plain, with_bom(plain, tmp_path / "bom.txt"))]
+        assert results[0] == results[1] and results[0][0] == 0
+
+
+# per TrainConfig field: its value in a --config file, its flag, and the
+# value that flag sets
+FLAG_OVERRIDES = {
+    "alpha": ("0.5", ["--alpha", "0.25"], 0.25),
+    "lr": ("1e-3", ["--lr", "2e-3"], 2e-3),
+    "batch_size": ("2", ["--batch", "3"], 3),
+    "dropout": ("0.2", ["--dropout", "0.3"], 0.3),
+    "tau": ("0.5", ["--tau", "0.25"], 0.25),
+    "epochs": ("5", ["--epochs", "1"], 1),
+    "seed": ("1", ["--seed", "2"], 2),
+    "use_vit": ("true", ["--no-vit"], False),
+    "use_resnet": ("true", ["--no-resnet"], False),
+    "use_contrastive": ("true", ["--no-contrastive"], False),
+    "mask_invalid_transitions": ("false", ["--mask-invalid-transitions"], True),
+    "repair": ("false", ["--repair"], True),
+    "stop_at_f1": ("0.5", ["--stop-at-f1", "0.75"], 0.75),
+}
+
+
 class TestConfigPrecedence:
+    @pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)])
+    def test_every_field_has_a_flag_that_overrides_the_file(self, tmp_path, name):
+        file_value, flag, flag_value = FLAG_OVERRIDES[name]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {file_value}\n")
+        argv = ["train", str(tmp_path), "--config", str(cfg)]
+        from_file = merged_train_config(build_parser().parse_args(argv))
+        assert getattr(from_file, name) != flag_value
+        flagged = merged_train_config(build_parser().parse_args(argv + flag))
+        assert getattr(flagged, name) == flag_value
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         root = build_overfit_fixture(tmp_path / "data", n_sentences=4)
         cfg = tmp_path / "run.cfg"
@@ -300,7 +394,6 @@ class TestConfigPrecedence:
             "--epochs", "1", "--batch", "4", "--dropout", "0",
             "--no-vit", "--no-resnet")
         assert code == 0
-        from mmner.training import load_run
         model, _, config = load_run(out)
         assert not config.use_vit and not config.use_resnet
         assert model.paths == {}

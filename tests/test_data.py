@@ -19,10 +19,7 @@ from mmner.data import (
     parse_iob2,
     read_ppm,
     serialize_iob2,
-    to_arrays,
     write_ppm,
-    IGNORE_LABEL,
-    PAD_ID,
     UNK_ID,
 )
 from mmner.metrics import extract_spans
@@ -270,6 +267,14 @@ def tiny_corpus(n=5):
     return Corpus(examples)
 
 
+def first_tokens(batches, corpus):
+    """Each batch's sentences as their first tokens, read back from the ids."""
+    vocab = Vocabulary.from_corpus(corpus)
+    tokens = vocab.tokens_in_order()
+    by_id = dict(zip(vocab.encode(tokens), tokens))
+    return [[by_id[ids[0]] for ids in b.token_ids] for b in batches]
+
+
 class TestBatching:
     def make(self, corpus, batch, seed=0, shuffle=False, tmp_path=None):
         vocab = Vocabulary.from_corpus(corpus)
@@ -278,42 +283,24 @@ class TestBatching:
 
     def test_batch_sizes(self, tmp_path):
         batches = self.make(tiny_corpus(5), 2, tmp_path=tmp_path)
-        assert [len(b) for b in batches] == [2, 2, 1]
+        assert [len(b.token_ids) for b in batches] == [2, 2, 1]
 
     def test_no_shuffle_preserves_file_order(self, tmp_path):
-        batches = self.make(tiny_corpus(5), 2, tmp_path=tmp_path)
-        refs = [ex.image_ref for b in batches for ex in b.examples]
-        assert refs == [f"img{i}" for i in range(5)]
+        corpus = tiny_corpus(5)
+        batches = self.make(corpus, 2, tmp_path=tmp_path)
+        assert sum(first_tokens(batches, corpus), []) == [f"tok{i}" for i in range(5)]
 
     def test_same_seed_same_composition(self, tmp_path):
-        a = self.make(tiny_corpus(7), 3, seed=11, shuffle=True, tmp_path=tmp_path)
-        b = self.make(tiny_corpus(7), 3, seed=11, shuffle=True, tmp_path=tmp_path)
-        assert [[ex.image_ref for ex in x.examples] for x in a] == \
-               [[ex.image_ref for ex in x.examples] for x in b]
+        corpus = tiny_corpus(7)
+        a = self.make(corpus, 3, seed=11, shuffle=True, tmp_path=tmp_path)
+        b = self.make(corpus, 3, seed=11, shuffle=True, tmp_path=tmp_path)
+        assert first_tokens(a, corpus) == first_tokens(b, corpus)
 
     def test_different_seed_differs(self, tmp_path):
-        a = self.make(tiny_corpus(20), 5, seed=1, shuffle=True, tmp_path=tmp_path)
-        b = self.make(tiny_corpus(20), 5, seed=2, shuffle=True, tmp_path=tmp_path)
-        assert [[ex.image_ref for ex in x.examples] for x in a] != \
-               [[ex.image_ref for ex in x.examples] for x in b]
-
-    def test_padding_positions_carry_ignore_mark(self, tmp_path):
-        corpus = Corpus([
-            SentenceExample(["a", "b", "c"], ["O", "O", "O"], "i1"),
-            SentenceExample(["d"], ["B-LOC"], "i2"),
-        ])
-        (batch,) = self.make(corpus, 2, tmp_path=tmp_path)
-        ids, lengths, labels, images = to_arrays(batch)
-        assert ids.shape == (2, 3)
-        assert list(lengths) == [3, 1]
-        assert ids[1, 1] == PAD_ID and ids[1, 2] == PAD_ID
-        assert labels[1, 1] == IGNORE_LABEL and labels[1, 2] == IGNORE_LABEL
-        # every position is either a real token with a real label or padding
-        for i in range(2):
-            for j in range(3):
-                real = j < lengths[i]
-                assert (labels[i, j] != IGNORE_LABEL) == real
-        assert images.shape == (2, 3, 2, 2)
+        corpus = tiny_corpus(20)
+        a = self.make(corpus, 5, seed=1, shuffle=True, tmp_path=tmp_path)
+        b = self.make(corpus, 5, seed=2, shuffle=True, tmp_path=tmp_path)
+        assert first_tokens(a, corpus) != first_tokens(b, corpus)
 
     def test_bad_batch_size(self, tmp_path):
         with pytest.raises(ContractError):

@@ -1,4 +1,5 @@
-"""Text, patch, and convolution encoder contracts."""
+"""Text, patch, and convolution encoder contracts, and the shape
+constraints `ModelConfig` checks for them."""
 
 import math
 
@@ -9,16 +10,14 @@ from mmner import autodiff as ad
 from mmner.autodiff import ConfigError, ContractError, Tensor
 from mmner.encoders import (
     ConvEncoder,
-    ConvEncoderConfig,
     ResidualBlock,
     SelfAttention,
     TextEncoder,
-    TextEncoderConfig,
     TransformerLayer,
-    VitConfig,
     VitEncoder,
 )
 from mmner.gradcheck import check_gradients, max_error
+from mmner.model import ModelConfig
 
 
 def oracle_self_attention(attn: SelfAttention, x: np.ndarray) -> np.ndarray:
@@ -56,10 +55,10 @@ class TestSelfAttention:
         assert np.max(np.abs(got - oracle_self_attention(attn, x))) < 1e-10
 
 
-def make_text(vocab=10, d=8, layers=1, heads=2, seed=0, **kw):
-    cfg = TextEncoderConfig(vocab_size=vocab, d=d, layers=layers, heads=heads,
-                            max_len=16, mlp_ratio=2, dropout=0.0, **kw)
-    return TextEncoder(cfg, np.random.default_rng(seed))
+def make_text(vocab=10, d=8, layers=1, heads=2, seed=0):
+    cfg = ModelConfig(d=d, text_layers=layers, heads=heads, max_len=16, mlp_ratio=2,
+                      dropout=0.0)
+    return TextEncoder(cfg, vocab, np.random.default_rng(seed))
 
 
 class TestTextEncoder:
@@ -128,27 +127,30 @@ class TestTextEncoder:
         assert max_error(errors.values()) < 1e-5
 
     def test_bad_head_config(self):
-        with pytest.raises(ConfigError):
-            TextEncoderConfig(vocab_size=10, d=10, heads=4)
+        with pytest.raises(ConfigError, match="d=10 not divisible by heads=4"):
+            ModelConfig(d=10, heads=4)
+
+    def test_max_len_without_room_for_a_token_rejected(self):
+        with pytest.raises(ConfigError, match="max_len=2 cannot hold CLS"):
+            ModelConfig(max_len=2)
 
 
-def make_vit(image=32, patch=8, layers=1, embed=8, heads=2, seed=0, **kw):
-    cfg = VitConfig(image_size=image, patch_size=patch, embed_dim=embed,
-                    out_dim=kw.pop("out_dim", embed), layers=layers, heads=heads,
-                    mlp_ratio=2, dropout=0.0, **kw)
+def make_vit(image=32, patch=8, layers=1, d=8, heads=2, seed=0):
+    cfg = ModelConfig(d=d, vit_layers=layers, heads=heads, image_size=image,
+                      patch_size=patch, mlp_ratio=2, dropout=0.0, use_resnet=False)
     return VitEncoder(cfg, np.random.default_rng(seed))
 
 
 class TestVitEncoder:
     def test_paper_resolution_patch_count(self):
         enc = make_vit(image=224, patch=32, layers=0)
-        assert enc.config.num_patches == 49
+        assert enc.position_table.shape == (49, 8)
         out = enc.encode(np.zeros((3, 224, 224)))
         assert out.shape == (49, 8)
 
     def test_desk_patch_count(self):
         enc = make_vit(image=32, patch=8, layers=0)
-        assert enc.config.num_patches == 16
+        assert enc.position_table.shape == (16, 8)
         out = enc.encode(np.zeros((3, 32, 32)))
         assert out.shape == (16, 8)
 
@@ -159,11 +161,14 @@ class TestVitEncoder:
         np.testing.assert_array_equal(out.data, np.zeros((16, 8)))
 
     def test_indivisible_patch_size_rejected_at_construction(self):
-        with pytest.raises(ConfigError):
-            VitConfig(image_size=32, patch_size=5)
+        with pytest.raises(ConfigError, match="not divisible by patch size 5"):
+            ModelConfig(image_size=32, patch_size=5)
+
+    def test_patch_size_not_checked_without_the_vit(self):
+        ModelConfig(image_size=32, patch_size=5, use_vit=False)
 
     def test_patch_extraction_raster_order(self):
-        enc = make_vit(image=4, patch=2, layers=0, embed=2, heads=1)
+        enc = make_vit(image=4, patch=2, layers=0, d=2, heads=1)
         img = np.arange(3 * 4 * 4, dtype=np.float64).reshape(3, 4, 4)
         patches = enc.extract_patches(img)
         assert patches.shape == (4, 12)
@@ -195,11 +200,6 @@ class TestVitEncoder:
         x = Tensor(rng.normal(size=(6, 8)))
         np.testing.assert_allclose(layer(x).data, x.data, atol=1e-10)
 
-    def test_out_projection_when_dims_differ(self):
-        enc = make_vit(layers=0, embed=8, out_dim=6)
-        out = enc.encode(np.zeros((3, 32, 32)))
-        assert out.shape == (16, 6)
-
     def test_gradient_check_one_layer(self):
         enc = make_vit(image=8, patch=4, layers=1, seed=9)
         rng = np.random.default_rng(10)
@@ -214,23 +214,22 @@ class TestVitEncoder:
         assert max_error(errors.values()) < 1e-5
 
 
-def make_conv(image=32, out_dim=8, seed=0, **kw):
-    cfg = ConvEncoderConfig(image_size=image, stem_channels=4,
-                            stage_channels=kw.pop("stage_channels", (4, 6, 8)),
-                            out_dim=out_dim, **kw)
+def make_conv(image=32, d=8, seed=0, **kw):
+    cfg = ModelConfig(d=d, image_size=image, conv_stem_channels=4,
+                      conv_stage_channels=(4, 6, 8), use_vit=False, **kw)
     return ConvEncoder(cfg, np.random.default_rng(seed))
 
 
 class TestConvEncoder:
     def test_desk_grid(self):
         enc = make_conv(image=32)
-        assert enc.config.grid == 4
+        assert enc.grid == 4
         out = enc.encode(np.zeros((1, 3, 32, 32)))
         assert out.shape == (1, 16, 8)
 
     def test_paper_shaped_config_gives_seven_by_seven(self):
-        enc = make_conv(image=224, stem_kernel=5, stem_stride=4)
-        assert enc.config.grid == 7
+        enc = make_conv(image=224, conv_stem_kernel=5, conv_stem_stride=4)
+        assert enc.grid == 7
         out = enc.encode(np.zeros((1, 3, 224, 224)))
         assert out.shape == (1, 49, 8)
 
@@ -243,8 +242,12 @@ class TestConvEncoder:
         np.testing.assert_allclose(out.data, 0.7, atol=1e-15)
 
     def test_indivisible_image_rejected(self):
-        with pytest.raises(ConfigError):
-            ConvEncoderConfig(image_size=30)
+        # patch size 5 divides 30, so only the conv stack's stride of 8 fails
+        with pytest.raises(ConfigError, match="not divisible by total stride 8"):
+            ModelConfig(image_size=30, patch_size=5)
+
+    def test_conv_stride_not_checked_without_the_conv_stack(self):
+        ModelConfig(image_size=30, patch_size=5, use_resnet=False)
 
     def test_wrong_image_shape(self):
         with pytest.raises(ContractError):
@@ -294,9 +297,8 @@ class TestConvEncoder:
 
 class TestDropoutPlumbing:
     def test_train_mode_changes_output_eval_does_not(self):
-        cfg = TextEncoderConfig(vocab_size=10, d=8, layers=1, heads=2,
-                                max_len=16, dropout=0.5)
-        enc = TextEncoder(cfg, np.random.default_rng(16))
+        cfg = ModelConfig(d=8, text_layers=1, heads=2, max_len=16, dropout=0.5)
+        enc = TextEncoder(cfg, 10, np.random.default_rng(16))
         ids = [2, 3]
         eval_a = enc.encode(ids).data
         eval_b = enc.encode(ids).data

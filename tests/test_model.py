@@ -2,6 +2,7 @@
 forward, and the inference memo of visual-encoder outputs, which may reuse
 only what an encode of the same image with the same weights would give."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,14 @@ import pytest
 
 from mmner import autodiff as ad
 from mmner.alignment import contrastive_loss
+from mmner.checkpoint import save_checkpoint
 from mmner.data import Batch
 from mmner.encoders import ConvEncoder, VitEncoder
 from mmner.model import ModelConfig, MultimodalNerModel
+from mmner.training import TrainConfig
 
 CONFIG = ModelConfig(d=8, text_layers=1, vit_layers=2, heads=2, max_len=12,
-                     mlp_ratio=2, image_size=16, patch_size=8, vit_embed_dim=8,
+                     mlp_ratio=2, image_size=16, patch_size=8,
                      conv_stem_channels=4, conv_stage_channels=(4, 6, 8),
                      proj_hidden=8, proj_out=8)
 IDS = [2, 5, 7, 3]
@@ -133,7 +136,7 @@ def test_batch_losses_encode_once_per_sentence(encode_counts, train):
     model = make_model()
     (image,) = make_images(1)
     ids = [IDS, [3, 4], [5], IDS]
-    batch = Batch(examples=[None] * 4, token_ids=ids,
+    batch = Batch(token_ids=ids,
                   label_ids=[[0] * len(t) for t in ids], images=[image] * 4)
     model.batch_losses(batch, train=train, rng=np.random.default_rng(0))
     assert encode_counts == {"vit": 4, "conv": 1}
@@ -162,7 +165,7 @@ def test_batch_losses_match_per_image_conv_encodes():
     model = make_model()
     assert model.config.dropout == 0.1
     ids = [IDS, [3, 4], [5], IDS, [9, 8, 7]]
-    batch = Batch(examples=[None] * 5, token_ids=ids,
+    batch = Batch(token_ids=ids,
                   label_ids=[[i % 3 for i in range(len(t))] for t in ids], images=make_images(5))
     params = model.parameters()
     results = []
@@ -213,6 +216,17 @@ def test_parameter_names_in_order(use_vit, use_resnet):
     assert list(model.parameters()) == expected
 
 
+def test_desk_model_checkpoint_bytes_are_pinned(tmp_path):
+    # one digest pins the seed-0 desk model's init draws, its parameter
+    # names, order and shapes, and the checkpoint format
+    model = MultimodalNerModel(TrainConfig(seed=0).model_config(), vocab_size=50, seed=0)
+    save_checkpoint(model.parameters(), tmp_path / "model.ckpt")
+    data = (tmp_path / "model.ckpt").read_bytes()
+    assert len(data) == 1_493_461
+    assert hashlib.sha256(data).hexdigest() == (
+        "71b19640e21ae309bcf77b6f4e7b42dee9c82a00b6c51d0eec357a2f1effc5fe")
+
+
 @pytest.mark.parametrize("use_vit,use_resnet", PATH_FLAGS)
 def test_fusion_aliases_follow_paths(use_vit, use_resnet):
     # perfbench's tracing looks the fusion blocks up as model.vit_fusion and
@@ -237,7 +251,7 @@ def test_overlong_sentence_matches_hand_truncation():
     params = model.parameters()
     results = []
     for cut in (None, limit):
-        batch = Batch(examples=[None] * 3, token_ids=[t[:cut] for t in ids],
+        batch = Batch(token_ids=[t[:cut] for t in ids],
                       label_ids=[l[:cut] for l in labels], images=images)
         terms = model.batch_losses(batch, train=True, rng=np.random.default_rng(3))
         ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))

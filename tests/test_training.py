@@ -277,7 +277,7 @@ def tiny_train_config(**overrides):
 def tiny_model_config(**overrides):
     defaults = dict(
         d=8, text_layers=1, vit_layers=1, heads=2, max_len=8, mlp_ratio=1,
-        image_size=8, patch_size=4, vit_embed_dim=8,
+        image_size=8, patch_size=4,
         conv_stem_channels=2, conv_stage_channels=(2, 3, 3),
         proj_hidden=4, proj_out=4, dropout=0.0,
     )
