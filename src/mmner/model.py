@@ -22,8 +22,9 @@ feature-wise before the emission map. The text CLS row and the mean of a
 path's visual tokens feed that path's projection heads, whose batch outputs
 give its contrastive term. A path whose encoder takes a whole stack (the
 conv stack) encodes it once before the first sentence; the ViT encodes per
-sentence. Dropout draws keep their per-sentence order (text, ViT, ViT
-fusion, conv fusion) on the one shared rng; the conv stack draws none.
+sentence. In train mode sentence i draws its dropout masks from its own generator,
+rngs[i], in a fixed order (text, ViT, ViT fusion, conv fusion; the conv
+stack draws none), so its masks do not depend on its neighbours.
 
 At inference the model keeps, per path key, a one-entry memo of the last
 encode: a copy of the image (the image stack, on the conv path), the
@@ -192,15 +193,17 @@ class MultimodalNerModel:
         return out
 
     def forward(self, token_ids: list[list[int]], images: np.ndarray,
-                train: bool = False, rng: np.random.Generator | None = None):
+                train: bool = False, rngs: list[np.random.Generator] | None = None):
         """Yield, per sentence, its emissions (n, L) and a dict mapping each
         path key to the (text CLS row, mean visual token) pair its
         contrastive term needs. `images` is the (N, C, H, W) stack, row i
-        belonging to sentence i."""
-        stacked = {key: self._encode_image(key, images, train, rng)
+        belonging to sentence i; in train mode sentence i draws its dropout
+        masks from rngs[i]."""
+        stacked = {key: self._encode_image(key, images, train, None)
                    for key, path in self.paths.items()
                    if isinstance(path.encoder, ConvEncoder)}
         for i, ids in enumerate(token_ids):
+            rng = rngs[i] if rngs is not None else None
             text_rows = self.text.encode(ids, train, rng)
             tokens = text_rows[1:text_rows.shape[0] - 1]
             pooled_text = text_rows[0]
@@ -217,7 +220,7 @@ class MultimodalNerModel:
             yield self.crf.emissions(fused[0] if fused else tokens), pooled
 
     def batch_losses(self, batch: Batch, train: bool = False,
-                     rng: np.random.Generator | None = None, tau: float = 0.07):
+                     rngs: list[np.random.Generator] | None = None, tau: float = 0.07):
         """Mean CRF NLL over the batch plus the two contrastive terms.
 
         A disabled image path (or a batch too small to form negative
@@ -225,7 +228,7 @@ class MultimodalNerModel:
         """
         nlls = []
         pooled: dict[str, list] = {key: [] for key in self.paths}
-        sentences = self.forward(batch.token_ids, np.stack(batch.images), train, rng)
+        sentences = self.forward(batch.token_ids, np.stack(batch.images), train, rngs)
         for (emissions, pairs), label_ids in zip(sentences, batch.label_ids):
             nlls.append(self.crf.nll(emissions, label_ids[:emissions.shape[0]]))
             for key, pair in pairs.items():

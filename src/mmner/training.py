@@ -335,7 +335,6 @@ def train(config: TrainConfig, data_root: str | Path,
     )
     params = model.parameters()
     optimizer = Adam(params)
-    dropout_rng = np.random.default_rng([config.seed, 104729])
 
     steps_per_epoch = math.ceil(len(train_corpus) / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
@@ -351,9 +350,12 @@ def train(config: TrainConfig, data_root: str | Path,
         batches = 0
         for batch in make_batches(train_corpus, config.batch_size,
                                   [config.seed, epoch], True, vocab, images):
+            # one dropout stream per sentence, so masks do not depend on the batch's layout
+            rngs = [np.random.default_rng([config.seed, 104729, step, i])
+                    for i in range(len(batch.token_ids))]
             try:
                 crf_nll, cl_vit, cl_conv = model.batch_losses(
-                    batch, train=True, rng=dropout_rng, tau=config.tau)
+                    batch, train=True, rngs=rngs, tau=config.tau)
                 terms = {"crf_nll": crf_nll.item(), "cl_vit": cl_vit.item(),
                          "cl_conv": cl_conv.item()}
                 for name, value in terms.items():

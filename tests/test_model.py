@@ -138,16 +138,22 @@ def test_batch_losses_encode_once_per_sentence(encode_counts, train):
     ids = [IDS, [3, 4], [5], IDS]
     batch = Batch(token_ids=ids,
                   label_ids=[[0] * len(t) for t in ids], images=[image] * 4)
-    model.batch_losses(batch, train=train, rng=np.random.default_rng(0))
+    model.batch_losses(batch, train=train, rngs=streams(4))
     assert encode_counts == {"vit": 4, "conv": 1}
 
 
-def per_sentence_losses(model, batch, rng, tau=0.07):
+def streams(n, seed=3):
+    """One dropout generator per sentence, as `train` makes them."""
+    return [np.random.default_rng([seed, i]) for i in range(n)]
+
+
+def per_sentence_losses(model, batch, rngs, tau=0.07):
     """batch_losses composed from one-sentence forwards, each of which
-    encodes its image through the conv stack on its own."""
+    encodes its image through the conv stack on its own and draws its
+    dropout masks from its own generator."""
     nlls, pooled = [], {"vit": [], "conv": []}
-    for ids, labels, image in zip(batch.token_ids, batch.label_ids, batch.images):
-        emissions, pairs = next(model.forward([ids], image[None], True, rng))
+    for ids, labels, image, rng in zip(batch.token_ids, batch.label_ids, batch.images, rngs):
+        emissions, pairs = next(model.forward([ids], image[None], True, [rng]))
         nlls.append(model.crf.nll(emissions, labels))
         for key, pair in pairs.items():
             pooled[key].append(pair)
@@ -169,9 +175,9 @@ def test_batch_losses_match_per_image_conv_encodes():
                   label_ids=[[i % 3 for i in range(len(t))] for t in ids], images=make_images(5))
     params = model.parameters()
     results = []
-    for losses in (lambda rng: model.batch_losses(batch, train=True, rng=rng),
-                   lambda rng: per_sentence_losses(model, batch, rng)):
-        terms = losses(np.random.default_rng(3))
+    for losses in (lambda rngs: model.batch_losses(batch, train=True, rngs=rngs),
+                   lambda rngs: per_sentence_losses(model, batch, rngs)):
+        terms = losses(streams(5))
         ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
         results.append([t.data for t in terms] + [params[k].grad for k in sorted(params)])
         for p in params.values():
@@ -253,7 +259,7 @@ def test_overlong_sentence_matches_hand_truncation():
     for cut in (None, limit):
         batch = Batch(token_ids=[t[:cut] for t in ids],
                       label_ids=[l[:cut] for l in labels], images=images)
-        terms = model.batch_losses(batch, train=True, rng=np.random.default_rng(3))
+        terms = model.batch_losses(batch, train=True, rngs=streams(3))
         ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
         results.append([t.data for t in terms] + [params[k].grad for k in sorted(params)])
         for p in params.values():
