@@ -14,10 +14,11 @@ linear, transpose2d, reshape, slicing, take_pairs, embedding_gather, concat,
 stack), reductions and normalization (tensor_sum, mean, softmax,
 log_sum_exp, layer_norm), conv2d over an (N, C, H, W) batch as one
 matrix product, and multi-head scaled dot-product attention as one node.
-attention(q, k, v, heads) gives head i columns i*dh:(i+1)*dh of q, k and v
-(dh = d / heads) and writes its output to the same columns, i.e. head
-outputs side by side. softmax and attention share one max-shifted numpy
-softmax.
+attention(q, k, v, heads, key_mask) gives head i columns i*dh:(i+1)*dh of
+q, k and v (dh = d / heads) and writes its output to the same columns,
+i.e. head outputs side by side, with an optional batch axis; masked keys
+get weight exactly 0. softmax and attention share one max-shifted numpy
+softmax. dropout draws each batch item's mask from that item's generator.
 """
 
 from __future__ import annotations
@@ -225,49 +226,34 @@ def backward(loss: Tensor) -> None:
 # elementwise and broadcasting arithmetic
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _broadcasting(name: str, f, a, b, grads) -> Tensor:
+    """f(a, b) under numpy broadcasting; grads(g, a.data, b.data) gives the
+    two input gradients before they are summed back to the input shapes."""
     a, b = _as_tensor(a), _as_tensor(b)
     try:
-        data = a.data + b.data
+        data = f(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
     out = Tensor(data)
     if _tracked(a, b):
         def _bw(g):
-            _accum(a, _unbroadcast(g, a.shape))
-            _accum(b, _unbroadcast(g, b.shape))
+            ga, gb = grads(g, a.data, b.data)
+            _accum(a, _unbroadcast(ga, a.shape))
+            _accum(b, _unbroadcast(gb, b.shape))
         _record(out, (a, b), _bw)
     return out
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _broadcasting("add", np.add, a, b, lambda g, x, y: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(data)
-    if _tracked(a, b):
-        def _bw(g):
-            _accum(a, _unbroadcast(g, a.shape))
-            _accum(b, _unbroadcast(-g, b.shape))
-        _record(out, (a, b), _bw)
-    return out
+    return _broadcasting("sub", np.subtract, a, b, lambda g, x, y: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(data)
-    if _tracked(a, b):
-        def _bw(g):
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-            _accum(b, _unbroadcast(g * a.data, b.shape))
-        _record(out, (a, b), _bw)
-    return out
+    return _broadcasting("mul", np.multiply, a, b, lambda g, x, y: (g * y, g * x))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -291,9 +277,15 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
+    t = x * x * x  # then in place: a large batch holds two temporaries, not six
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 1.0 + t
+    y *= x
+    y *= 0.5
+    out = Tensor(y)
     if _tracked(a):
         def _bw(g):
             dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x**2)
@@ -320,15 +312,23 @@ def maximum_scalar(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: identity in eval mode, survivors scaled by 1/(1-p)."""
+def dropout(a: Tensor, p: float, train: bool,
+            rngs: Sequence[np.random.Generator] | None = None,
+            lengths: Sequence[int] | None = None) -> Tensor:
+    """Inverted dropout: identity in eval mode, survivors scaled by 1/(1-p).
+    Item i of a's leading axis draws its mask from rngs[i], over its first
+    lengths[i] rows if given; later rows draw nothing and are zeroed."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {p}")
     if not train or p == 0.0:
         return a
-    if rng is None:
-        raise ContractError("dropout in train mode needs an explicit rng")
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
+    if rngs is None or len(rngs) != a.shape[0]:
+        raise ContractError("dropout in train mode needs one rng per item of the leading axis")
+    mask = np.zeros(a.shape)
+    for i, rng in enumerate(rngs):
+        rows = mask[i] if lengths is None else mask[i, :lengths[i]]
+        rows[...] = rng.random(rows.shape) >= p
+    mask /= 1.0 - p
     out = Tensor(a.data * mask)
     if _tracked(a):
         _record(out, (a,), lambda g: _accum(a, g * mask))
@@ -360,7 +360,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: bias {b.shape} vs w {w.shape}")
     data = x.data @ w.data
     if b is not None:
-        data = data + b.data
+        data += b.data
     out = Tensor(data)
     tracked = _tracked(x, w, b) if b is not None else _tracked(x, w)
     if tracked:
@@ -431,9 +431,9 @@ def take_pairs(a: Tensor, rows, cols) -> Tensor:
 
 
 def embedding_gather(table: Tensor, indices) -> Tensor:
-    """Rows table[indices]; gradient scatter-adds into the table."""
+    """Rows table[indices], indices 1-d or 2-d; gradient scatter-adds into the table."""
     idx = np.asarray(indices, dtype=np.intp)
-    if table.ndim != 2 or idx.ndim != 1:
+    if table.ndim != 2 or idx.ndim not in (1, 2):
         raise ShapeError(f"embedding_gather: table {table.shape}, indices rank {idx.ndim}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ContractError("embedding_gather: index out of range")
@@ -497,10 +497,7 @@ def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
     out = Tensor(a.data.sum(axis=axis))
     if _tracked(a):
         def _bw(g):
-            if axis is None:
-                _accum(a, np.broadcast_to(g, a.shape).copy())
-            else:
-                _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+            _accum(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape))
         _record(out, (a,), _bw)
     return out
 
@@ -512,20 +509,22 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     out = Tensor(a.data.mean(axis=axis))
     if _tracked(a):
         def _bw(g):
-            if axis is None:
-                _accum(a, np.broadcast_to(g / count, a.shape).copy())
-            else:
-                _accum(a, np.broadcast_to(np.expand_dims(g, axis) / count, a.shape).copy())
+            g = g if axis is None else np.expand_dims(g, axis)
+            _accum(a, np.broadcast_to(g / count, a.shape))
         _record(out, (a,), _bw)
     return out
 
 
-def _softmax_array(x: np.ndarray, axis: int, op: str) -> np.ndarray:
-    """Max-shifted softmax of a numpy array; non-finite input is an error."""
+def _softmax_array(x: np.ndarray, axis: int, op: str,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Max-shifted softmax of a numpy array, written to `out` if given (which
+    may be x itself); non-finite input is an error."""
     if not np.isfinite(x).all():
         raise NumericError(f"{op}: non-finite input")
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -543,46 +542,60 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """(rows, heads * dh) -> (heads, rows, dh) view; head i is columns i*dh:(i+1)*dh."""
-    rows, d = x.shape
-    return x.reshape(rows, heads, d // heads).transpose(1, 0, 2)
+    """(..., rows, heads * dh) -> (..., heads, rows, dh) view; head i is
+    columns i*dh:(i+1)*dh."""
+    *lead, rows, d = x.shape
+    return x.reshape(*lead, rows, heads, d // heads).swapaxes(-2, -3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """Inverse of _split_heads: (heads, rows, dh) -> (rows, heads * dh)."""
-    heads, rows, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(rows, heads * dh)
+    """Inverse of _split_heads: (..., heads, rows, dh) -> (..., rows, heads * dh)."""
+    *lead, heads, rows, dh = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, rows, heads * dh)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+_MASKED_LOGIT = -1e300  # finite, as _softmax_array requires; its weight underflows to 0
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              key_mask: np.ndarray | None = None) -> Tensor:
     """Multi-head scaled dot-product attention, recorded as one graph node.
 
-    q is (n, d), k and v are (m, d). Per head i, on columns i*dh:(i+1)*dh
-    with dh = d / heads: softmax_keys((q_i k_i^T) / sqrt(dh)) v_i. The
-    output is (n, d) with head i in columns i*dh:(i+1)*dh.
+    q is (n, d), k and v are (m, d), all three with the same optional
+    leading batch axis. Per item and head i, on columns i*dh:(i+1)*dh with
+    dh = d / heads: softmax_keys((q_i k_i^T) / sqrt(dh)) v_i. The output
+    has q's shape with head i in columns i*dh:(i+1)*dh. `key_mask`, shaped
+    like k without its last axis, marks the keys each query may attend to;
+    the others get weight exactly 0.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
+    if (q.ndim not in (2, 3) or k.ndim != q.ndim or v.shape != k.shape
+            or q.shape[-1] != k.shape[-1] or q.shape[:-2] != k.shape[:-2]):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    d = q.shape[1]
+    d = q.shape[-1]
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} not divisible by {heads} heads")
-    if k.shape[0] < 1:
+    if k.shape[-2] < 1:
         raise ShapeError(f"attention over zero keys, k {k.shape}")
+    if key_mask is not None and key_mask.shape != k.shape[:-1]:
+        raise ShapeError(f"attention: key mask {key_mask.shape} vs k {k.shape}")
     scale = 1.0 / math.sqrt(d // heads)
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
     # Overflowing logits are reported once, by _softmax_array's finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
-    s = _softmax_array(logits, -1, "attention")
+        logits = np.matmul(qh, kh.swapaxes(-1, -2))
+        logits *= scale
+    if key_mask is not None:
+        np.copyto(logits, _MASKED_LOGIT, where=~key_mask[..., None, None, :])
+    s = _softmax_array(logits, -1, "attention", out=logits)
     out = Tensor(_merge_heads(np.matmul(s, vh)))
     if _tracked(q, k, v):
         def _bw(g):
             gh = _split_heads(g, heads)
-            ds = np.matmul(gh, vh.transpose(0, 2, 1))
+            ds = np.matmul(gh, vh.swapaxes(-1, -2))
             dlogits = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * scale
             _accum(q, _merge_heads(np.matmul(dlogits, kh)))
-            _accum(k, _merge_heads(np.matmul(dlogits.transpose(0, 2, 1), qh)))
-            _accum(v, _merge_heads(np.matmul(s.transpose(0, 2, 1), gh)))
+            _accum(k, _merge_heads(np.matmul(dlogits.swapaxes(-1, -2), qh)))
+            _accum(v, _merge_heads(np.matmul(s.swapaxes(-1, -2), gh)))
         _record(out, (q, k, v), _bw)
     return out
 

@@ -90,11 +90,8 @@ def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
     for name in sorted(params):
         tensor = params[name]
         name_bytes = name.encode("utf-8")
-        records += struct.pack("<I", len(name_bytes))
-        records += name_bytes
-        records += struct.pack("<I", tensor.data.ndim)
-        for dim in tensor.shape:
-            records += struct.pack("<I", dim)
+        records += struct.pack("<I", len(name_bytes)) + name_bytes
+        records += struct.pack(f"<{1 + tensor.data.ndim}I", tensor.data.ndim, *tensor.shape)
         records += tensor.data.astype("<f4").tobytes()
     blob = MAGIC + struct.pack("<I", VERSION) + bytes(records)
     blob += struct.pack("<Q", blake2b_64(bytes(records)))

@@ -6,6 +6,8 @@ usage errors (argparse). A --config file uses line-oriented `key = value`
 pairs with TrainConfig field names; explicit flags override file values.
 Each train flag's dest is its TrainConfig field. Every text file mmner
 reads is decoded as `utf-8-sig`: UTF-8, a leading byte-order mark dropped.
+Its lines end at "\n", "\r\n" or "\r" only; other Unicode line breaks
+(U+2028, U+0085, form feed, ...) are line content.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from mmner.data import (
 )
 from mmner.training import (
     TrainConfig,
+    decode_examples,
     evaluate_model,
     load_run,
     load_split,
@@ -145,7 +148,7 @@ def read_predict_input(path: Path, raw: bool) -> list[SentenceExample]:
     text = path.read_text(encoding="utf-8-sig")
     examples: list[SentenceExample] = []
     if raw:
-        for line in text.splitlines():
+        for line in text.split("\n"):
             tokens = line.split()
             if tokens:
                 examples.append(SentenceExample(tokens, ["O"] * len(tokens), ""))
@@ -161,11 +164,10 @@ def cmd_predict(args) -> int:
     model, vocab, _config = load_run(args.checkpoint)
     examples = read_predict_input(args.input, args.raw)
     images = ImageStore(args.images, model.config.image_size)
-    labeled = []
-    for ex in examples:
-        tags = model.predict(vocab.encode(ex.tokens), images.load(ex.image_ref))
-        labeled.append(SentenceExample(ex.tokens, tags, ex.image_ref or "none", ex.language))
-    output = serialize_iob2(Corpus(labeled))
+    tags = decode_examples(model, examples, vocab, images)
+    output = serialize_iob2(Corpus([
+        SentenceExample(ex.tokens, t, ex.image_ref or "none", ex.language)
+        for ex, t in zip(examples, tags)]))
     if args.out is not None:
         Path(args.out).write_text(output, encoding="utf-8")
     else:
@@ -189,7 +191,7 @@ def cmd_stats(args) -> int:
 def cmd_kappa(args) -> int:
     rows = []
     for line_no, line in enumerate(
-            Path(args.table).read_text(encoding="utf-8-sig").splitlines(), start=1):
+            Path(args.table).read_text(encoding="utf-8-sig").split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -205,17 +207,10 @@ def cmd_kappa(args) -> int:
     return 0
 
 
-def cmd_gradcheck(_args) -> int:
-    from mmner.selftest import gradient_suite
-    results = gradient_suite()
-    for r in results:
-        print(r.line())
-    return 0 if all(r.passed for r in results) else 1
-
-
-def cmd_selftest(_args) -> int:
-    from mmner.selftest import oracle_suite
-    results = oracle_suite()
+def cmd_check(args) -> int:
+    """gradcheck or selftest: one line per check case, exit 1 if any fails."""
+    from mmner import selftest
+    results = selftest.gradient_suite() if args.command == "gradcheck" else selftest.oracle_suite()
     for r in results:
         print(r.line())
     return 0 if all(r.passed for r in results) else 1
@@ -227,8 +222,8 @@ COMMANDS = {
     "predict": cmd_predict,
     "stats": cmd_stats,
     "kappa": cmd_kappa,
-    "gradcheck": cmd_gradcheck,
-    "selftest": cmd_selftest,
+    "gradcheck": cmd_check,
+    "selftest": cmd_check,
 }
 
 

@@ -6,10 +6,15 @@ Head outputs are concatenated, mapped by an output matrix, then the block
 closes with residual + LN and an MLP + LN stage, yielding image-aware
 token representations with the query shape.
 
+A call takes (n, d) queries and (P, d) visual tokens, or a batch of them
+with one leading axis. No key is padded, so none is masked; a padded query
+row only gives a row its caller drops. Sentence i's first lengths[i] rows
+draw dropout, from rngs[i].
+
 The per-head maps are stored stacked, (m, d/m, d) each for q, k and v, and
 applied as one (d, d) projection: row block i of the stack is head i, so
-column block i of text @ reshape(wq, (d, d))^T is head i's query. One
-`ad.attention` node then runs all heads.
+column block i of text @ reshape(wq, (d, d))^T is head i's query. A call
+builds each (d, d) map once; one `ad.attention` node runs every head.
 """
 
 from __future__ import annotations
@@ -57,24 +62,25 @@ class CrossAttentionBlock:
             "ln2_g": self.ln2_g, "ln2_b": self.ln2_b,
         }
 
-    def _project(self, x: Tensor, w: Tensor) -> Tensor:
-        return ad.matmul(x, ad.transpose2d(ad.reshape(w, (self.d, self.d))))
+    def _map(self, w: Tensor) -> Tensor:
+        """The (d_in, d_out) matrix `ad.linear` applies for a stacked map."""
+        return ad.transpose2d(ad.reshape(w, (self.d, self.d)))
 
-    def __call__(self, text: Tensor, visual: Tensor,
-                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        if text.ndim != 2 or visual.ndim != 2:
-            raise ShapeError(f"expected 2-d text/visual, got {text.shape}/{visual.shape}")
-        if text.shape[1] != self.d or visual.shape[1] != self.d:
-            raise ShapeError(
-                f"feature dim mismatch: text {text.shape}, visual {visual.shape}, d={self.d}"
-            )
-        heads = ad.attention(self._project(text, self.wq), self._project(visual, self.wk),
-                             self._project(visual, self.wv), self.heads)
-        ia = ad.matmul(heads, ad.transpose2d(self.wo))
-        ia = ad.dropout(ia, self.dropout, train, rng)
+    def __call__(self, text: Tensor, visual: Tensor, train: bool = False,
+                 rngs: list[np.random.Generator] | None = None,
+                 lengths: list[int] | None = None) -> Tensor:
+        if (text.ndim not in (2, 3) or text.shape[:-2] != visual.shape[:-2]
+                or text.shape[-1] != self.d or visual.shape[-1] != self.d):
+            raise ShapeError(f"text {text.shape} / visual {visual.shape}: expected "
+                             f"(n, {self.d}) / (P, {self.d}), with one shared batch axis or none")
+        heads = ad.attention(ad.linear(text, self._map(self.wq)),
+                             ad.linear(visual, self._map(self.wk)),
+                             ad.linear(visual, self._map(self.wv)), self.heads)
+        ia = ad.linear(heads, ad.transpose2d(self.wo))
+        ia = ad.dropout(ia, self.dropout, train, rngs, lengths)
         fused = ad.layer_norm(ad.add(ia, text), self.ln1_g, self.ln1_b)
         h = ad.linear(fused, self.mlp_w1, self.mlp_b1)
         h = ad.gelu(h)
         h = ad.linear(h, self.mlp_w2, self.mlp_b2)
-        h = ad.dropout(h, self.dropout, train, rng)
+        h = ad.dropout(h, self.dropout, train, rngs, lengths)
         return ad.layer_norm(ad.add(fused, h), self.ln2_g, self.ln2_b)

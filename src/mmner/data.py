@@ -81,10 +81,12 @@ def iob2_blocks(text: str) -> Iterator[Iob2Block]:
 
     Header lines count only in header position: any LANG lines (the last
     one wins), then at most one IMGID line. Every later line of the block
-    is a row, whatever it starts with. Rows are not parsed.
+    is a row, whatever it starts with. Rows are not parsed. Lines end at
+    "\n" only (reading in text mode maps "\r\n" and "\r" to it), so a
+    U+2028, U+0085 or U+001C inside a token stays in the token.
     """
     block: list[tuple[int, str]] = []
-    for line_no, line in enumerate(text.splitlines() + [""], start=1):
+    for line_no, line in enumerate(text.split("\n") + [""], start=1):
         if line.strip():
             block.append((line_no, line))
             continue
@@ -257,13 +259,9 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
     wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    out = np.empty((c, out_h, out_w))
-    for ch in range(c):
-        plane = image[ch]
-        top = plane[np.ix_(y0, x0)] * (1 - wx) + plane[np.ix_(y0, x1)] * wx
-        bot = plane[np.ix_(y1, x0)] * (1 - wx) + plane[np.ix_(y1, x1)] * wx
-        out[ch] = top * (1 - wy) + bot * wy
-    return out
+    top = image[:, y0][:, :, x0] * (1 - wx) + image[:, y0][:, :, x1] * wx
+    bot = image[:, y1][:, :, x0] * (1 - wx) + image[:, y1][:, :, x1] * wx
+    return top * (1 - wy) + bot * wy
 
 
 DEFAULT_IMAGE_VALUE = 0.5  # mid-gray; normalizes to exactly zero
@@ -324,8 +322,8 @@ def make_batches(
 ) -> Iterator[Batch]:
     """Deterministic batch stream; file order when shuffle is off.
 
-    Sequences are kept ragged per sentence (the model consumes sentences
-    one at a time).
+    Id lists stay ragged: the model pads each batch to its longest
+    sentence itself.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
@@ -361,23 +359,18 @@ class StatsReport:
 
     def format_table(self) -> str:
         cols = [(lang, split) for lang in self.languages for split in self.splits]
-        header = ["Class".ljust(8)]
-        header += [f"{lang}/{split}".rjust(10) for lang, split in cols]
-        header.append("Total".rjust(10))
-        lines = ["".join(header)]
+
+        def row(label, cells, total):
+            return label.ljust(8) + "".join(str(c).rjust(10) for c in [*cells, total])
+
+        lines = [row("Class", [f"{lang}/{split}" for lang, split in cols], "Total")]
         for etype in ENTITY_TYPES:
-            row = [etype.ljust(8)]
-            row += [str(self.span_counts.get(c, {}).get(etype, 0)).rjust(10) for c in cols]
-            row.append(str(self.total_spans(etype)).rjust(10))
-            lines.append("".join(row))
-        total_row = ["Total".ljust(8)]
-        total_row += [str(sum(self.span_counts.get(c, {}).values())).rjust(10) for c in cols]
-        total_row.append(str(self.total_spans()).rjust(10))
-        lines.append("".join(total_row))
-        sent_row = ["Sents".ljust(8)]
-        sent_row += [str(self.sentence_counts.get(c, 0)).rjust(10) for c in cols]
-        sent_row.append(str(sum(self.sentence_counts.values())).rjust(10))
-        lines.append("".join(sent_row))
+            lines.append(row(etype, [self.span_counts.get(c, {}).get(etype, 0) for c in cols],
+                             self.total_spans(etype)))
+        lines.append(row("Total", [sum(self.span_counts.get(c, {}).values()) for c in cols],
+                         self.total_spans()))
+        lines.append(row("Sents", [self.sentence_counts.get(c, 0) for c in cols],
+                         sum(self.sentence_counts.values())))
         return "\n".join(lines)
 
 

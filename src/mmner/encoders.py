@@ -42,8 +42,16 @@ def _ones(shape) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=True)
 
 
+def _with_parts(params: dict[str, Tensor], prefix: str, parts) -> dict[str, Tensor]:
+    """params plus the parameters of parts[i] named f"{prefix}{i}.*"."""
+    for i, part in enumerate(parts):
+        params.update({f"{prefix}{i}.{k}": v for k, v in part.parameters().items()})
+    return params
+
+
 class SelfAttention:
-    """Standard multi-head self-attention over one (k, d) sequence.
+    """Standard multi-head self-attention over (k, d) sequences, optionally
+    batched, padded keys masked out.
 
     Three affine maps give q, k and v; `ad.attention` runs every head in one
     node (head i reads and writes columns i*d/m:(i+1)*d/m); an affine output
@@ -71,15 +79,17 @@ class SelfAttention:
             "wv": self.wv, "bv": self.bv, "wo": self.wo, "bo": self.bo,
         }
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
         q = ad.linear(x, self.wq, self.bq)
         k = ad.linear(x, self.wk, self.bk)
         v = ad.linear(x, self.wv, self.bv)
-        return ad.linear(ad.attention(q, k, v, self.heads), self.wo, self.bo)
+        return ad.linear(ad.attention(q, k, v, self.heads, key_mask), self.wo, self.bo)
 
 
 class TransformerLayer:
-    """One MHSA + MLP layer in either sublayer ordering."""
+    """One MHSA + MLP layer in either sublayer ordering, over (rows, d) or a
+    padded (B, rows, d) batch. Item i's first lengths[i] rows are real: the
+    rest are masked out of the attention keys and draw no dropout."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
                  sublayer: str, mlp_ratio: int = 4, dropout: float = 0.0):
@@ -110,17 +120,23 @@ class TransformerLayer:
         h = ad.gelu(ad.linear(x, self.mlp_w1, self.mlp_b1))
         return ad.linear(h, self.mlp_w2, self.mlp_b2)
 
-    def _apply(self, x, f, ln_g, ln_b, train, rng):
+    def _apply(self, x, f, ln_g, ln_b, train, rngs, lengths):
         if self.sublayer == TEXT_SUBLAYER:
-            out = ad.dropout(f(x), self.dropout, train, rng)
+            out = ad.dropout(f(x), self.dropout, train, rngs, lengths)
             return ad.add(ad.layer_norm(out, ln_g, ln_b), x)
-        out = ad.dropout(f(ad.layer_norm(x, ln_g, ln_b)), self.dropout, train, rng)
+        out = ad.dropout(f(ad.layer_norm(x, ln_g, ln_b)), self.dropout, train, rngs, lengths)
         return ad.add(out, x)
 
     def __call__(self, x: Tensor, train: bool = False,
-                 rng: np.random.Generator | None = None) -> Tensor:
-        x = self._apply(x, self.attn, self.ln1_g, self.ln1_b, train, rng)
-        return self._apply(x, self._mlp, self.ln2_g, self.ln2_b, train, rng)
+                 rngs: list[np.random.Generator] | None = None,
+                 lengths: list[int] | None = None) -> Tensor:
+        rows = x.shape[-2]
+        mask = None
+        if lengths is not None and min(lengths) < rows:
+            mask = np.arange(rows) < np.asarray(lengths)[:, None]
+        x = self._apply(x, lambda h: self.attn(h, mask), self.ln1_g, self.ln1_b,
+                        train, rngs, lengths)
+        return self._apply(x, self._mlp, self.ln2_g, self.ln2_b, train, rngs, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +144,16 @@ class TransformerLayer:
 
 
 class TextEncoder:
-    """Token ids -> (n+2, d) rows; row 0 is CLS, row n+1 is SEP.
+    """A batch of id lists -> (B, n_max+2, d) rows: sentence i's row 0 is
+    CLS, rows 1..n_i its tokens, row n_i+1 SEP, and the rest PAD rows that
+    never reach a real one (see `TransformerLayer`).
 
     Unknown ids map to the reserved UNK id; overlong sentences truncate to
-    max_len - 2 tokens. This is the model's only truncation: a caller with
-    labels cuts them to the rows it gets back.
+    max_len - 2 tokens (`lengths`). This is the model's only truncation: a
+    caller with labels cuts them to the rows it gets back.
     """
 
+    PAD_ID = 0
     UNK_ID = 1
 
     def __init__(self, config: ModelConfig, vocab_size: int, rng: np.random.Generator):
@@ -151,23 +170,29 @@ class TextEncoder:
         ]
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {"token_table": self.token_table, "position_table": self.position_table}
-        for i, layer in enumerate(self.layers):
-            params.update({f"layer{i}.{k}": v for k, v in layer.parameters().items()})
-        return params
+        return _with_parts({"token_table": self.token_table,
+                            "position_table": self.position_table}, "layer", self.layers)
 
-    def encode(self, token_ids: list[int], train: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        if len(token_ids) < 1:
-            raise ContractError("text_encode needs at least one token")
-        ids = [t if 0 <= t < self.vocab_size else self.UNK_ID for t in token_ids]
-        framed = [self.cls_id] + ids[: self.max_len - 2] + [self.sep_id]
+    def lengths(self, token_ids: list[list[int]]) -> list[int]:
+        """Each sentence's token count after truncation."""
+        return [min(len(ids), self.max_len - 2) for ids in token_ids]
+
+    def encode(self, token_ids: list[list[int]], train: bool = False,
+               rngs: list[np.random.Generator] | None = None) -> Tensor:
+        if not token_ids or min(map(len, token_ids)) < 1:
+            raise ContractError("text_encode needs at least one token per sentence")
+        lengths = [n + 2 for n in self.lengths(token_ids)]
+        framed = np.full((len(token_ids), max(lengths)), self.PAD_ID)
+        for row, ids, n in zip(framed, token_ids, lengths):
+            row[0] = self.cls_id
+            row[1:n - 1] = [t if 0 <= t < self.vocab_size else self.UNK_ID for t in ids[:n - 2]]
+            row[n - 1] = self.sep_id
         x = ad.add(
             ad.embedding_gather(self.token_table, framed),
-            self.position_table[: len(framed)],
+            self.position_table[: framed.shape[1]],
         )
         for layer in self.layers:
-            x = layer(x, train, rng)
+            x = layer(x, train, rngs, lengths)
         return x
 
 
@@ -176,7 +201,9 @@ class TextEncoder:
 
 
 class VitEncoder:
-    """(C, H, W) image -> one d-wide row per patch after K transformer layers."""
+    """(..., C, H, W) images -> one d-wide row per patch after K transformer
+    layers, (..., P, d); in train mode a stack's image i draws its dropout
+    masks from rngs[i]."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.image_size = config.image_size
@@ -191,32 +218,31 @@ class VitEncoder:
         ]
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {"patch_proj": self.patch_proj, "position_table": self.position_table}
-        for i, layer in enumerate(self.layers):
-            params.update({f"layer{i}.{k}": v for k, v in layer.parameters().items()})
-        return params
+        return _with_parts({"patch_proj": self.patch_proj,
+                            "position_table": self.position_table}, "layer", self.layers)
 
-    def extract_patches(self, image: np.ndarray) -> np.ndarray:
-        """Raster-order (N, C*P*P) patch matrix; channel-major within a patch."""
+    def extract_patches(self, images: np.ndarray) -> np.ndarray:
+        """Raster-order (..., P, C*p*p) patch matrices; channel-major within a patch."""
         c, size, p = CHANNELS, self.image_size, self.patch_size
-        if image.shape != (c, size, size):
+        lead = images.shape[:-3]
+        if images.shape[-3:] != (c, size, size):
             raise ContractError(
-                f"image shape {image.shape} vs configured ({c}, {size}, {size})"
+                f"image shape {images.shape} vs configured (..., {c}, {size}, {size})"
             )
         g = size // p
-        return image.reshape(c, g, p, g, p).transpose(1, 3, 0, 2, 4).reshape(g * g, c * p * p)
+        patches = images.reshape(-1, c, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)
+        return patches.reshape(*lead, g * g, c * p * p)
 
     def encode_patches(self, patches: np.ndarray, train: bool = False,
-                       rng: np.random.Generator | None = None) -> Tensor:
-        x = ad.matmul(Tensor(patches), self.patch_proj)
-        x = ad.add(x, self.position_table)
+                       rngs: list[np.random.Generator] | None = None) -> Tensor:
+        x = ad.add(ad.linear(Tensor(patches), self.patch_proj), self.position_table)
         for layer in self.layers:
-            x = layer(x, train, rng)
+            x = layer(x, train, rngs)
         return x
 
-    def encode(self, image: np.ndarray, train: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        return self.encode_patches(self.extract_patches(image), train, rng)
+    def encode(self, images: np.ndarray, train: bool = False,
+               rngs: list[np.random.Generator] | None = None) -> Tensor:
+        return self.encode_patches(self.extract_patches(images), train, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +254,12 @@ class ResidualBlock:
 
     def __init__(self, c_in: int, c_out: int, stride: int, rng: np.random.Generator):
         self.stride = stride
-        self.w1 = Tensor(rng.normal(0.0, math.sqrt(2.0 / (c_in * 9)), (c_out, c_in, 3, 3)),
-                         requires_grad=True)
+        self.w1 = _w(rng, (c_out, c_in, 3, 3), math.sqrt(2.0 / (c_in * 9)))
         self.b1 = _zeros(c_out)
-        self.w2 = Tensor(rng.normal(0.0, math.sqrt(2.0 / (c_out * 9)), (c_out, c_out, 3, 3)),
-                         requires_grad=True)
+        self.w2 = _w(rng, (c_out, c_out, 3, 3), math.sqrt(2.0 / (c_out * 9)))
         self.b2 = _zeros(c_out)
         if stride != 1 or c_in != c_out:
-            self.ws = Tensor(rng.normal(0.0, math.sqrt(2.0 / c_in), (c_out, c_in, 1, 1)),
-                             requires_grad=True)
+            self.ws = _w(rng, (c_out, c_in, 1, 1), math.sqrt(2.0 / c_in))
             self.bs = _zeros(c_out)
         else:
             self.ws = None
@@ -272,10 +295,8 @@ class ConvEncoder:
         self.grid = config.image_size // (config.conv_stem_stride
                                           * 2 ** len(config.conv_stage_channels))
         k = config.conv_stem_kernel
-        self.stem_w = Tensor(
-            rng.normal(0.0, math.sqrt(2.0 / (CHANNELS * k * k)),
-                       (config.conv_stem_channels, CHANNELS, k, k)),
-            requires_grad=True)
+        self.stem_w = _w(rng, (config.conv_stem_channels, CHANNELS, k, k),
+                         math.sqrt(2.0 / (CHANNELS * k * k)))
         self.stem_b = _zeros(config.conv_stem_channels)
         self.blocks: list[ResidualBlock] = []
         c_prev = config.conv_stem_channels
@@ -287,17 +308,14 @@ class ConvEncoder:
         self.proj_b = _zeros(config.d)
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {"stem_w": self.stem_w, "stem_b": self.stem_b,
-                  "proj_w": self.proj_w, "proj_b": self.proj_b}
-        for i, block in enumerate(self.blocks):
-            params.update({f"block{i}.{k}": v for k, v in block.parameters().items()})
-        return params
+        return _with_parts({"stem_w": self.stem_w, "stem_b": self.stem_b,
+                            "proj_w": self.proj_w, "proj_b": self.proj_b}, "block", self.blocks)
 
     def encode(self, images: np.ndarray, train: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
+               rngs: list[np.random.Generator] | None = None) -> Tensor:
         """(N, C, H, W) images -> (N, g^2, d) tokens, the whole stack in each conv.
 
-        The stack draws no dropout, so `train` and `rng` change nothing.
+        The stack draws no dropout, so `train` and `rngs` change nothing.
         """
         size = self.image_size
         if images.shape[1:] != (CHANNELS, size, size):

@@ -103,12 +103,8 @@ class EvalReport:
         out = []
         for name, s in list(self.per_type.items()) + [("overall", self.overall)]:
             key = name.lower()
-            out.append(f"{key}.precision={s.precision:.6f}")
-            out.append(f"{key}.recall={s.recall:.6f}")
-            out.append(f"{key}.f1={s.f1:.6f}")
-            out.append(f"{key}.tp={s.tp}")
-            out.append(f"{key}.fp={s.fp}")
-            out.append(f"{key}.fn={s.fn}")
+            out += [f"{key}.{f}={getattr(s, f):.6f}" for f in ("precision", "recall", "f1")]
+            out += [f"{key}.{f}={getattr(s, f)}" for f in ("tp", "fp", "fn")]
             if s.undefined:
                 out.append(f"{key}.zero_denominator={','.join(s.undefined)}")
         out.append(f"token_accuracy={self.token_accuracy:.6f}")

@@ -12,33 +12,36 @@ draws and the parameter names (`{key}.*`, `{key}_fusion.*`,
 `{key}_text_head.*`, `{key}_image_head.*`) in order, and so the checkpoint
 and Adam state layouts.
 
-`forward` is the one forward pass: a generator over a batch's id lists and
-its (N, C, H, W) image stack that yields, per sentence, the emissions and
-each path's pooled pair. `batch_losses` builds sentence i's NLL before it
-asks for sentence i+1; `predict` takes the one sentence of a stack of one.
-Text rows 1..n (real tokens, CLS/SEP excluded; `TextEncoder` truncates)
-query each path's visual tokens, and the fused outputs are concatenated
-feature-wise before the emission map. The text CLS row and the mean of a
-path's visual tokens feed that path's projection heads, whose batch outputs
-give its contrastive term. A path whose encoder takes a whole stack (the
-conv stack) encodes it once before the first sentence; the ViT encodes per
-sentence. In train mode sentence i draws its dropout masks from its own generator,
-rngs[i], in a fixed order (text, ViT, ViT fusion, conv fusion; the conv
-stack draws none), so its masks do not depend on its neighbours.
+`forward_batch` is the one forward pass. It takes a batch's id lists and
+its (B, C, H, W) image stack and runs each stage once: the text encoder
+over the padded (B, n_max+2, d) rows, each visual encoder over the stack,
+each fusion block over the (B, n_max, d) token rows against its (B, P, d)
+visual tokens, and the emission map. It returns the padded emissions,
+each sentence's truncated length, and per path the (B, d) CLS text rows
+and mean visual tokens, which `batch_losses` passes through each
+projection head once. `forward` yields the same per sentence: emissions
+(n_i, L) and the pooled pairs. `decode` Viterbi-decodes a batch sentence
+by sentence; `predict` is `decode` of one sentence. Padded rows never
+reach a real one: padded text keys are masked out of self-attention,
+padded query rows only give rows the emissions drop, and no padded row
+draws dropout. In train mode sentence i draws its dropout masks from its
+own generator, rngs[i], in a fixed order (text, ViT, ViT fusion, conv
+fusion; the conv stack draws none), so its masks, like its outputs, do
+not depend on its neighbours or its padding.
 
 At inference the model keeps, per path key, a one-entry memo of the last
-encode: a copy of the image (the image stack, on the conv path), the
-output, and, once the image has repeated, a copy of each of that encoder's
-parameter arrays. It is consulted only when no graph is recorded
-(`train=False` under `no_grad`, as in `predict`), and hits only when the
-image and every encoder parameter equal their stored copies by value,
-compared bit for bit (same dtype, shape and bytes). Any change to the
-weights, by reassignment or in place, or to the image is therefore a miss,
-which encodes as usual and replaces the entry; graph-recording calls never
-read or write it. A new image takes no weight snapshot (copying ~1 MB of
-desk-model weights on every call would slow streams of distinct images),
-so a run of one repeated image encodes twice: at its first sighting and at
-the second, which stores the snapshot that later calls hit.
+encode: a copy of the image stack, the output, and, once the stack has
+repeated, a copy of each of that encoder's parameter arrays. It is
+consulted only when no graph is recorded (`train=False` under `no_grad`,
+as in `predict`), and hits only when the image stack and every encoder
+parameter equal their stored copies by value, compared bit for bit (same
+dtype, shape and bytes). Any change to the weights, by reassignment or in
+place, or to the images is therefore a miss, which encodes as usual and
+replaces the entry; graph-recording calls never read or write it. A new
+stack takes no weight snapshot (copying ~1 MB of desk-model weights on
+every call would slow streams of distinct images), so a run of one
+repeated image encodes twice: at its first sighting and at the second,
+which stores the snapshot that later calls hit.
 """
 
 from __future__ import annotations
@@ -176,48 +179,50 @@ class MultimodalNerModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _encode_image(self, key: str, image: np.ndarray, train: bool,
-                      rng: np.random.Generator | None) -> Tensor:
+    def _encode_image(self, key: str, images: np.ndarray, train: bool,
+                      rngs: list[np.random.Generator] | None) -> Tensor:
         encoder = self.paths[key].encoder
         if train or ad._grad_enabled():
-            return encoder.encode(image, train, rng)
+            return encoder.encode(images, train, rngs)
         entry = self._encoded.get(key)
         snapshot = None
-        if entry is not None and _identical(entry[0], image):
+        if entry is not None and _identical(entry[0], images):
             weights = [p.data for p in encoder.parameters().values()]
             if entry[1] is not None and all(map(_identical, entry[1], weights)):
                 return entry[2]
             snapshot = [w.copy() for w in weights]
-        out = encoder.encode(image, train, rng)
-        self._encoded[key] = (image.copy(), snapshot, out)
+        out = encoder.encode(images, train, rngs)
+        self._encoded[key] = (images.copy(), snapshot, out)
         return out
+
+    def forward_batch(self, token_ids: list[list[int]], images: np.ndarray,
+                      train: bool = False, rngs: list[np.random.Generator] | None = None):
+        """The batch's padded emissions (B, n_max, L), each sentence's
+        truncated length n_i, and a dict mapping each path key to the (B, d)
+        text CLS rows and mean visual tokens its contrastive term needs.
+        `images` is the (B, C, H, W) stack, row i belonging to sentence i; in
+        train mode sentence i draws its dropout masks from rngs[i]."""
+        lengths = self.text.lengths(token_ids)
+        text_rows = self.text.encode(token_ids, train, rngs)
+        tokens = text_rows[:, 1:max(lengths) + 1]
+        pooled_text = text_rows[:, 0]
+        fused, pooled = [], {}
+        for key, path in self.paths.items():
+            visual = self._encode_image(key, images, train, rngs)
+            fused.append(path.fusion(tokens, visual, train, rngs, lengths))
+            pooled[key] = (pooled_text, ad.mean(visual, axis=1))
+        if len(fused) > 1:
+            fused = [ad.concat(fused, axis=-1)]
+        return self.crf.emissions(fused[0] if fused else tokens), lengths, pooled
 
     def forward(self, token_ids: list[list[int]], images: np.ndarray,
                 train: bool = False, rngs: list[np.random.Generator] | None = None):
-        """Yield, per sentence, its emissions (n, L) and a dict mapping each
-        path key to the (text CLS row, mean visual token) pair its
-        contrastive term needs. `images` is the (N, C, H, W) stack, row i
-        belonging to sentence i; in train mode sentence i draws its dropout
-        masks from rngs[i]."""
-        stacked = {key: self._encode_image(key, images, train, None)
-                   for key, path in self.paths.items()
-                   if isinstance(path.encoder, ConvEncoder)}
-        for i, ids in enumerate(token_ids):
-            rng = rngs[i] if rngs is not None else None
-            text_rows = self.text.encode(ids, train, rng)
-            tokens = text_rows[1:text_rows.shape[0] - 1]
-            pooled_text = text_rows[0]
-            fused, pooled = [], {}
-            for key, path in self.paths.items():
-                if key in stacked:
-                    visual = stacked[key][i]
-                else:
-                    visual = self._encode_image(key, images[i], train, rng)
-                fused.append(path.fusion(tokens, visual, train, rng))
-                pooled[key] = (pooled_text, ad.mean(visual, axis=0))
-            if len(fused) > 1:
-                fused = [ad.concat(fused, axis=1)]
-            yield self.crf.emissions(fused[0] if fused else tokens), pooled
+        """`forward_batch` per sentence: yield its emissions (n, L) and a dict
+        mapping each path key to its (text CLS row, mean visual token) pair."""
+        emissions, lengths, pooled = self.forward_batch(token_ids, images, train, rngs)
+        for i, n in enumerate(lengths):
+            yield emissions[i, :n], {key: (text[i], visual[i])
+                                     for key, (text, visual) in pooled.items()}
 
     def batch_losses(self, batch: Batch, train: bool = False,
                      rngs: list[np.random.Generator] | None = None, tau: float = 0.07):
@@ -226,31 +231,33 @@ class MultimodalNerModel:
         A disabled image path (or a batch too small to form negative
         pairs) contributes an exact scalar zero.
         """
-        nlls = []
-        pooled: dict[str, list] = {key: [] for key in self.paths}
-        sentences = self.forward(batch.token_ids, np.stack(batch.images), train, rngs)
-        for (emissions, pairs), label_ids in zip(sentences, batch.label_ids):
-            nlls.append(self.crf.nll(emissions, label_ids[:emissions.shape[0]]))
-            for key, pair in pairs.items():
-                pooled[key].append(pair)
-        crf_nll = ad.mean(ad.stack(nlls))
+        emissions, lengths, pooled = self.forward_batch(
+            batch.token_ids, np.stack(batch.images), train, rngs)
+        crf_nll = ad.mean(ad.stack([
+            self.crf.nll(emissions[i, :n], label_ids[:n])
+            for i, (n, label_ids) in enumerate(zip(lengths, batch.label_ids))]))
         terms = []
         for key in ("vit", "conv"):
-            pairs = pooled.get(key, [])
-            if not self.config.use_contrastive or len(pairs) < 2:
+            if key not in pooled or not self.config.use_contrastive or len(lengths) < 2:
                 terms.append(Tensor(0.0))
                 continue
             path = self.paths[key]
-            texts = ad.stack([path.text_head(t) for t, _ in pairs])
-            images = ad.stack([path.image_head(v) for _, v in pairs])
-            terms.append(contrastive_loss(texts, images, tau))
+            text, visual = pooled[key]
+            terms.append(contrastive_loss(path.text_head(text), path.image_head(visual), tau))
         return crf_nll, *terms
 
-    def predict(self, token_ids: list[int], image: np.ndarray) -> list[str]:
-        """Viterbi-decoded tag strings for one sentence and its (C, H, W) image,
-        one per id: tokens past the first max_len - 2 (cut by the text
-        encoder) get "O"."""
+    def decode(self, token_ids: list[list[int]], images: np.ndarray) -> list[list[str]]:
+        """Viterbi-decoded tag strings per sentence of a batch and its
+        (B, C, H, W) image stack, one per id: tokens past the first
+        max_len - 2 (cut by the text encoder) get "O"."""
         with ad.no_grad():
-            emissions, _ = next(self.forward([token_ids], image[None]))
-            path, _ = self.crf.viterbi(emissions)
-        return self.schema.decode(path) + ["O"] * (len(token_ids) - len(path))
+            emissions, lengths, _ = self.forward_batch(token_ids, images)
+            tags = []
+            for i, (ids, n) in enumerate(zip(token_ids, lengths)):
+                path, _ = self.crf.viterbi(emissions[i, :n])
+                tags.append(self.schema.decode(path) + ["O"] * (len(ids) - n))
+        return tags
+
+    def predict(self, token_ids: list[int], image: np.ndarray) -> list[str]:
+        """`decode` of one sentence and its (C, H, W) image."""
+        return self.decode([token_ids], image[None])[0]

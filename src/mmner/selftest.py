@@ -79,120 +79,57 @@ def _op_cases():
     def u(rng, shape):
         return rng.uniform(-1.0, 1.0, size=shape)
 
-    def simple(op_builder):
+    def case(shapes, op, weight=None, scales=None):
+        """op over U(-1, 1) leaves of the given shapes, leaf i times
+        scales[i]; the loss sums op's output, weighted by a U(-1, 1) tensor
+        of shape `weight` when one is given (drawn after the leaves)."""
         def build(rng):
-            tensors, loss_fn = op_builder(rng, u)
-            return loss_fn, {f"p{i}": t for i, t in enumerate(tensors)}
+            leaves = [Tensor(scale * u(rng, shape), requires_grad=True)
+                      for shape, scale in zip(shapes, scales or [1.0] * len(shapes))]
+            w = Tensor(u(rng, weight)) if weight is not None else None
+
+            def loss():
+                out = op(*leaves)
+                return ad.tensor_sum(out if w is None else ad.mul(out, w))
+            return loss, {f"p{i}": t for i, t in enumerate(leaves)}
         return build
 
-    def c_add(rng, u):
-        a = Tensor(u(rng, (4, 3)), requires_grad=True)
-        b = Tensor(u(rng, (4, 3)), requires_grad=True)
-        return (a, b), lambda: ad.tensor_sum(ad.mul(ad.add(a, b), b))
-
-    def c_sub(rng, u):
-        a = Tensor(u(rng, (4, 3)), requires_grad=True)
-        b = Tensor(u(rng, (4, 3)), requires_grad=True)
-        return (a, b), lambda: ad.tensor_sum(ad.mul(ad.sub(a, b), a))
-
-    def c_mul(rng, u):
-        a = Tensor(u(rng, (4, 3)), requires_grad=True)
-        b = Tensor(u(rng, (4, 3)), requires_grad=True)
-        return (a, b), lambda: ad.tensor_sum(ad.mul(a, b))
-
-    def c_matmul(rng, u):
-        a = Tensor(u(rng, (3, 4)), requires_grad=True)
-        b = Tensor(u(rng, (4, 2)), requires_grad=True)
-        return (a, b), lambda: ad.tensor_sum(ad.matmul(a, b))
-
-    def c_relu(rng, u):
-        a = Tensor(u(rng, (4, 3)), requires_grad=True)
-        w = Tensor(u(rng, (4, 3)))
-        return (a,), lambda: ad.tensor_sum(ad.mul(ad.relu(a), w))
-
-    def c_gelu(rng, u):
-        a = Tensor(u(rng, (4, 3)), requires_grad=True)
-        w = Tensor(u(rng, (4, 3)))
-        return (a,), lambda: ad.tensor_sum(ad.mul(ad.gelu(a), w))
-
-    def c_softmax(rng, u):
-        a = Tensor(u(rng, (4, 5)), requires_grad=True)
-        w = Tensor(u(rng, (4, 5)))
-        return (a,), lambda: ad.tensor_sum(ad.mul(ad.softmax(a, axis=-1), w))
-
-    def c_attention(rng, u):
-        q = Tensor(2.0 * u(rng, (3, 4)), requires_grad=True)
-        k = Tensor(2.0 * u(rng, (5, 4)), requires_grad=True)
-        v = Tensor(u(rng, (5, 4)), requires_grad=True)
-        w = Tensor(u(rng, (3, 4)))
-        return (q, k, v), lambda: ad.tensor_sum(ad.mul(ad.attention(q, k, v, 2), w))
-
-    def c_lse(rng, u):
-        a = Tensor(u(rng, (4, 5)), requires_grad=True)
-        return (a,), lambda: ad.tensor_sum(ad.log_sum_exp(a, axis=-1))
-
-    def c_layer_norm(rng, u):
-        x = Tensor(u(rng, (4, 5)), requires_grad=True)
-        g = Tensor(u(rng, (5,)), requires_grad=True)
-        b = Tensor(u(rng, (5,)), requires_grad=True)
-        w = Tensor(u(rng, (4, 5)))
-        return (x, g, b), lambda: ad.tensor_sum(ad.mul(ad.layer_norm(x, g, b), w))
-
-    def c_concat(rng, u):
-        a = Tensor(u(rng, (4, 3)), requires_grad=True)
-        b = Tensor(u(rng, (4, 3)), requires_grad=True)
-        w = Tensor(u(rng, (4, 6)))
-        return (a, b), lambda: ad.tensor_sum(ad.mul(ad.concat([a, b], axis=1), w))
-
-    def c_mean(rng, u):
-        a = Tensor(u(rng, (4, 5)), requires_grad=True)
-        w = Tensor(u(rng, (5,)))
-        return (a,), lambda: ad.tensor_sum(ad.mul(ad.mean(a, axis=0), w))
-
-    def c_gather(rng, u):
-        t = Tensor(u(rng, (5, 3)), requires_grad=True)
-        w = Tensor(u(rng, (3, 3)))
-        return (t,), lambda: ad.tensor_sum(ad.mul(ad.embedding_gather(t, [4, 0, 4]), w))
-
-    def c_linear(rng, u):
-        x = Tensor(u(rng, (3, 4)), requires_grad=True)
-        w = Tensor(u(rng, (4, 2)), requires_grad=True)
-        b = Tensor(u(rng, (2,)), requires_grad=True)
-        return (x, w, b), lambda: ad.tensor_sum(ad.linear(x, w, b))
-
-    def c_slice(rng, u):
-        a = Tensor(u(rng, (4, 5)), requires_grad=True)
-        w = Tensor(u(rng, (2, 3)))
-        return (a,), lambda: ad.tensor_sum(ad.mul(a[1:3, 1:4], w))
-
-    def c_take_pairs(rng, u):
-        a = Tensor(u(rng, (4, 5)), requires_grad=True)
-        return (a,), lambda: ad.tensor_sum(ad.take_pairs(a, [0, 2, 2], [1, 4, 4]))
-
-    def c_dropout(rng, u):
+    def dropout(rng):
         a = Tensor(u(rng, (4, 5)), requires_grad=True)
         mask_seed = int(rng.integers(1 << 31))
-        def loss():
-            return ad.tensor_sum(
-                ad.dropout(a, 0.5, True, np.random.default_rng(mask_seed)))
-        return (a,), loss
 
-    def c_conv2d(rng, u):
-        x = Tensor(u(rng, (2, 2, 5, 5)), requires_grad=True)
-        w = Tensor(u(rng, (3, 2, 3, 3)), requires_grad=True)
-        b = Tensor(u(rng, (3,)), requires_grad=True)
-        return (x, w, b), lambda: ad.tensor_sum(ad.conv2d(x, w, b, stride=2, padding=1))
+        def loss():  # the same masks on every call
+            rngs = [np.random.default_rng([mask_seed, i]) for i in range(4)]
+            return ad.tensor_sum(ad.dropout(a, 0.5, True, rngs))
+        return loss, {"p0": a}
 
+    key_mask = np.arange(5) < np.array([[5], [2]])
     return {
-        "op.add": simple(c_add), "op.sub": simple(c_sub), "op.mul": simple(c_mul),
-        "op.matmul": simple(c_matmul), "op.relu": simple(c_relu),
-        "op.gelu": simple(c_gelu), "op.softmax": simple(c_softmax),
-        "op.attention": simple(c_attention),
-        "op.log_sum_exp": simple(c_lse), "op.layer_norm": simple(c_layer_norm),
-        "op.concat": simple(c_concat), "op.mean": simple(c_mean),
-        "op.embedding_gather": simple(c_gather), "op.linear": simple(c_linear),
-        "op.slice": simple(c_slice), "op.take_pairs": simple(c_take_pairs),
-        "op.dropout": simple(c_dropout), "op.conv2d": simple(c_conv2d),
+        "op.add": case([(4, 3)] * 2, lambda a, b: ad.mul(ad.add(a, b), b)),
+        "op.sub": case([(4, 3)] * 2, lambda a, b: ad.mul(ad.sub(a, b), a)),
+        "op.mul": case([(4, 3)] * 2, ad.mul),
+        "op.matmul": case([(3, 4), (4, 2)], ad.matmul),
+        # looked up per call, so _min_relu_margin's spy sees it
+        "op.relu": case([(4, 3)], lambda a: ad.relu(a), (4, 3)),
+        "op.gelu": case([(4, 3)], ad.gelu, (4, 3)),
+        "op.softmax": case([(4, 5)], lambda a: ad.softmax(a, axis=-1), (4, 5)),
+        "op.attention": case([(3, 4), (5, 4), (5, 4)],
+                             lambda q, k, v: ad.attention(q, k, v, 2), (3, 4), [2.0, 2.0, 1.0]),
+        "op.attention_masked_batch": case(
+            [(2, 3, 4), (2, 5, 4), (2, 5, 4)],
+            lambda q, k, v: ad.attention(q, k, v, 2, key_mask), (2, 3, 4), [2.0, 2.0, 1.0]),
+        "op.log_sum_exp": case([(4, 5)], lambda a: ad.log_sum_exp(a, axis=-1)),
+        "op.layer_norm": case([(4, 5), (5,), (5,)], ad.layer_norm, (4, 5)),
+        "op.concat": case([(4, 3)] * 2, lambda a, b: ad.concat([a, b], axis=1), (4, 6)),
+        "op.mean": case([(4, 5)], lambda a: ad.mean(a, axis=0), (5,)),
+        "op.embedding_gather": case([(5, 3)], lambda t: ad.embedding_gather(t, [4, 0, 4]),
+                                    (3, 3)),
+        "op.linear": case([(3, 4), (4, 2), (2,)], ad.linear),
+        "op.slice": case([(4, 5)], lambda a: a[1:3, 1:4], (2, 3)),
+        "op.take_pairs": case([(4, 5)], lambda a: ad.take_pairs(a, [0, 2, 2], [1, 4, 4])),
+        "op.dropout": dropout,
+        "op.conv2d": case([(2, 2, 5, 5), (3, 2, 3, 3), (3,)],
+                          lambda x, w, b: ad.conv2d(x, w, b, stride=2, padding=1)),
     }
 
 
@@ -384,12 +321,13 @@ def oracle_suite() -> list[CheckResult]:
         block = CrossAttentionBlock(8, heads, np.random.default_rng(heads))
         for p in block.parameters().values():
             p.data += rng.normal(0.0, 0.2, p.shape)
-        text = rng.normal(size=(4, 8))
-        visual = rng.normal(size=(5, 8))
+        text = rng.normal(size=(2, 4, 8))
+        visual = rng.normal(size=(2, 5, 8))
         got = block(Tensor(text), Tensor(visual)).data
-        ref = _loop_cross_attention(block, text, visual)
-        worst = max(worst, float(np.max(np.abs(got - ref))))
-        permuted = block(Tensor(text), Tensor(visual[rng.permutation(5)])).data
+        for b in range(2):
+            ref = _loop_cross_attention(block, text[b], visual[b])
+            worst = max(worst, float(np.max(np.abs(got[b] - ref))))
+        permuted = block(Tensor(text), Tensor(visual[:, rng.permutation(5)])).data
         perm_worst = max(perm_worst, float(np.max(np.abs(got - permuted))))
     results.append(CheckResult(
         "oracle.cross_attention_per_head_loop", worst < 1e-10,
@@ -397,6 +335,19 @@ def oracle_suite() -> list[CheckResult]:
     results.append(CheckResult(
         "oracle.cross_attention_key_permutation", perm_worst < 1e-10,
         f"max |block - permuted keys| = {perm_worst:.3e} (tol 1e-10)"))
+
+    worst = 0.0
+    rng = np.random.default_rng(700)
+    lengths = [1, 4, 6, 3]
+    q, k, v = (rng.normal(size=(4, 6, 8)) for _ in range(3))
+    mask = np.arange(6) < np.array(lengths)[:, None]
+    got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, mask).data
+    for b, n in enumerate(lengths):
+        ref = ad.attention(Tensor(q[b, :n]), Tensor(k[b, :n]), Tensor(v[b, :n]), 2).data
+        worst = max(worst, float(np.max(np.abs(got[b, :n] - ref))))
+    results.append(CheckResult(
+        "oracle.attention_masked_batch", worst < 1e-12,
+        f"max |masked batch - unpadded call| = {worst:.3e} (tol 1e-12)"))
     return results
 
 

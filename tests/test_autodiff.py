@@ -200,15 +200,15 @@ class TestElementwise:
 
     def test_dropout_scales_survivors(self):
         rng = np.random.default_rng(5)
-        x = Tensor(np.ones((100, 100)))
-        out = ad.dropout(x, p=0.25, train=True, rng=rng)
+        x = Tensor(np.ones((1, 100, 100)))
+        out = ad.dropout(x, p=0.25, train=True, rngs=[rng])
         values = np.unique(out.data)
         np.testing.assert_allclose(values, [0.0, 1.0 / 0.75])
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_dropout_bad_rate(self):
         with pytest.raises(ContractError):
-            ad.dropout(Tensor([1.0]), p=1.0, train=True, rng=np.random.default_rng(0))
+            ad.dropout(Tensor([1.0]), p=1.0, train=True, rngs=[np.random.default_rng(0)])
 
     def test_embedding_gather_rows(self):
         table = Tensor(np.arange(15.0).reshape(5, 3))
@@ -444,11 +444,11 @@ class TestGradientChecks:
         assert max_error(errors.values()) < GRAD_TOL
 
     def test_dropout_gradient_through_fixed_mask(self):
-        x = Tensor(np.linspace(-1, 1, 12).reshape(3, 4), requires_grad=True)
+        x = Tensor(np.linspace(-1, 1, 12).reshape(1, 3, 4), requires_grad=True)
 
         def loss_fn():
             rng = np.random.default_rng(99)  # same mask every call
-            return ad.tensor_sum(ad.dropout(x, p=0.5, train=True, rng=rng))
+            return ad.tensor_sum(ad.dropout(x, p=0.5, train=True, rngs=[rng]))
 
         errors = check_gradients(loss_fn, {"x": x})
         assert max_error(errors.values()) < GRAD_TOL

@@ -13,7 +13,8 @@ import mmner.training
 from mmner import autodiff as ad
 from mmner.autodiff import NumericError
 from mmner.cli import build_parser, main, merged_train_config, read_predict_input
-from mmner.data import parse_iob2
+from mmner.data import (Corpus, ImageStore, SentenceExample, Vocabulary, parse_iob2,
+                        serialize_iob2)
 from mmner.model import MultimodalNerModel
 from mmner.training import TrainConfig, load_run
 
@@ -250,6 +251,31 @@ class TestTrainEvalPredict:
             "IMGID:none", "Lima", "IMGID:c", "",
         ]
 
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_predict_matches_per_sentence_predict(self, trained_run, tmp_path, capsys, raw):
+        # predict decodes in length-sorted batches; each sentence must get the
+        # tags a one-sentence model.predict call gives, in input order
+        root, out = trained_run
+        source = root / "train.iob2"
+        if raw:
+            words = "Ana Moreno visited Paris near Lima today".split()
+            source = tmp_path / "raw.txt"
+            source.write_text("".join(
+                " ".join(words[(i + j) % len(words)] for j in range(n)) + "\n"
+                for i, n in enumerate([1, 7, 3, 70, 2, 5, 62, 1, 4] * 2)))
+        code, text, _ = run_cli(
+            capsys, "predict", str(source), "--checkpoint", str(out),
+            "--images", str(root / "images"), *(["--raw"] if raw else []))
+        assert code == 0
+        model, vocab, _ = load_run(out)
+        images = ImageStore(root / "images", model.config.image_size)
+        expected = [
+            SentenceExample(ex.tokens, model.predict(vocab.encode(ex.tokens),
+                                                     images.load(ex.image_ref)),
+                            ex.image_ref or "none", ex.language)
+            for ex in read_predict_input(source, raw)]
+        assert text == serialize_iob2(Corpus(expected))
+
     def test_eval_rejects_preset_line(self, trained_run, tmp_path, capsys):
         # run directories written before the preset option was removed carry
         # `preset = desk` as line 8 of config.cfg
@@ -263,6 +289,47 @@ class TestTrainEvalPredict:
             capsys, "eval", str(root), "--checkpoint", str(old), "--split", "train")
         assert code == 1 and text == ""
         assert err == "mmner: error: config line 8: unknown key 'preset'\n"
+
+
+class TestLineBreaks:
+    """Lines end at "\\n" only: U+2028, U+0085 and U+001C inside a token
+    belong to the token, in the corpus, the run's vocab.txt and predict."""
+
+    TOKENS = {"Paris": "Par\u2028is", "Lima": "Li\x85ma", "Oslo": "Os\x1clo"}
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        root = build_overfit_fixture(tmp_path / "corpus", n_sentences=4)
+        text = (root / "train.iob2").read_text(encoding="utf-8")
+        for plain, odd in self.TOKENS.items():
+            assert plain in text
+            text = text.replace(plain, odd)
+        (root / "train.iob2").write_text(text, encoding="utf-8")
+        return root
+
+    def test_stats(self, root, capsys):
+        code, text, err = run_cli(capsys, "stats", str(root), "--splits", "train")
+        assert code == 0 and err == ""
+        loc = next(line for line in text.splitlines() if line.startswith("LOC"))
+        assert loc.split()[-1] == "4"
+
+    def test_train_then_predict(self, root, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "train", str(root), "--out", str(out),
+                             "--epochs", "1", "--batch", "4")
+        assert code == 0
+        corpus = parse_iob2(root / "train.iob2")
+        _, vocab, _ = load_run(out)
+        assert vocab.tokens_in_order() == Vocabulary.from_corpus(corpus).tokens_in_order()
+        assert all(token in vocab for token in self.TOKENS.values())
+        target = tmp_path / "pred.iob2"
+        code, _, err = run_cli(capsys, "predict", str(root / "train.iob2"),
+                               "--checkpoint", str(out), "--images", str(root / "images"),
+                               "--out", str(target))
+        assert code == 0 and err == ""
+        predicted = target.read_text(encoding="utf-8").split("\n")
+        assert [row.split("\t")[0] for row in predicted if "\t" in row] == [
+            token for ex in corpus.examples for token in ex.tokens]
 
 
 def with_bom(source, target):

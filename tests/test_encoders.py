@@ -64,31 +64,31 @@ def make_text(vocab=10, d=8, layers=1, heads=2, seed=0):
 class TestTextEncoder:
     def test_cls_sep_framing_shape(self):
         enc = make_text()
-        out = enc.encode([2, 3, 4])
-        assert out.shape == (5, 8)
+        out = enc.encode([[2, 3, 4]])
+        assert out.shape == (1, 5, 8)
 
     def test_zero_layers_is_embeddings_plus_positions(self):
         enc = make_text(layers=0)
         ids = [2, 5, 7]
-        out = enc.encode(ids)
+        out = enc.encode([ids])
         framed = [enc.cls_id] + ids + [enc.sep_id]
         expected = enc.token_table.data[framed] + enc.position_table.data[:5]
-        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(out.data[0], expected)
 
     def test_deterministic_across_runs(self):
-        a = make_text(layers=2, seed=7).encode([2, 3, 4, 5]).data
-        b = make_text(layers=2, seed=7).encode([2, 3, 4, 5]).data
+        a = make_text(layers=2, seed=7).encode([[2, 3, 4, 5]]).data
+        b = make_text(layers=2, seed=7).encode([[2, 3, 4, 5]]).data
         np.testing.assert_array_equal(a, b)
 
     def test_unknown_id_maps_to_unk(self):
         enc = make_text(layers=0)
-        out_bad = enc.encode([999])
-        out_unk = enc.encode([TextEncoder.UNK_ID])
+        out_bad = enc.encode([[999]])
+        out_unk = enc.encode([[TextEncoder.UNK_ID]])
         np.testing.assert_array_equal(out_bad.data, out_unk.data)
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ContractError):
-            make_text().encode([])
+            make_text().encode([[]])
 
     def test_shape_contract_random_sizes(self):
         enc = make_text(layers=1)
@@ -96,7 +96,7 @@ class TestTextEncoder:
         for _ in range(5):
             n = int(rng.integers(1, 14))
             ids = list(rng.integers(0, 10, size=n))
-            assert enc.encode(ids).shape == (n + 2, 8)
+            assert enc.encode([ids]).shape == (1, n + 2, 8)
 
     def test_ln_then_add_sublayer_identity_at_zeroed_projections(self):
         # LN(MHSA(s)) + s with zeroed output projections and beta = 0 gives
@@ -119,9 +119,9 @@ class TestTextEncoder:
         for p in enc.parameters().values():
             p.data += rng.uniform(-0.3, 0.3, p.shape)
         ids = [2, 3, 4]
-        weight = Tensor(rng.uniform(-1, 1, size=(5, 8)))
+        weight = Tensor(rng.uniform(-1, 1, size=(1, 5, 8)))
         errors = check_gradients(
-            lambda: ad.tensor_sum(ad.mul(enc.encode(ids), weight)),
+            lambda: ad.tensor_sum(ad.mul(enc.encode([ids]), weight)),
             enc.parameters(),
         )
         assert max_error(errors.values()) < 1e-5
@@ -300,8 +300,8 @@ class TestDropoutPlumbing:
         cfg = ModelConfig(d=8, text_layers=1, heads=2, max_len=16, dropout=0.5)
         enc = TextEncoder(cfg, 10, np.random.default_rng(16))
         ids = [2, 3]
-        eval_a = enc.encode(ids).data
-        eval_b = enc.encode(ids).data
+        eval_a = enc.encode([ids]).data
+        eval_b = enc.encode([ids]).data
         np.testing.assert_array_equal(eval_a, eval_b)
-        train_out = enc.encode(ids, train=True, rng=np.random.default_rng(17)).data
+        train_out = enc.encode([ids], train=True, rngs=[np.random.default_rng(17)]).data
         assert np.abs(train_out - eval_a).max() > 1e-9

@@ -139,7 +139,7 @@ def test_batch_losses_encode_once_per_sentence(encode_counts, train):
     batch = Batch(token_ids=ids,
                   label_ids=[[0] * len(t) for t in ids], images=[image] * 4)
     model.batch_losses(batch, train=train, rngs=streams(4))
-    assert encode_counts == {"vit": 4, "conv": 1}
+    assert encode_counts == {"vit": 1, "conv": 1}
 
 
 def streams(n, seed=3):
@@ -154,7 +154,7 @@ def per_sentence_losses(model, batch, rngs, tau=0.07):
     nlls, pooled = [], {"vit": [], "conv": []}
     for ids, labels, image, rng in zip(batch.token_ids, batch.label_ids, batch.images, rngs):
         emissions, pairs = next(model.forward([ids], image[None], True, [rng]))
-        nlls.append(model.crf.nll(emissions, labels))
+        nlls.append(model.crf.nll(emissions, labels[:emissions.shape[0]]))
         for key, pair in pairs.items():
             pooled[key].append(pair)
 
@@ -184,6 +184,53 @@ def test_batch_losses_match_per_image_conv_encodes():
             p.zero_grad()
     for batched, single in zip(*results):
         np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12)
+
+
+def loss_and_gradients(model, losses):
+    """The three loss terms and every parameter gradient of their sum."""
+    params = model.parameters()
+    terms = losses()
+    ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
+    result = [t.data for t in terms] + [params[k].grad for k in sorted(params)]
+    for p in params.values():
+        p.zero_grad()
+    return result
+
+
+def test_ragged_batch_matches_batch_of_one_forwards():
+    # lengths 1, 3, max_len - 2 and one truncated sentence, so the batch pads
+    # every sentence but one and masks their padded keys; dropout is on
+    limit = CONFIG.max_len - 2
+    model = make_model()
+    assert model.config.dropout == 0.1
+    ids = [[5], [2, 9, 4], [2 + i % 10 for i in range(limit)],
+           [3 + i % 9 for i in range(limit + 4)]]
+    batch = Batch(token_ids=ids, label_ids=[[i % 3 for i in range(len(t))] for t in ids],
+                  images=make_images(4))
+    batched = loss_and_gradients(
+        model, lambda: model.batch_losses(batch, train=True, rngs=streams(4)))
+    single = loss_and_gradients(model, lambda: per_sentence_losses(model, batch, streams(4)))
+    for a, b in zip(batched, single):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_sentence_nll_does_not_depend_on_its_neighbours():
+    limit = CONFIG.max_len - 2
+    model = make_model()
+    target, labels = [2, 9, 4], [1, 2, 0]
+    others = [[5], [2 + i % 10 for i in range(limit + 3)], [7, 7], [4] * limit]
+    images = make_images(5)
+    nlls = []
+    for neighbours, position in (([], 0), ([0], 1), ([1, 2], 0), ([3, 0, 1], 2), ([2, 3], 1)):
+        token_ids = [others[j] for j in neighbours]
+        token_ids.insert(position, target)
+        stack = [images[j + 1] for j in neighbours]
+        stack.insert(position, images[0])
+        rngs = [np.random.default_rng([5, 1 + j]) for j in neighbours]
+        rngs.insert(position, np.random.default_rng([5, 0]))
+        emissions, lengths, _ = model.forward_batch(token_ids, np.stack(stack), True, rngs)
+        nlls.append(model.crf.nll(emissions[position, :lengths[position]], labels).item())
+    assert max(nlls) - min(nlls) < 1e-12, nlls
 
 
 PATH_FLAGS = [(True, True), (True, False), (False, True), (False, False)]

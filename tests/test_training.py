@@ -20,14 +20,16 @@ from mmner.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from mmner.data import ImageStore, Vocabulary, parse_iob2
+from mmner.data import Corpus, ImageStore, SentenceExample, Vocabulary, parse_iob2, write_ppm
 from mmner.gradcheck import check_gradients, max_error
+from mmner.metrics import evaluate
 from mmner.model import ModelConfig, MultimodalNerModel
 import mmner.checkpoint
 import mmner.training
 from mmner.training import (
     Adam,
     TrainConfig,
+    DECODE_CHUNK,
     clip_global_norm,
     evaluate_model,
     format_config,
@@ -359,6 +361,47 @@ class TestModelAssembly:
         errors = check_gradients(loss_fn, model.parameters())
         worst = max(errors.values())
         assert worst < 1e-5, sorted(errors.items(), key=lambda kv: -kv[1])[:5]
+
+
+class TestBatchedEval:
+    """evaluate_model decodes in length-sorted chunks; its report must be the
+    one per-sentence predict calls give, whatever the corpus order."""
+
+    @pytest.fixture
+    def ragged(self, tmp_path):
+        cfg = tiny_model_config()
+        limit = cfg.max_len - 2
+        words = [f"w{i}" for i in range(12)]
+        vocab = Vocabulary(words)
+        model = MultimodalNerModel(cfg, len(vocab), seed=4)
+        rng = np.random.default_rng(8)
+        for p in model.parameters().values():  # tags that vary from token to token
+            p.data += rng.uniform(-0.5, 0.5, p.shape)
+        (tmp_path / "images").mkdir()
+        examples = []
+        for i, n in enumerate([1, limit, limit + 3, 3, 2, 4] * 6):
+            tokens = [words[j] for j in rng.integers(0, 12, n)]
+            labels = ["B-PER" if tokens[j] < "w4" else "O" for j in range(n)]
+            write_ppm(tmp_path / "images" / f"im{i}.ppm", rng.uniform(0, 1, (3, 8, 8)))
+            examples.append(SentenceExample(tokens, labels, f"im{i}"))
+        assert len(examples) > 2 * DECODE_CHUNK
+        return model, Corpus(examples), vocab, ImageStore(tmp_path / "images", 8)
+
+    def test_report_equals_per_sentence_predict(self, ragged):
+        model, corpus, vocab, images = ragged
+        predicted = [model.predict(vocab.encode(ex.tokens), images.load(ex.image_ref))
+                     for ex in corpus.examples]
+        assert len({tag for tags in predicted for tag in tags}) > 2
+        expected = evaluate([ex.labels for ex in corpus.examples], predicted)
+        assert evaluate_model(model, corpus, vocab, images).kv_lines() == expected.kv_lines()
+
+    def test_report_does_not_depend_on_corpus_order(self, ragged):
+        model, corpus, vocab, images = ragged
+        report = evaluate_model(model, corpus, vocab, images).kv_lines()
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(corpus))
+            permuted = Corpus([corpus.examples[i] for i in order])
+            assert evaluate_model(model, permuted, vocab, images).kv_lines() == report
 
 
 class TestTrainLoop:
