@@ -214,8 +214,8 @@ def decode_examples(model: MultimodalNerModel, examples: list[SentenceExample],
     """Viterbi tags for every example, in the order given.
 
     Sentences are sorted by truncated length and decoded DECODE_CHUNK at a
-    time, so a chunk pads little (length grouping, Vaswani et al., arXiv
-    1706.03762, section 5.1). Each sentence's tags are those `predict` gives.
+    time, so a chunk pads little (Vaswani et al., arXiv 1706.03762, 5.1). A
+    sentence's emissions depend on its chunk only through rounding.
     """
     token_ids = [vocab.encode(ex.tokens) for ex in examples]
     lengths = model.text.lengths(token_ids)
