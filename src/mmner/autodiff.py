@@ -619,19 +619,20 @@ def log_sum_exp(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+_LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then gamma * x + beta."""
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
         raise ShapeError("layer_norm over empty last axis")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma {gamma.shape} / beta {beta.shape} vs d={d}")
-    if eps <= 0:
-        raise ContractError(f"layer_norm eps must be > 0, got {eps}")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = xc * inv
     out = Tensor(gamma.data * xhat + beta.data)
     if _tracked(x, gamma, beta):

@@ -33,7 +33,6 @@ from mmner.data import (
 )
 from mmner.training import (
     TrainConfig,
-    decode_examples,
     evaluate_model,
     load_run,
     load_split,
@@ -164,7 +163,8 @@ def cmd_predict(args) -> int:
     model, vocab, _config = load_run(args.checkpoint)
     examples = read_predict_input(args.input, args.raw)
     images = ImageStore(args.images, model.config.image_size)
-    tags = decode_examples(model, examples, vocab, images)
+    tags = model.decode([vocab.encode(ex.tokens) for ex in examples],
+                        [images.load(ex.image_ref) for ex in examples])
     output = serialize_iob2(Corpus([
         SentenceExample(ex.tokens, t, ex.image_ref or "none", ex.language)
         for ex, t in zip(examples, tags)]))

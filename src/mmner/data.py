@@ -34,6 +34,7 @@ from mmner.crf import ENTITY_TYPES, LabelSchema
 from mmner.metrics import extract_spans
 
 LANGUAGES = ("en", "fr", "es", "de")
+PAD_ID = 0  # reserved token ids; `TextEncoder` reads both
 UNK_ID = 1
 SCHEMA = LabelSchema()
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from mmner import autodiff as ad
 from mmner.autodiff import ConfigError, ContractError, Tensor
+from mmner.data import PAD_ID, UNK_ID
 
 if TYPE_CHECKING:
     from mmner.model import ModelConfig
@@ -149,12 +150,9 @@ class TextEncoder:
     never reach a real one (see `TransformerLayer`).
 
     Unknown ids map to the reserved UNK id; overlong sentences truncate to
-    max_len - 2 tokens (`lengths`). This is the model's only truncation: a
-    caller with labels cuts them to the rows it gets back.
+    max_len - 2 tokens (`lengths`), the only truncation: callers cut labels
+    to the rows they get back and count cut sentences through `lengths`.
     """
-
-    PAD_ID = 0
-    UNK_ID = 1
 
     def __init__(self, config: ModelConfig, vocab_size: int, rng: np.random.Generator):
         self.max_len = config.max_len
@@ -182,10 +180,10 @@ class TextEncoder:
         if not token_ids or min(map(len, token_ids)) < 1:
             raise ContractError("text_encode needs at least one token per sentence")
         lengths = [n + 2 for n in self.lengths(token_ids)]
-        framed = np.full((len(token_ids), max(lengths)), self.PAD_ID)
+        framed = np.full((len(token_ids), max(lengths)), PAD_ID)
         for row, ids, n in zip(framed, token_ids, lengths):
             row[0] = self.cls_id
-            row[1:n - 1] = [t if 0 <= t < self.vocab_size else self.UNK_ID for t in ids[:n - 2]]
+            row[1:n - 1] = [t if 0 <= t < self.vocab_size else UNK_ID for t in ids[:n - 2]]
             row[n - 1] = self.sep_id
         x = ad.add(
             ad.embedding_gather(self.token_table, framed),

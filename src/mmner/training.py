@@ -20,8 +20,7 @@ import numpy as np
 from mmner import autodiff as ad
 from mmner.autodiff import ContractError, NumericError, Tensor, backward
 from mmner.checkpoint import canonicalize, load_checkpoint, save_checkpoint, write_atomic
-from mmner.data import (Corpus, ImageStore, SentenceExample, Vocabulary, make_batches,
-                        parse_iob2)
+from mmner.data import Corpus, ImageStore, Vocabulary, make_batches, parse_iob2
 from mmner.metrics import EvalReport, evaluate
 from mmner.model import ModelConfig, MultimodalNerModel
 
@@ -126,6 +125,9 @@ def format_config(config: TrainConfig) -> str:
 # ---------------------------------------------------------------------------
 # optimization
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+MAX_GRAD_NORM = 1.0
+
 
 def lr_at(step: int, total_steps: int, base_lr: float) -> float:
     """Linear decay from base_lr at step 0 to exactly 0 at total_steps."""
@@ -142,43 +144,39 @@ def lr_at(step: int, total_steps: int, base_lr: float) -> float:
 class Adam:
     """Standard bias-corrected Adam over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             p.grad = None
 
 
-def clip_global_norm(params: dict[str, Tensor], max_norm: float = 1.0) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+def clip_global_norm(params: dict[str, Tensor]) -> float:
+    """Scale all gradients so their joint L2 norm is at most MAX_GRAD_NORM."""
     total_sq = 0.0
     for p in params.values():
         if p.grad is not None:
             total_sq += float((p.grad * p.grad).sum())
     norm = math.sqrt(total_sq)
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
+    if norm > MAX_GRAD_NORM:
+        scale = MAX_GRAD_NORM / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad *= scale
@@ -206,34 +204,12 @@ def total_loss(crf_nll: Tensor, cl_vit: Tensor, cl_conv: Tensor, alpha: float) -
 # evaluation
 
 
-DECODE_CHUNK = 8  # sentences per batched forward in decode_examples
-
-
-def decode_examples(model: MultimodalNerModel, examples: list[SentenceExample],
-                    vocab: Vocabulary, images: ImageStore) -> list[list[str]]:
-    """Viterbi tags for every example, in the order given.
-
-    Sentences are sorted by truncated length and decoded DECODE_CHUNK at a
-    time, so a chunk pads little (Vaswani et al., arXiv 1706.03762, 5.1). A
-    sentence's emissions depend on its chunk only through rounding.
-    """
-    token_ids = [vocab.encode(ex.tokens) for ex in examples]
-    lengths = model.text.lengths(token_ids)
-    order = sorted(range(len(examples)), key=lengths.__getitem__)
-    tags: list[list[str]] = [[] for _ in examples]
-    for lo in range(0, len(order), DECODE_CHUNK):
-        chunk = order[lo:lo + DECODE_CHUNK]
-        stack = np.stack([images.load(examples[i].image_ref) for i in chunk])
-        for i, sentence_tags in zip(chunk, model.decode([token_ids[i] for i in chunk], stack)):
-            tags[i] = sentence_tags
-    return tags
-
-
 def evaluate_model(model: MultimodalNerModel, corpus: Corpus,
                    vocab: Vocabulary, images: ImageStore) -> EvalReport:
     """Viterbi-decode every sentence and score spans against gold."""
-    return evaluate([ex.labels for ex in corpus.examples],
-                    decode_examples(model, corpus.examples, vocab, images))
+    tags = model.decode([vocab.encode(ex.tokens) for ex in corpus.examples],
+                        [images.load(ex.image_ref) for ex in corpus.examples])
+    return evaluate([ex.labels for ex in corpus.examples], tags)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +360,7 @@ def train(config: TrainConfig, data_root: str | Path,
                 backward(loss)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} step {step}: {exc}") from None
-            clip_global_norm(params, 1.0)
+            clip_global_norm(params)
             optimizer.step(lr_at(step, total_steps, config.lr))
             step += 1
             sums["loss"] += loss.item()
@@ -425,7 +401,7 @@ def train(config: TrainConfig, data_root: str | Path,
         "unk_tokens": sum(tok not in vocab for ex in eval_corpus.examples for tok in ex.tokens),
         "truncated_sentences": len({
             tuple(ex.tokens) for corpus in (train_corpus, eval_corpus) for ex in corpus.examples
-            if len(ex.tokens) > model_cfg.max_len - 2
+            if model.text.lengths([ex.tokens])[0] < len(ex.tokens)
         }),
         "missing_images": images.missing_count,
         "repaired_labels": train_corpus.repaired_labels

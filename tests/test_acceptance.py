@@ -211,12 +211,12 @@ def test_c11_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model.parameters(), path)
     with ad.no_grad():
-        before = [next(model.forward([ids], img[None]))[0].data.copy() for ids, img in batch]
+        before = [model.forward_batch([ids], img[None])[0].data.copy() for ids, img in batch]
 
     twin = MultimodalNerModel(cfg, vocab_size=12, seed=99)  # different init
     twin.load_parameters(load_checkpoint(path))
     with ad.no_grad():
-        after = [next(twin.forward([ids], img[None]))[0].data.copy() for ids, img in batch]
+        after = [twin.forward_batch([ids], img[None])[0].data.copy() for ids, img in batch]
     for a, b in zip(before, after):
         np.testing.assert_array_equal(a, b)
 

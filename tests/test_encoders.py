@@ -8,6 +8,7 @@ import pytest
 
 from mmner import autodiff as ad
 from mmner.autodiff import ConfigError, ContractError, Tensor
+from mmner.data import UNK_ID
 from mmner.encoders import (
     ConvEncoder,
     ResidualBlock,
@@ -83,7 +84,7 @@ class TestTextEncoder:
     def test_unknown_id_maps_to_unk(self):
         enc = make_text(layers=0)
         out_bad = enc.encode([[999]])
-        out_unk = enc.encode([[TextEncoder.UNK_ID]])
+        out_unk = enc.encode([[UNK_ID]])
         np.testing.assert_array_equal(out_bad.data, out_unk.data)
 
     def test_empty_sentence_rejected(self):

@@ -1,6 +1,7 @@
 """The assembled model: its parameter layout, the visual paths, the one
-forward, and the inference memo of visual-encoder outputs, which may reuse
-only what an encode of the same image with the same weights would give."""
+forward, the one decode, and the inference memo of visual-encoder
+outputs, which may reuse only what an encode of the same image with the
+same weights would give."""
 
 import hashlib
 from dataclasses import replace
@@ -13,7 +14,7 @@ from mmner.alignment import contrastive_loss
 from mmner.checkpoint import save_checkpoint
 from mmner.data import Batch
 from mmner.encoders import ConvEncoder, VitEncoder
-from mmner.model import ModelConfig, MultimodalNerModel
+from mmner.model import DECODE_CHUNK, ModelConfig, MultimodalNerModel
 from mmner.training import TrainConfig
 
 CONFIG = ModelConfig(d=8, text_layers=1, vit_layers=2, heads=2, max_len=12,
@@ -32,9 +33,15 @@ def make_images(n, seed=1):
     return [rng.uniform(-1, 1, (3, 16, 16)) for _ in range(n)]
 
 
+def emissions_of(model, ids, image):
+    """One sentence's (n, L) emissions, from a batch of one."""
+    emissions, _, _ = model.forward_batch([ids], image[None])
+    return emissions[0]
+
+
 def inference_emissions(model, ids, image):
     with ad.no_grad():
-        return next(model.forward([ids], image[None]))[0].data.copy()
+        return emissions_of(model, ids, image).data.copy()
 
 
 def memoized_emissions(model, ids, image):
@@ -46,7 +53,7 @@ def memoized_emissions(model, ids, image):
 
 def graph_emissions(model, ids, image):
     """The same forward while a graph is recorded, which never uses the memo."""
-    return next(model.forward([ids], image[None]))[0].data.copy()
+    return emissions_of(model, ids, image).data.copy()
 
 
 @pytest.fixture
@@ -68,7 +75,7 @@ def test_inference_matches_graph_forward_bitwise():
     a, b = make_images(2)
     for ids, image in [(IDS, a), ([4, 4], a), (IDS, b), ([9], b), (IDS, a)]:
         with ad.no_grad():
-            emissions = next(model.forward([ids], image[None]))[0]
+            emissions = emissions_of(model, ids, image)
             path, _ = model.crf.viterbi(emissions)
         reference = graph_emissions(model, ids, image)
         np.testing.assert_array_equal(emissions.data, reference)
@@ -153,10 +160,10 @@ def per_sentence_losses(model, batch, rngs, tau=0.07):
     dropout masks from its own generator."""
     nlls, pooled = [], {"vit": [], "conv": []}
     for ids, labels, image, rng in zip(batch.token_ids, batch.label_ids, batch.images, rngs):
-        emissions, pairs = next(model.forward([ids], image[None], True, [rng]))
-        nlls.append(model.crf.nll(emissions, labels[:emissions.shape[0]]))
-        for key, pair in pairs.items():
-            pooled[key].append(pair)
+        emissions, (n,), pairs = model.forward_batch([ids], image[None], True, [rng])
+        nlls.append(model.crf.nll(emissions[0, :n], labels[:n]))
+        for key, (text, visual) in pairs.items():
+            pooled[key].append((text[0], visual[0]))
 
     def path_loss(key):
         path = model.paths[key]
@@ -313,6 +320,29 @@ def test_overlong_sentence_matches_hand_truncation():
             p.zero_grad()
     for whole, truncated in zip(*results):
         np.testing.assert_array_equal(whole, truncated)
+
+
+def test_decode_runs_bounded_chunks_and_keeps_input_order(monkeypatch):
+    model = make_model()
+    rng = np.random.default_rng(8)
+    for p in model.parameters().values():  # tags that vary from token to token
+        p.data += rng.uniform(-0.5, 0.5, p.shape)
+    n = 2 * DECODE_CHUNK + 3
+    # mixed lengths 1 to max_len + 1, unsorted, three of them truncated
+    ids = [rng.integers(2, 12, 1 + (5 * i) % (CONFIG.max_len + 1)).tolist() for i in range(n)]
+    images = make_images(n)
+    expected = [model.predict(t, image) for t, image in zip(ids, images)]
+    assert len({tag for tags in expected for tag in tags}) > 2
+    sizes = []
+    forward_batch = MultimodalNerModel.forward_batch
+
+    def spy(self, token_ids, *args, **kwargs):
+        sizes.append(len(token_ids))
+        return forward_batch(self, token_ids, *args, **kwargs)
+
+    monkeypatch.setattr(MultimodalNerModel, "forward_batch", spy)
+    assert model.decode(ids, images) == expected
+    assert max(sizes) <= DECODE_CHUNK and sum(sizes) == n
 
 
 def test_predict_tags_every_token_of_an_overlong_sentence():
