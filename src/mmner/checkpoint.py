@@ -19,13 +19,16 @@ Parameters are stored at float32 precision; saving canonicalizes the live
 tensors to the same precision (`canonicalize`) so that a save -> load round
 trip (and any later re-save) reproduces forward outputs bit for bit. The
 checksum is verified on load and any mismatch, truncation, or bad header
-is an error. The file is written through `write_atomic`, so a failed save
-leaves the previous checkpoint as it was.
+is an error, as is a record that repeats a name, runs past the end of the
+file, has a shape numpy cannot hold or holds a NaN or an infinity. The file
+is written through `write_atomic`, so a failed save leaves the previous
+checkpoint as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from pathlib import Path
@@ -36,6 +39,9 @@ from mmner.autodiff import Tensor
 
 MAGIC = b"2MNER1\n"
 VERSION = 2
+# numpy's limit on array dimensions; it also bounds math.prod(dims), which
+# the 65,536 dims of a forged record would keep busy for seconds
+MAX_RANK = 64
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -109,7 +115,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     if version not in (1, VERSION):
         raise CheckpointError(f"{path}: unsupported version {version}")
     checksum = fnv1a_64 if version == 1 else blake2b_64
-    records = blob[len(MAGIC) + 4:-8]
+    records = memoryview(blob)[len(MAGIC) + 4:-8]  # a view: no copy of the payload
     (stored_sum,) = struct.unpack_from("<Q", blob, len(blob) - 8)
     if checksum(records) != stored_sum:
         raise CheckpointError(f"{path}: checksum mismatch (corrupt checkpoint)")
@@ -119,17 +125,26 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     while pos < len(records):
         try:
             (name_len,) = struct.unpack_from("<I", records, pos)
-            pos += 4
-            name = records[pos:pos + name_len].decode("utf-8")
-            pos += name_len
+            name = str(records[pos + 4:pos + 4 + name_len], "utf-8")
+            pos += 4 + name_len
             (rank,) = struct.unpack_from("<I", records, pos)
-            pos += 4
-            dims = struct.unpack_from(f"<{rank}I", records, pos)
-            pos += 4 * rank
-            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            payload = np.frombuffer(records, dtype="<f4", count=count, offset=pos)
-            pos += 4 * count
-        except (struct.error, ValueError) as exc:
+            if rank > MAX_RANK:
+                raise CheckpointError(f"{path}: record {name!r} has rank {rank} > {MAX_RANK}")
+            dims = struct.unpack_from(f"<{rank}I", records, pos + 4)
+            pos += 4 + 4 * rank
+        except (struct.error, UnicodeDecodeError) as exc:
             raise CheckpointError(f"{path}: truncated record ({exc})") from None
-        params[name] = payload.astype(np.float64).reshape(dims)
+        count = math.prod(dims)
+        if 4 * count > len(records) - pos:
+            raise CheckpointError(f"{path}: record {name!r} of shape {dims} overruns the file")
+        if name in params:
+            raise CheckpointError(f"{path}: record {name!r} appears twice")
+        payload = np.frombuffer(records, dtype="<f4", count=count, offset=pos)
+        pos += 4 * count
+        if not np.isfinite(payload).all():
+            raise CheckpointError(f"{path}: record {name!r} holds a non-finite value")
+        try:
+            params[name] = payload.astype(np.float64).reshape(dims)
+        except ValueError as exc:  # numpy's own limits, e.g. an empty shape too big to index
+            raise CheckpointError(f"{path}: record {name!r}: {exc}") from None
     return params

@@ -113,11 +113,23 @@ class VisualPath:
     image_head: ProjectionHead
 
 
+class _Undrawn:
+    """Stands in for the init generator: each component's `rng.normal(loc,
+    scale, size)` init draw returns zeros of that size instead."""
+
+    @staticmethod
+    def normal(loc, scale, size) -> np.ndarray:
+        return np.zeros(size)
+
+
 class MultimodalNerModel:
-    def __init__(self, config: ModelConfig, vocab_size: int, seed: int):
+    def __init__(self, config: ModelConfig, vocab_size: int, seed: int | None):
+        """An int seed draws the init; None draws nothing and gives every
+        parameter its shape with zeros where a draw would be, for
+        `load_parameters` to fill (as `load_run` does)."""
         self.config = config
         self.schema = LabelSchema()
-        rng = np.random.default_rng(seed)
+        rng = _Undrawn if seed is None else np.random.default_rng(seed)
         self.text = TextEncoder(config, vocab_size, rng)
         self.paths: dict[str, VisualPath] = {}
         for key, enabled, encoder in (("vit", config.use_vit, VitEncoder),
@@ -174,7 +186,9 @@ class MultimodalNerModel:
         for name, tensor in params.items():
             arr = arrays[name]
             if tuple(arr.shape) != tensor.shape:
-                hint = " (label schema mismatch?)" if name.startswith("crf.") else ""
+                hint = (" (label schema mismatch?)" if name.startswith("crf.") else
+                        " (vocab.txt does not match the checkpoint?)"
+                        if name == "text.token_table" else "")
                 raise ConfigError(
                     f"parameter {name}: checkpoint shape {arr.shape} vs model {tensor.shape}{hint}"
                 )

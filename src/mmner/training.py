@@ -274,13 +274,17 @@ def save_run_artifacts(out_dir: Path, model: MultimodalNerModel,
 
 
 def load_run(out_dir: str | Path) -> tuple[MultimodalNerModel, Vocabulary, TrainConfig]:
-    """Rebuild the trained model from a run directory's three artifacts."""
+    """Rebuild the trained model from a run directory's three artifacts.
+
+    The model is built undrawn (seed None: no random init, no generator)
+    and `load_parameters`, the one check of names, order and shapes, fills
+    every parameter from the checkpoint."""
     out_dir = Path(out_dir)
     config_text = (out_dir / "config.cfg").read_text(encoding="utf-8-sig")
     config = TrainConfig(**parse_config_text(config_text))
     tokens = (out_dir / "vocab.txt").read_text(encoding="utf-8-sig").split("\n")
     vocab = Vocabulary([t for t in tokens if t])
-    model = MultimodalNerModel(config.model_config(), len(vocab), config.seed)
+    model = MultimodalNerModel(config.model_config(), len(vocab), None)
     model.load_parameters(load_checkpoint(out_dir / "model.ckpt"))
     return model, vocab, config
 

@@ -290,6 +290,19 @@ class TestTrainEvalPredict:
         assert code == 1 and text == ""
         assert err == "mmner: error: config line 8: unknown key 'preset'\n"
 
+    def test_predict_names_vocab_that_does_not_fit_the_checkpoint(
+            self, trained_run, tmp_path, capsys):
+        root, out = trained_run
+        short = tmp_path / "run"
+        shutil.copytree(out, short)
+        lines = (out / "vocab.txt").read_text().splitlines(keepends=True)
+        (short / "vocab.txt").write_text("".join(lines[1:]))
+        code, text, err = run_cli(capsys, "predict", str(root / "train.iob2"),
+                                  "--checkpoint", str(short))
+        assert code == 1 and text == ""
+        assert len(err.splitlines()) == 1 and err.startswith("mmner: error: parameter text.")
+        assert "vocab.txt" in err
+
 
 class TestLineBreaks:
     """Lines end at "\\n" only: U+2028, U+0085 and U+001C inside a token

@@ -26,6 +26,7 @@ from mmner.metrics import evaluate
 from mmner.data import Batch
 from mmner.model import DECODE_CHUNK, ModelConfig, MultimodalNerModel
 import mmner.checkpoint
+import mmner.model
 import mmner.training
 from mmner.training import (
     Adam,
@@ -237,6 +238,48 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
+    @staticmethod
+    def write_records(path, records):
+        """A version-2 file of hand-built (name, dims, payload) records with a
+        valid BLAKE2b-64 checksum, so only the record layout is wrong."""
+        body = b""
+        for name, dims, payload in records:
+            body += struct.pack("<I", len(name)) + name.encode()
+            body += struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload
+        digest = hashlib.blake2b(body, digest_size=8).digest()
+        path.write_bytes(MAGIC + struct.pack("<I", 2) + body + digest)
+
+    def test_duplicate_record_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        one = np.ones(2, dtype="<f4").tobytes()
+        self.write_records(path, [("w", (2,), one), ("w", (2,), one)])
+        with pytest.raises(CheckpointError, match=r"m\.ckpt: record 'w' appears twice"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims, message", [
+        ((1,) * 65, "has rank 65 > 64"),
+        ((0, 2**32 - 1, 2**32 - 1), "array is too big"),
+    ])
+    def test_shape_numpy_cannot_hold_rejected(self, tmp_path, dims, message):
+        path = tmp_path / "m.ckpt"
+        self.write_records(path, [("w", dims, np.ones(math.prod(dims), dtype="<f4").tobytes())])
+        with pytest.raises(CheckpointError, match=rf"m\.ckpt: record 'w'.*{message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        path = tmp_path / "m.ckpt"
+        self.write_records(path, [("w", (2,), np.array([1.0, value], dtype="<f4").tobytes())])
+        with pytest.raises(CheckpointError, match=r"m\.ckpt: record 'w' holds a non-finite"):
+            load_checkpoint(path)
+
+    def test_dims_whose_product_overflows_int64_rejected(self, tmp_path):
+        # 2^21 * 2^21 * 2^22 = 2^64 elements: an int64 product wraps to 0
+        path = tmp_path / "m.ckpt"
+        self.write_records(path, [("w", (2**21, 2**21, 2**22), b"")])
+        with pytest.raises(CheckpointError, match=r"m\.ckpt: record 'w' .* overruns the file"):
+            load_checkpoint(path)
+
 
 class TestConfigText:
     def test_round_trip(self):
@@ -417,6 +460,21 @@ class TestTrainLoop:
                           for r in runs)
         assert saved == unsaved
         assert runs[0].kv_lines() == runs[1].kv_lines()
+
+    def test_load_run_draws_nothing(self, tmp_path, monkeypatch):
+        config, vocab = TrainConfig(seed=1), Vocabulary(["a", "b"])
+        model = MultimodalNerModel(config.model_config(), len(vocab), seed=5)
+        save_run_artifacts(tmp_path, model, vocab, config)
+
+        def no_generator(*args):
+            raise AssertionError("load_run made a random generator")
+
+        monkeypatch.setattr(mmner.model.np.random, "default_rng", no_generator)
+        loaded, _, _ = load_run(tmp_path)
+        saved = model.parameters()
+        assert list(loaded.parameters()) == list(saved)
+        for name, tensor in loaded.parameters().items():
+            np.testing.assert_array_equal(tensor.data, saved[name].data)
 
     def test_checkpoint_round_trip_preserves_forward(self, tmp_path):
         root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
