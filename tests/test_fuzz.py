@@ -30,7 +30,7 @@ from mmner.model import MultimodalNerModel
 from mmner.training import TrainConfig, load_run, save_run_artifacts
 
 CASES = 200
-RUN_CASES = 90
+RUN_CASES = 60
 
 
 def flip_byte(rng, data):
