@@ -13,7 +13,8 @@ maximum_scalar), activations (relu, gelu, dropout), linear algebra (matmul,
 linear, transpose2d, reshape, slicing, take_pairs, embedding_gather, concat,
 stack), reductions and normalization (tensor_sum, mean, softmax,
 log_sum_exp, layer_norm), conv2d over an (N, C, H, W) batch as one
-matrix product, and multi-head scaled dot-product attention as one node.
+matrix product whose im2col columns the graph does not keep, and
+multi-head scaled dot-product attention as one node.
 attention(q, k, v, heads, key_mask) gives head i columns i*dh:(i+1)*dh of
 q, k and v (dh = d / heads) and writes its output to the same columns,
 i.e. head outputs side by side, with an optional batch axis; masked keys
@@ -658,10 +659,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     """2-d convolution of a batch x (N, C, H, W) with w (CO, C, kh, kw),
     optional bias (CO,); the output is (N, CO, Ho, Wo).
 
-    im2col over the whole batch: the columns are gathered as
+    The forward is im2col over the whole batch: the columns are gathered as
     (C, kh, kw, N, Ho, Wo), so one matrix product covers every image, and
-    padding is a slice assignment into one zero buffer. The backward col2im
-    uses the same layout.
+    padding is a slice assignment into one zero buffer. The graph keeps no
+    part of that workspace: the backward pads x again and, one kernel
+    offset at a time, re-gathers that offset's (C, N*Ho*Wo) windows for its
+    slice of the weight gradient and adds W[:, :, ki, kj].T @ g into the
+    same windows of the input gradient.
     """
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: x {x.shape} vs w {w.shape}")
@@ -674,19 +678,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} too large for input {h}x{ww}")
 
-    # Channel-major (C, N, H + 2p, W + 2p), so each kernel offset's windows
-    # land in cols[:, ki, kj] as they are.
-    xp = x.data.transpose(1, 0, 2, 3)
-    if padding:
-        xp = np.zeros((c, n, h + 2 * padding, ww + 2 * padding))
-        xp[:, :, padding:padding + h, padding:padding + ww] = x.data.transpose(1, 0, 2, 3)
+    def padded() -> np.ndarray:
+        # Channel-major (C, N, H + 2p, W + 2p), so each kernel offset's
+        # windows are one strided slice.
+        xp = x.data.transpose(1, 0, 2, 3)
+        if padding:
+            xp = np.zeros((c, n, h + 2 * padding, ww + 2 * padding))
+            xp[:, :, padding:padding + h, padding:padding + ww] = x.data.transpose(1, 0, 2, 3)
+        return xp
+
+    offsets = [(ki, kj, np.s_[:, :, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride])
+               for ki in range(kh) for kj in range(kw)]
+    xp = padded()
     cols = np.empty((c, kh, kw, n, h_out, w_out))
-    for ki in range(kh):
-        for kj in range(kw):
-            cols[:, ki, kj] = xp[:, :, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride]
-    cols2 = cols.reshape(c * kh * kw, n * h_out * w_out)
-    wmat = w.data.reshape(co, c * kh * kw)
-    out2 = wmat @ cols2
+    for ki, kj, win in offsets:
+        cols[:, ki, kj] = xp[win]
+    out2 = w.data.reshape(co, c * kh * kw) @ cols.reshape(c * kh * kw, n * h_out * w_out)
     if b is not None:
         out2 += b.data[:, None]
     out = Tensor(out2.reshape(co, n, h_out, w_out).transpose(1, 0, 2, 3))
@@ -695,16 +702,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if tracked:
         def _bw(g):
             g2 = g.transpose(1, 0, 2, 3).reshape(co, n * h_out * w_out)
-            _accum(w, (g2 @ cols2.T).reshape(w.shape))
+            xp = padded()
+            dxp = np.zeros(xp.shape) if x.requires_grad else None
+            dw = np.empty(w.shape)
+            for ki, kj, win in offsets:
+                dw[:, :, ki, kj] = g2 @ xp[win].reshape(c, n * h_out * w_out).T
+                if dxp is not None:
+                    dxp[win] += (w.data[:, :, ki, kj].T @ g2).reshape(c, n, h_out, w_out)
+            _accum(w, dw)
             if b is not None:
                 _accum(b, g2.sum(axis=1))
-            if not x.requires_grad:
+            if dxp is None:
                 return
-            dcols = (wmat.T @ g2).reshape(c, kh, kw, n, h_out, w_out)
-            dxp = np.zeros(xp.shape)
-            for ki in range(kh):
-                for kj in range(kw):
-                    dxp[:, :, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride] += dcols[:, ki, kj]
             if padding:
                 dxp = dxp[:, :, padding:padding + h, padding:padding + ww]
             _accum(x, dxp.transpose(1, 0, 2, 3))

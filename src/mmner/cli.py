@@ -3,10 +3,11 @@ selftest.
 
 Exit codes: 0 on success, 1 on runtime failure (message on stderr), 2 on
 usage errors (argparse). A --config file uses line-oriented `key = value`
-pairs with TrainConfig field names; explicit flags override file values.
-Each train flag's dest is its TrainConfig field. Every text file mmner
-reads is decoded as `utf-8-sig`: UTF-8, a leading byte-order mark dropped.
-Its lines end at "\n", "\r\n" or "\r" only; other Unicode line breaks
+pairs with TrainConfig field names, each key at most once; explicit flags
+override file values. Each train flag's dest is its TrainConfig field.
+Every text file mmner reads goes through `data.read_text`: UTF-8, a leading
+byte-order mark dropped; bytes that are not UTF-8 fail naming the file and
+line. Its lines end at "\n", "\r\n" or "\r" only; other Unicode line breaks
 (U+2028, U+0085, form feed, ...) are line content.
 """
 
@@ -29,6 +30,7 @@ from mmner.data import (
     cohens_kappa,
     dataset_stats,
     iob2_blocks,
+    read_text,
     serialize_iob2,
 )
 from mmner.training import (
@@ -110,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 def merged_train_config(args) -> TrainConfig:
     values = {}
     if args.config is not None:
-        values.update(parse_config_text(Path(args.config).read_text(encoding="utf-8-sig")))
+        values.update(parse_config_text(read_text(args.config)))
     for f in fields(TrainConfig):
         if getattr(args, f.name) is not None:
             values[f.name] = getattr(args, f.name)
@@ -144,7 +146,7 @@ def cmd_eval(args) -> int:
 
 def read_predict_input(path: Path, raw: bool) -> list[SentenceExample]:
     """Sentences to label; gold labels, if present, are ignored."""
-    text = path.read_text(encoding="utf-8-sig")
+    text = read_text(path)
     examples: list[SentenceExample] = []
     if raw:
         for line in text.split("\n"):
@@ -191,7 +193,7 @@ def cmd_stats(args) -> int:
 def cmd_kappa(args) -> int:
     rows = []
     for line_no, line in enumerate(
-            Path(args.table).read_text(encoding="utf-8-sig").split("\n"), start=1):
+            read_text(args.table).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

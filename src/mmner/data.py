@@ -43,6 +43,21 @@ class CorpusError(ValueError):
     """Malformed corpus or image file."""
 
 
+def read_text(path: str | Path) -> str:
+    """A text file's contents as UTF-8, one leading byte-order mark dropped
+    and "\r\n" and "\r" read as "\n", as text mode reads them.
+
+    Bytes that are not UTF-8 raise ContractError naming the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].replace(b"\r\n", b"\n")
+        line = before.count(b"\n") + before.count(b"\r") + 1
+        raise ContractError(f"{path}:{line}: not UTF-8 (byte 0x{data[exc.start]:02x})") from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
 @dataclass
 class SentenceExample:
     tokens: list[str]
@@ -117,8 +132,7 @@ def parse_iob2(path: str | Path, repair: bool = False, split: str = "train") -> 
     path = Path(path)
     examples: list[SentenceExample] = []
     repaired = 0
-    for start, language, image_ref, image_line, rows in iob2_blocks(
-            path.read_text(encoding="utf-8-sig")):
+    for start, language, image_ref, image_line, rows in iob2_blocks(read_text(path)):
         if image_ref is None:
             if not rows:
                 continue

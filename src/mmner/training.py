@@ -20,7 +20,7 @@ import numpy as np
 from mmner import autodiff as ad
 from mmner.autodiff import ContractError, NumericError, Tensor, backward
 from mmner.checkpoint import canonicalize, load_checkpoint, save_checkpoint, write_atomic
-from mmner.data import Corpus, ImageStore, Vocabulary, make_batches, parse_iob2
+from mmner.data import Corpus, ImageStore, Vocabulary, make_batches, parse_iob2, read_text
 from mmner.metrics import EvalReport, evaluate
 from mmner.model import ModelConfig, MultimodalNerModel
 
@@ -75,8 +75,10 @@ _KIND_NAMES = {"bool": "boolean", "int": "integer", "float": "number",
 
 
 def parse_config_text(text: str) -> dict:
-    """Line-oriented `key = value` (# comments and blank lines ignored)."""
+    """Line-oriented `key = value` (# comments and blank lines ignored);
+    each key at most once."""
     values: dict = {}
+    key_lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,6 +91,9 @@ def parse_config_text(text: str) -> dict:
         kind = _CONFIG_TYPES.get(key)
         if kind is None:
             raise ContractError(f"config line {line_no}: unknown key {key!r}")
+        if key in key_lines:
+            raise ContractError(f"config line {line_no}: key {key} repeats line {key_lines[key]}")
+        key_lines[key] = line_no
         try:
             values[key] = _coerce(kind, value)
         except ValueError:
@@ -280,9 +285,8 @@ def load_run(out_dir: str | Path) -> tuple[MultimodalNerModel, Vocabulary, Train
     and `load_parameters`, the one check of names, order and shapes, fills
     every parameter from the checkpoint."""
     out_dir = Path(out_dir)
-    config_text = (out_dir / "config.cfg").read_text(encoding="utf-8-sig")
-    config = TrainConfig(**parse_config_text(config_text))
-    tokens = (out_dir / "vocab.txt").read_text(encoding="utf-8-sig").split("\n")
+    config = TrainConfig(**parse_config_text(read_text(out_dir / "config.cfg")))
+    tokens = read_text(out_dir / "vocab.txt").split("\n")
     vocab = Vocabulary([t for t in tokens if t])
     model = MultimodalNerModel(config.model_config(), len(vocab), None)
     model.load_parameters(load_checkpoint(out_dir / "model.ckpt"))

@@ -318,6 +318,24 @@ def per_image_conv(x, w, b, stride, padding):
                       for i in range(x.shape[0])], axis=0)
 
 
+def assert_matches_per_image_calls(x, w, b, stride, padding):
+    """conv2d's output and gradients equal per_image_conv's, and a tensor
+    that needs no gradient gets none from either."""
+    results = []
+    for conv in (ad.conv2d, per_image_conv):
+        out = conv(x, w, b, stride, padding)
+        weight = Tensor(np.arange(out.size, dtype=float).reshape(out.shape) / out.size)
+        backward(ad.tensor_sum(ad.mul(out, weight)))
+        results.append([out.data] + [t.grad for t in (x, w, b)])
+        for t in (x, w, b):
+            t.zero_grad()
+    for batched, single in zip(*results):
+        if single is None:
+            assert batched is None
+        else:
+            np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12)
+
+
 class TestConv2dBatch:
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
@@ -326,16 +344,24 @@ class TestConv2dBatch:
         x = Tensor(_rand(rng, (n, 2, 6, 6)), requires_grad=True)
         w = Tensor(_rand(rng, (3, 2, 3, 3)), requires_grad=True)
         b = Tensor(_rand(rng, (3,)), requires_grad=True)
-        results = []
-        for conv in (ad.conv2d, per_image_conv):
-            out = conv(x, w, b, stride, padding)
-            weight = Tensor(np.arange(out.size, dtype=float).reshape(out.shape) / out.size)
-            backward(ad.tensor_sum(ad.mul(out, weight)))
-            results.append([out.data] + [t.grad for t in (x, w, b)])
-            for t in (x, w, b):
-                t.zero_grad()
-        for batched, single in zip(*results):
-            np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12)
+        assert_matches_per_image_calls(x, w, b, stride, padding)
+
+    def test_input_without_grad_gets_none(self):
+        # the stem's case: the images need no gradient, so none is formed
+        rng = np.random.default_rng(4)
+        x = Tensor(_rand(rng, (3, 3, 7, 7)))
+        w = Tensor(_rand(rng, (4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(_rand(rng, (4,)), requires_grad=True)
+        assert_matches_per_image_calls(x, w, b, 1, 1)
+
+    @pytest.mark.parametrize("kernel,stride,padding,size", [(1, 2, 0, 8), (3, 2, 1, 7)])
+    def test_strided_kernels_match_per_image_calls(self, kernel, stride, padding, size):
+        # the residual blocks' 1x1 shortcut and their strided 3x3 conv
+        rng = np.random.default_rng(kernel)
+        x = Tensor(_rand(rng, (4, 3, size, size)), requires_grad=True)
+        w = Tensor(_rand(rng, (5, 3, kernel, kernel)), requires_grad=True)
+        b = Tensor(_rand(rng, (5,)), requires_grad=True)
+        assert_matches_per_image_calls(x, w, b, stride, padding)
 
     def test_image_not_a_batch_rejected(self):
         with pytest.raises(ShapeError):
@@ -481,6 +507,24 @@ class TestGraphMemory:
             if was_enabled:
                 gc.enable()
         assert max(growth) < 16 * 1024, f"traced memory grew by {growth} bytes over 990 steps"
+
+    def test_conv2d_graph_keeps_no_im2col_columns(self):
+        """A tracked conv holds its output, not its (C*kh*kw, N*Ho*Wo)
+        columns: 27 x 8192 floats, 1.77 MB, for the stem on 8 images."""
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(8, 3, 32, 32)))
+        w = Tensor(rng.normal(size=(8, 3, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
+        columns_bytes = 27 * 8 * 32 * 32 * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.conv2d(x, w, b, padding=1)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes <= growth < columns_bytes
 
 
 class TestDeterminism:

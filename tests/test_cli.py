@@ -406,6 +406,59 @@ class TestByteOrderMark:
         assert results[0] == results[1] and results[0][0] == 0
 
 
+def with_bad_byte(source, target):
+    """Copy a text file, ending its second line with byte 0xb5, which is not UTF-8."""
+    lines = source.read_bytes().split(b"\n")
+    lines[1] += b"\xb5"
+    target.write_bytes(b"\n".join(lines))
+    return target
+
+
+class TestNotUtf8:
+    """A text file that is not UTF-8 fails with one line naming the file and line."""
+
+    @staticmethod
+    def named_error(err, path):
+        return err == f"mmner: error: {path}:2: not UTF-8 (byte 0xb5)\n"
+
+    def test_corpus(self, trained_run, tmp_path, capsys):
+        root, _ = trained_run
+        bad = with_bad_byte(root / "train.iob2", tmp_path / "train.iob2")
+        code, _, err = run_cli(capsys, "stats", str(tmp_path))
+        assert code == 1 and self.named_error(err, bad)
+
+    @pytest.mark.parametrize("name", ["vocab.txt", "config.cfg"])
+    def test_run_directory(self, trained_run, tmp_path, capsys, name):
+        root, out = trained_run
+        bad_run = tmp_path / "run"
+        shutil.copytree(out, bad_run)
+        bad = with_bad_byte(out / name, bad_run / name)
+        code, _, err = run_cli(capsys, "predict", str(root / "train.iob2"),
+                               "--checkpoint", str(bad_run), "--images", str(root / "images"))
+        assert code == 1 and self.named_error(err, bad)
+
+    def test_predict_input(self, trained_run, tmp_path, capsys):
+        root, out = trained_run
+        bad = with_bad_byte(root / "train.iob2", tmp_path / "input.iob2")
+        code, _, err = run_cli(capsys, "predict", str(bad), "--checkpoint", str(out),
+                               "--images", str(root / "images"))
+        assert code == 1 and self.named_error(err, bad)
+
+    def test_config_file(self, tmp_path, capsys):
+        plain = tmp_path / "run.cfg"
+        plain.write_text("epochs = 5\nlr = 1e-3\n", encoding="utf-8")
+        bad = with_bad_byte(plain, tmp_path / "bad.cfg")
+        code, _, err = run_cli(capsys, "train", str(tmp_path), "--config", str(bad))
+        assert code == 1 and self.named_error(err, bad)
+
+    def test_kappa_table(self, tmp_path, capsys):
+        plain = tmp_path / "t.txt"
+        plain.write_text("20 5\n10 15\n", encoding="utf-8")
+        bad = with_bad_byte(plain, tmp_path / "bad.txt")
+        code, _, err = run_cli(capsys, "kappa", str(bad))
+        assert code == 1 and self.named_error(err, bad)
+
+
 # per TrainConfig field: its value in a --config file, its flag, and the
 # value that flag sets
 FLAG_OVERRIDES = {
@@ -465,6 +518,13 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "train", str(tmp_path), "--config", str(cfg))
         assert code == 1
         assert err == f"mmner: error: config line 2: {message}\n"
+
+    def test_repeated_config_key_fails_with_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr = 0.1\nseed = 1\nlr = 0.5\n")
+        code, _, err = run_cli(capsys, "train", str(tmp_path), "--config", str(cfg))
+        assert code == 1
+        assert err == "mmner: error: config line 3: key lr repeats line 1\n"
 
     def test_ablation_flags_reach_model(self, tmp_path, capsys):
         root = build_overfit_fixture(tmp_path / "data", n_sentences=4)

@@ -18,6 +18,7 @@ from mmner.data import (
     make_batches,
     parse_iob2,
     read_ppm,
+    read_text,
     serialize_iob2,
     write_ppm,
     UNK_ID,
@@ -166,6 +167,21 @@ class TestIob2Blocks:
 
     def test_empty_text_has_no_blocks(self):
         assert list(iob2_blocks("")) == [] and list(iob2_blocks("\n \n\t\n")) == []
+
+
+class TestReadText:
+    @pytest.mark.parametrize("data", [b"a\r\nb\rc\n", b"\xef\xbb\xbfa\r\n\r\nb", b"\xef\xbb\xbf\xef\xbb\xbfx",
+                                      "Par\u2028is\u0085\n".encode("utf-8")])
+    def test_reads_as_text_mode_does(self, tmp_path, data):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        assert read_text(path) == path.read_text(encoding="utf-8-sig")
+
+    def test_error_line_counts_every_line_ending(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a\r\nb\rc\nd\xb5\n")
+        with pytest.raises(ContractError, match=r"t\.txt:4: not UTF-8 \(byte 0xb5\)$"):
+            read_text(path)
 
 
 class TestVocabulary:

@@ -299,6 +299,22 @@ class TestConfigText:
         with pytest.raises(ContractError, match="key = value"):
             parse_config_text("alpha 0.5\n")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ContractError, match=r"^config line 3: key lr repeats line 1$"):
+            parse_config_text("lr = 0.1\n# again\nlr = 0.5\n")
+
+    def test_load_run_rejects_a_repeated_key(self, tmp_path):
+        config, vocab = TrainConfig(seed=1), Vocabulary(["a", "b"])
+        save_run_artifacts(tmp_path, MultimodalNerModel(config.model_config(), len(vocab), seed=5),
+                           vocab, config)
+        text = (tmp_path / "config.cfg").read_text(encoding="utf-8")
+        (tmp_path / "config.cfg").write_text(text + "seed = 2\n", encoding="utf-8")
+        seed_line = text.split("\n").index("seed = 1") + 1
+        repeat_line = len(text.split("\n"))
+        with pytest.raises(ContractError,
+                           match=f"^config line {repeat_line}: key seed repeats line {seed_line}$"):
+            load_run(tmp_path)
+
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("batch_size", 0), ("tau", 0.0), ("dropout", -0.1),
         ("dropout", 1.0), ("stop_at_f1", -0.1), ("stop_at_f1", 1.5),
