@@ -11,10 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fixtures_util import build_overfit_fixture
+
 from mmner import autodiff as ad
 from mmner.alignment import contrastive_loss
 from mmner.checkpoint import save_checkpoint
-from fixtures_util import build_overfit_fixture
 from mmner.data import Batch, ImageStore, Vocabulary, make_batches, parse_iob2
 from mmner.encoders import ConvEncoder, VitEncoder
 from mmner.model import DECODE_CHUNK, ModelConfig, MultimodalNerModel
