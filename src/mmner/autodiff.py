@@ -276,19 +276,22 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
+    """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3))), formed in
+    one temporary; the backward recomputes the tanh from x (Chen et al., arXiv 1604.06174)."""
     x = a.data
-    t = x * x * x  # then in place: a large batch holds two temporaries, not six
-    t *= 0.044715
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = 1.0 + t
+    y = x * x
+    y *= x
+    y *= 0.044715
+    y += x
+    y *= _GELU_C
+    np.tanh(y, out=y)
+    y += 1.0
     y *= x
     y *= 0.5
     out = Tensor(y)
     if _tracked(a):
         def _bw(g):
+            t = np.tanh(_GELU_C * (x * x * x * 0.044715 + x))  # the forward's steps, in order
             dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x**2)
             grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
             _accum(a, g * grad)

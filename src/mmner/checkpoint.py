@@ -17,12 +17,14 @@ version-1 files, and perfbench's tracing wraps `fnv1a_64` by name.
 
 Parameters are stored at float32 precision; saving canonicalizes the live
 tensors to the same precision (`canonicalize`) so that a save -> load round
-trip (and any later re-save) reproduces forward outputs bit for bit. The
-checksum is verified on load and any mismatch, truncation, or bad header
-is an error, as is a record that repeats a name, runs past the end of the
-file, has a shape numpy cannot hold or holds a NaN or an infinity. The file
-is written through `write_atomic`, so a failed save leaves the previous
-checkpoint as it was.
+trip (and any later re-save) reproduces forward outputs bit for bit. Loading
+returns each record's stored float32 payload as a read-only view of the
+file's bytes, which any held array keeps alive; `load_parameters` widens
+each as it assigns it. The checksum is verified on load and any mismatch,
+truncation, or bad header is an error, as is a record that repeats a name,
+runs past the end of the file, has a shape numpy cannot hold or holds a NaN
+or an infinity. The file is written through `write_atomic`, so a failed
+save leaves the previous checkpoint as it was.
 """
 
 from __future__ import annotations
@@ -59,30 +61,36 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def blake2b_64(data: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+def blake2b_64(*chunks: bytes) -> int:
+    h = hashlib.blake2b(digest_size=8)
+    for chunk in chunks:
+        h.update(chunk)
+    return int.from_bytes(h.digest(), "little")
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write `data` to a temp file beside `path`, then `os.replace` it over
-    `path`: `path` holds its old bytes or all of `data`, and a failed write
-    removes the temp file."""
+def write_atomic(path: str | Path, *chunks: bytes) -> None:
+    """Write `chunks` in order to a temp file beside `path`, then `os.replace`
+    it over `path`: `path` holds its old bytes or all of the chunks, and a
+    failed write removes the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def canonicalize(params: dict[str, Tensor]) -> None:
-    """Round each tensor's data to float32 precision, in place: the values
-    a checkpoint stores, so that a save -> load round trip reproduces them."""
-    for tensor in params.values():
-        tensor.data = tensor.data.astype(np.float32).astype(np.float64)
+def canonicalize(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Round each tensor's data to float32 precision, the values a checkpoint
+    stores, and return those float32 arrays: a save -> load reproduces them."""
+    stored = {name: tensor.data.astype("<f4", order="C") for name, tensor in params.items()}
+    for name, tensor in params.items():
+        tensor.data = stored[name].astype(np.float64)
+    return stored
 
 
 def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
@@ -91,21 +99,19 @@ def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
     Side effect: `canonicalize(params)` runs first, so the live tensors hold
     exactly the values written.
     """
-    canonicalize(params)
-    records = bytearray()
-    for name in sorted(params):
-        tensor = params[name]
+    stored = canonicalize(params)
+    records = []
+    for name in sorted(stored):
         name_bytes = name.encode("utf-8")
-        records += struct.pack("<I", len(name_bytes)) + name_bytes
-        records += struct.pack(f"<{1 + tensor.data.ndim}I", tensor.data.ndim, *tensor.shape)
-        records += tensor.data.astype("<f4").tobytes()
-    blob = MAGIC + struct.pack("<I", VERSION) + bytes(records)
-    blob += struct.pack("<Q", blake2b_64(bytes(records)))
-    write_atomic(path, blob)
+        shape = stored[name].shape
+        records += [struct.pack(f"<I{len(name_bytes)}s{1 + len(shape)}I",
+                                len(name_bytes), name_bytes, len(shape), *shape), stored[name]]
+    write_atomic(path, MAGIC + struct.pack("<I", VERSION), *records,
+                 struct.pack("<Q", blake2b_64(*records)))
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into float64 arrays, verifying the checksum."""
+    """Read and check a checkpoint; its arrays are read-only float32 views of the file."""
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 4 + 8:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
@@ -144,7 +150,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         if not np.isfinite(payload).all():
             raise CheckpointError(f"{path}: record {name!r} holds a non-finite value")
         try:
-            params[name] = payload.astype(np.float64).reshape(dims)
+            params[name] = payload.reshape(dims)
         except ValueError as exc:  # numpy's own limits, e.g. an empty shape too big to index
             raise CheckpointError(f"{path}: record {name!r}: {exc}") from None
     return params

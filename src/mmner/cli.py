@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 def merged_train_config(args) -> TrainConfig:
     values = {}
     if args.config is not None:
-        values.update(parse_config_text(read_text(args.config)))
+        values.update(parse_config_text(read_text(args.config), args.config))
     for f in fields(TrainConfig):
         if getattr(args, f.name) is not None:
             values[f.name] = getattr(args, f.name)

@@ -61,15 +61,13 @@ class LabelSchema:
         return bad
 
     def repair(self, tags: list[str]) -> tuple[list[str], int]:
-        """Rewrite each dangling I-X to B-X; returns (tags, repair count)."""
+        """Rewrite each dangling I-X to B-X; returns (tags, repair count).
+        One pass suffices: turning I-X into B-X only makes successors valid."""
         fixed = list(tags)
-        count = 0
-        for i in self.iob2_violations(tags):
+        bad = self.iob2_violations(tags)
+        for i in bad:
             fixed[i] = "B-" + fixed[i][2:]
-            count += 1
-            # re-check downstream in case the repair legitimizes later I-X
-        # One pass suffices: turning I-X into B-X only makes successors valid.
-        return fixed, count
+        return fixed, len(bad)
 
     def invalid_transition_mask(self) -> np.ndarray:
         """(L+2)x(L+2) additive mask, NEG_INF on structurally invalid moves."""

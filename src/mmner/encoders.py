@@ -62,7 +62,6 @@ class SelfAttention:
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
         if d % heads != 0:
             raise ConfigError(f"model dim {d} not divisible by {heads} heads")
-        self.d = d
         self.heads = heads
         self.head_dim = d // heads
         self.wq = _w(rng, (d, d))
@@ -256,12 +255,10 @@ class ResidualBlock:
         self.b1 = _zeros(c_out)
         self.w2 = _w(rng, (c_out, c_out, 3, 3), math.sqrt(2.0 / (c_out * 9)))
         self.b2 = _zeros(c_out)
+        self.ws = self.bs = None  # identity shortcut
         if stride != 1 or c_in != c_out:
             self.ws = _w(rng, (c_out, c_in, 1, 1), math.sqrt(2.0 / c_in))
             self.bs = _zeros(c_out)
-        else:
-            self.ws = None
-            self.bs = None
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -272,10 +269,8 @@ class ResidualBlock:
     def __call__(self, x: Tensor) -> Tensor:
         h = ad.relu(ad.conv2d(x, self.w1, self.b1, stride=self.stride, padding=1))
         h = ad.conv2d(h, self.w2, self.b2, stride=1, padding=1)
-        if self.ws is not None:
-            shortcut = ad.conv2d(x, self.ws, self.bs, stride=self.stride, padding=0)
-        else:
-            shortcut = x
+        shortcut = (x if self.ws is None
+                    else ad.conv2d(x, self.ws, self.bs, stride=self.stride, padding=0))
         return ad.relu(ad.add(h, shortcut))
 
 

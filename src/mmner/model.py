@@ -172,17 +172,16 @@ class MultimodalNerModel:
         return params
 
     def load_parameters(self, arrays: dict[str, np.ndarray]) -> None:
+        """Fill every parameter from `arrays` by name, checking names and shapes;
+        a float32 array, as `load_checkpoint` gives, is widened once as it is assigned."""
         params = self.parameters()
         missing = sorted(set(params) - set(arrays))
         extra = sorted(set(arrays) - set(params))
         if missing or extra:
             if any(n.startswith("crf.") for n in missing + extra):
-                raise ConfigError(
-                    "checkpoint label set does not match this model's schema"
-                )
+                raise ConfigError("checkpoint label set does not match this model's schema")
             raise ConfigError(
-                f"checkpoint/model mismatch (missing {missing[:3]}, unexpected {extra[:3]})"
-            )
+                f"checkpoint/model mismatch (missing {missing[:3]}, unexpected {extra[:3]})")
         for name, tensor in params.items():
             arr = arrays[name]
             if tuple(arr.shape) != tensor.shape:
@@ -190,8 +189,7 @@ class MultimodalNerModel:
                         " (vocab.txt does not match the checkpoint?)"
                         if name == "text.token_table" else "")
                 raise ConfigError(
-                    f"parameter {name}: checkpoint shape {arr.shape} vs model {tensor.shape}{hint}"
-                )
+                    f"parameter {name}: checkpoint shape {arr.shape} vs model {tensor.shape}{hint}")
             tensor.data = np.ascontiguousarray(arr, dtype=np.float64)
             tensor.grad = None
 

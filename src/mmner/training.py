@@ -74,9 +74,9 @@ _KIND_NAMES = {"bool": "boolean", "int": "integer", "float": "number",
                "float | None": "number or none"}
 
 
-def parse_config_text(text: str) -> dict:
+def parse_config_text(text: str, path: str | Path) -> dict:
     """Line-oriented `key = value` (# comments and blank lines ignored);
-    each key at most once."""
+    each key at most once. An error names `path` and the line."""
     values: dict = {}
     key_lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -84,20 +84,20 @@ def parse_config_text(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ContractError(f"config line {line_no}: expected 'key = value', got {raw!r}")
+            raise ContractError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         kind = _CONFIG_TYPES.get(key)
         if kind is None:
-            raise ContractError(f"config line {line_no}: unknown key {key!r}")
+            raise ContractError(f"{path}:{line_no}: unknown key {key!r}")
         if key in key_lines:
-            raise ContractError(f"config line {line_no}: key {key} repeats line {key_lines[key]}")
+            raise ContractError(f"{path}:{line_no}: key {key} repeats line {key_lines[key]}")
         key_lines[key] = line_no
         try:
             values[key] = _coerce(kind, value)
         except ValueError:
-            raise ContractError(f"config line {line_no}: key {key}: "
+            raise ContractError(f"{path}:{line_no}: key {key}: "
                                 f"expected {_KIND_NAMES[kind]}, got {value!r}") from None
     return values
 
@@ -285,7 +285,8 @@ def load_run(out_dir: str | Path) -> tuple[MultimodalNerModel, Vocabulary, Train
     and `load_parameters`, the one check of names, order and shapes, fills
     every parameter from the checkpoint."""
     out_dir = Path(out_dir)
-    config = TrainConfig(**parse_config_text(read_text(out_dir / "config.cfg")))
+    config_path = out_dir / "config.cfg"
+    config = TrainConfig(**parse_config_text(read_text(config_path), config_path))
     tokens = read_text(out_dir / "vocab.txt").split("\n")
     vocab = Vocabulary([t for t in tokens if t])
     model = MultimodalNerModel(config.model_config(), len(vocab), None)
@@ -392,8 +393,7 @@ def train(config: TrainConfig, data_root: str | Path,
         if f1 > best_f1:
             best_f1 = f1
             best_epoch = epoch
-            canonicalize(params)  # as a save would, whether or not there is an out_dir
-            best_arrays = {k: p.data.copy() for k, p in params.items()}
+            best_arrays = canonicalize(params)  # as a save would, with or without an out_dir
             if out_path is not None:
                 save_run_artifacts(out_path, model, vocab, config)
         if config.stop_at_f1 is not None and f1 >= config.stop_at_f1:

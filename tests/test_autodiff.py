@@ -526,6 +526,50 @@ class TestGraphMemory:
             tracemalloc.stop()
         assert out.data.nbytes <= growth < columns_bytes
 
+    def test_untracked_gelu_allocates_one_output(self):
+        """GELU forms its output inside its one temporary: a (8, 62, 256)
+        call, an MLP hidden layer of a long-sentence chunk, peaks at one
+        output-sized array, not two."""
+        x = Tensor(np.random.default_rng(7).normal(size=(8, 62, 256)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = ad.gelu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes <= peak < 1.5 * out.data.nbytes
+
+
+def reference_gelu(x):
+    """GELU and its derivative in plain numpy, in the same order of
+    operations as the op, so that the two agree bit for bit."""
+    t = x * x * x
+    t *= 0.044715
+    t += x
+    t *= math.sqrt(2.0 / math.pi)
+    np.tanh(t, out=t)
+    y = 1.0 + t
+    y *= x
+    y *= 0.5
+    dinner = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * x**2)
+    return y, 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
+
+
+@pytest.mark.parametrize("n", [7, 16, 62])
+def test_gelu_matches_reference_bitwise(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(scale=3.0, size=(8, n, 256))
+    g = rng.normal(size=x.shape)
+    y_ref, dy_ref = reference_gelu(x)
+    np.testing.assert_array_equal(ad.gelu(Tensor(x)).data, y_ref)
+    a = Tensor(x.copy(), requires_grad=True)
+    out = ad.gelu(a)
+    backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+    np.testing.assert_array_equal(out.data, y_ref)
+    np.testing.assert_array_equal(a.grad, g * dy_ref)
+    np.testing.assert_array_equal(a.data, x)
+
 
 class TestDeterminism:
     def test_bitwise_identical_forward_and_gradients(self):

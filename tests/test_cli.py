@@ -288,7 +288,7 @@ class TestTrainEvalPredict:
         code, text, err = run_cli(
             capsys, "eval", str(root), "--checkpoint", str(old), "--split", "train")
         assert code == 1 and text == ""
-        assert err == "mmner: error: config line 8: unknown key 'preset'\n"
+        assert err == f"mmner: error: {old / 'config.cfg'}:8: unknown key 'preset'\n"
 
     def test_predict_names_vocab_that_does_not_fit_the_checkpoint(
             self, trained_run, tmp_path, capsys):
@@ -517,14 +517,14 @@ class TestConfigPrecedence:
         cfg.write_text(f"seed = 1\n{line}\n")
         code, _, err = run_cli(capsys, "train", str(tmp_path), "--config", str(cfg))
         assert code == 1
-        assert err == f"mmner: error: config line 2: {message}\n"
+        assert err == f"mmner: error: {cfg}:2: {message}\n"
 
     def test_repeated_config_key_fails_with_both_lines(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lr = 0.1\nseed = 1\nlr = 0.5\n")
         code, _, err = run_cli(capsys, "train", str(tmp_path), "--config", str(cfg))
         assert code == 1
-        assert err == "mmner: error: config line 3: key lr repeats line 1\n"
+        assert err == f"mmner: error: {cfg}:3: key lr repeats line 1\n"
 
     def test_ablation_flags_reach_model(self, tmp_path, capsys):
         root = build_overfit_fixture(tmp_path / "data", n_sentences=4)

@@ -15,7 +15,7 @@ from fixtures_util import build_overfit_fixture
 
 from mmner import autodiff as ad
 from mmner.alignment import contrastive_loss
-from mmner.checkpoint import save_checkpoint
+from mmner.checkpoint import load_checkpoint, save_checkpoint
 from mmner.data import Batch, ImageStore, Vocabulary, make_batches, parse_iob2
 from mmner.encoders import ConvEncoder, VitEncoder
 from mmner.model import DECODE_CHUNK, ModelConfig, MultimodalNerModel
@@ -289,6 +289,43 @@ def test_desk_model_checkpoint_bytes_are_pinned(tmp_path):
     assert len(data) == 1_493_461
     assert hashlib.sha256(data).hexdigest() == (
         "71b19640e21ae309bcf77b6f4e7b42dee9c82a00b6c51d0eec357a2f1effc5fe")
+
+
+def traced_peak(fn):
+    """`fn()`, and the bytes it allocated at its peak over what was live
+    when it began."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn()
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+def test_desk_model_save_and_load_hold_one_copy(tmp_path):
+    # save converts each tensor to float32 once and hashes and writes those
+    # arrays as they are, with no joined copy; load fills an undrawn model
+    # from float32 views of the file's bytes, widening each as it assigns it
+    config, path = TrainConfig(seed=0).model_config(), tmp_path / "model.ckpt"
+
+    def build_and_load():
+        twin = MultimodalNerModel(config, vocab_size=50, seed=None)
+        twin.load_parameters(load_checkpoint(path))
+        return twin
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        saved = MultimodalNerModel(config, vocab_size=50, seed=0).parameters()
+        _, save_peak = traced_peak(lambda: save_checkpoint(saved, path))
+        twin, load_peak = traced_peak(build_and_load)
+    finally:
+        tracemalloc.stop()
+    model_bytes = sum(t.data.nbytes for t in saved.values())
+    assert save_peak < 2.5 * path.stat().st_size
+    assert load_peak < 2 * model_bytes
+    for name, tensor in twin.parameters().items():
+        data = tensor.data
+        assert data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable
+        np.testing.assert_array_equal(data, saved[name].data)
 
 
 @pytest.mark.parametrize("use_vit,use_resnet", PATH_FLAGS)

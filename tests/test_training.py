@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -173,6 +174,13 @@ class TestCheckpoint:
         for name, tensor in params.items():
             np.testing.assert_array_equal(loaded[name], tensor.data)
 
+    def test_load_returns_read_only_float32_views(self, tmp_path):
+        params = self.make_params()
+        save_checkpoint(params, tmp_path / "m.ckpt")
+        for name, arr in load_checkpoint(tmp_path / "m.ckpt").items():
+            assert arr.dtype == np.float32 and arr.shape == params[name].shape
+            assert not arr.flags.writeable and not arr.flags.owndata
+
     def test_save_canonicalizes_to_float32_precision(self, tmp_path):
         params = self.make_params()
         original = {k: p.data.copy() for k, p in params.items()}
@@ -284,24 +292,24 @@ class TestCheckpoint:
 class TestConfigText:
     def test_round_trip(self):
         cfg = TrainConfig(alpha=0.5, lr=1e-3, epochs=3, use_vit=False)
-        parsed = TrainConfig(**parse_config_text(format_config(cfg)))
+        parsed = TrainConfig(**parse_config_text(format_config(cfg), "run.cfg"))
         assert parsed == cfg
 
     def test_comments_and_blanks(self):
-        values = parse_config_text("# comment\n\nalpha = 0.25\nepochs = 7\n")
+        values = parse_config_text("# comment\n\nalpha = 0.25\nepochs = 7\n", "run.cfg")
         assert values == {"alpha": 0.25, "epochs": 7}
 
     def test_unknown_key(self):
-        with pytest.raises(ContractError, match="unknown key"):
-            parse_config_text("nope = 1\n")
+        with pytest.raises(ContractError, match=r"^run\.cfg:1: unknown key 'nope'$"):
+            parse_config_text("nope = 1\n", "run.cfg")
 
     def test_bad_line(self):
-        with pytest.raises(ContractError, match="key = value"):
-            parse_config_text("alpha 0.5\n")
+        with pytest.raises(ContractError, match=r"^run\.cfg:1: expected 'key = value'"):
+            parse_config_text("alpha 0.5\n", "run.cfg")
 
     def test_repeated_key_names_both_lines(self):
-        with pytest.raises(ContractError, match=r"^config line 3: key lr repeats line 1$"):
-            parse_config_text("lr = 0.1\n# again\nlr = 0.5\n")
+        with pytest.raises(ContractError, match=r"^run\.cfg:3: key lr repeats line 1$"):
+            parse_config_text("lr = 0.1\n# again\nlr = 0.5\n", "run.cfg")
 
     def test_load_run_rejects_a_repeated_key(self, tmp_path):
         config, vocab = TrainConfig(seed=1), Vocabulary(["a", "b"])
@@ -312,7 +320,23 @@ class TestConfigText:
         seed_line = text.split("\n").index("seed = 1") + 1
         repeat_line = len(text.split("\n"))
         with pytest.raises(ContractError,
-                           match=f"^config line {repeat_line}: key seed repeats line {seed_line}$"):
+                           match=f"^{re.escape(str(tmp_path / 'config.cfg'))}:{repeat_line}: "
+                                 f"key seed repeats line {seed_line}$"):
+            load_run(tmp_path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("colour = red", "unknown key 'colour'"),
+        ("epochs = 1.5", "key epochs: expected integer, got '1.5'"),
+        ("just words", "expected 'key = value', got 'just words'"),
+    ], ids=["unknown_key", "bad_value", "no_equals"])
+    def test_load_run_names_the_config_file(self, tmp_path, line, message):
+        config, vocab = TrainConfig(seed=1), Vocabulary(["a", "b"])
+        save_run_artifacts(tmp_path, MultimodalNerModel(config.model_config(), len(vocab), seed=5),
+                           vocab, config)
+        text = (tmp_path / "config.cfg").read_text(encoding="utf-8")
+        (tmp_path / "config.cfg").write_text(f"{line}\n{text}", encoding="utf-8")
+        expected = re.escape(f"{tmp_path / 'config.cfg'}:1: {message}")
+        with pytest.raises(ContractError, match=f"^{expected}$"):
             load_run(tmp_path)
 
     @pytest.mark.parametrize("field, value", [
