@@ -93,11 +93,11 @@ def canonicalize(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return stored
 
 
-def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
+def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> dict[str, np.ndarray]:
     """Write named parameters; see module docstring for the format.
 
     Side effect: `canonicalize(params)` runs first, so the live tensors hold
-    exactly the values written.
+    exactly the values written. Returns the float32 arrays it wrote.
     """
     stored = canonicalize(params)
     records = []
@@ -108,6 +108,7 @@ def save_checkpoint(params: dict[str, Tensor], path: str | Path) -> None:
                                 len(name_bytes), name_bytes, len(shape), *shape), stored[name]]
     write_atomic(path, MAGIC + struct.pack("<I", VERSION), *records,
                  struct.pack("<Q", blake2b_64(*records)))
+    return stored
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

@@ -5,6 +5,9 @@ set, so every path picks up a start bonus T[BEGIN, y1] and an end bonus
 T[y_n, END]. Structurally impossible transition cells are held at a
 large negative constant rather than -inf to keep log-space arithmetic
 finite.
+
+Each computation takes padded (B, n, L) emissions and the sentence
+lengths; padded rows are computed, never read, and get a zero gradient.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 
 
 class LabelSchema:
-    """Ordered IOB2 tag set plus synthetic BEGIN/END transition indices."""
+    """Ordered IOB2 tag set plus the synthetic BEGIN transition index."""
 
     tags = ("O",) + tuple(f"{prefix}-{etype}" for etype in ENTITY_TYPES for prefix in "BI")
 
@@ -31,10 +34,6 @@ class LabelSchema:
     @property
     def begin_index(self) -> int:
         return self.num_labels
-
-    @property
-    def end_index(self) -> int:
-        return self.num_labels + 1
 
     def tag_index(self, tag: str) -> int:
         try:
@@ -126,64 +125,67 @@ class LinearChainCrf:
     def emissions(self, features: Tensor) -> Tensor:
         return ad.linear(features, self.emission_w, self.emission_b)
 
-    def _check(self, emissions: Tensor, path: list[int] | None = None) -> int:
-        if emissions.ndim != 2 or emissions.shape[1] != self.num_labels:
-            raise ShapeError(f"emissions {emissions.shape} vs L={self.num_labels}")
-        n = emissions.shape[0]
-        if n < 1:
-            raise ContractError("empty sequence")
-        if path is not None:
-            if len(path) != n:
-                raise ShapeError(f"path length {len(path)} vs {n} positions")
-            if any(not 0 <= y < self.num_labels for y in path):
-                raise ContractError(f"label index out of range in {path}")
-        return n
+    def _check(self, emissions: Tensor, lengths, paths=None) -> np.ndarray:
+        """Lengths as an array; ShapeError unless each row has one in 1..n and a path that long."""
+        if emissions.ndim != 3 or emissions.shape[2] != self.num_labels:
+            raise ShapeError(f"emissions {emissions.shape} vs (B, n, L={self.num_labels})")
+        rows, n = emissions.shape[:2]
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.shape != (rows,) or not rows or lengths.min() < 1 or lengths.max() > n:
+            raise ShapeError(f"lengths {lengths.tolist()} vs {rows} rows of {n} positions")
+        if paths is not None and [len(p) for p in paths] != lengths.tolist():
+            raise ShapeError(f"path lengths {[len(p) for p in paths]} vs {lengths.tolist()}")
+        if paths is not None and any(not 0 <= y < self.num_labels for p in paths for y in p):
+            raise ContractError(f"label index out of range in {paths}")
+        return lengths
 
-    def score(self, emissions: Tensor, path: list[int]) -> Tensor:
-        """Emission sum plus BEGIN->y1, adjacent, and y_n->END transitions."""
-        n = self._check(emissions, path)
+    def score(self, emissions: Tensor, lengths, paths: list[list[int]]) -> Tensor:
+        """Sum over the batch of each path's emissions and BEGIN->y1, adjacent, y_n->END moves."""
+        lengths = self._check(emissions, lengths, paths)
+        rows, n, L = emissions.shape
         trans = self.effective_transitions()
-        em_terms = ad.take_pairs(emissions, np.arange(n), path)
-        rows = np.array([self.begin] + list(path))
-        cols = np.array(list(path) + [self.end])
-        tr_terms = ad.take_pairs(trans, rows, cols)
+        positions = np.concatenate([b * n + np.arange(m) for b, m in enumerate(lengths)])
+        em_terms = ad.take_pairs(emissions.reshape(rows * n, L), positions, np.concatenate(paths))
+        tr_terms = ad.take_pairs(trans, np.concatenate([[self.begin, *p] for p in paths]),
+                                 np.concatenate([[*p, self.end] for p in paths]))
         return ad.add(ad.tensor_sum(em_terms), ad.tensor_sum(tr_terms))
 
-    def log_partition(self, emissions: Tensor) -> Tensor:
-        """Forward algorithm in log space; differentiable."""
-        n = self._check(emissions)
-        L = self.num_labels
+    def log_partition(self, emissions: Tensor, lengths) -> Tensor:
+        """Each sentence's log Z, (B,): the forward algorithm in log space, differentiable."""
+        lengths = self._check(emissions, lengths)
+        rows, L = len(lengths), self.num_labels
         trans = self.effective_transitions()
-        alpha = ad.add(trans[self.begin, :L], emissions[0])
-        for i in range(1, n):
-            scores = ad.add(alpha.reshape(L, 1), trans[:L, :L])
-            alpha = ad.add(ad.log_sum_exp(scores, axis=0), emissions[i])
-        alpha = ad.add(alpha, trans[:L, self.end])
-        return ad.log_sum_exp(alpha, axis=0)
+        pairs = trans[:L, :L]
+        alphas = [ad.add(trans[self.begin, :L], emissions[:, 0])]
+        for i in range(1, lengths.max()):
+            scores = ad.add(alphas[-1].reshape(rows, L, 1), pairs)
+            alphas.append(ad.add(ad.log_sum_exp(scores, axis=1), emissions[:, i]))
+        stacked = ad.stack(alphas).reshape(-1, L)  # row i * B + b is sentence b's alpha at i
+        last = ad.embedding_gather(stacked, (lengths - 1) * rows + np.arange(rows))
+        return ad.log_sum_exp(ad.add(last, trans[:L, self.end]), axis=1)
 
-    def nll(self, emissions: Tensor, path: list[int]) -> Tensor:
-        """Negative log-likelihood of the gold path; always >= 0."""
-        return ad.sub(self.log_partition(emissions), self.score(emissions, path))
+    def nll(self, emissions: Tensor, lengths, paths: list[list[int]]) -> Tensor:
+        """Mean negative log-likelihood of the gold paths over the batch; always >= 0."""
+        log_z = ad.tensor_sum(self.log_partition(emissions, lengths))
+        return ad.mul(ad.sub(log_z, self.score(emissions, lengths, paths)),
+                      Tensor(1.0 / emissions.shape[0]))
 
-    def viterbi(self, emissions: Tensor) -> tuple[list[int], float]:
-        """Best-scoring path; ties resolve to the lowest label index."""
-        n = self._check(emissions)
-        L = self.num_labels
-        em = emissions.data
+    def viterbi(self, emissions: Tensor, lengths) -> list[tuple[list[int], float]]:
+        """Each sentence's best path and its score; ties go to the lowest label index."""
+        lengths = self._check(emissions, lengths)
+        rows, L = len(lengths), self.num_labels
         with ad.no_grad():
             trans = self.effective_transitions().data
-        delta = trans[self.begin, :L] + em[0]
-        backptrs = np.empty((n, L), dtype=np.intp)
-        for i in range(1, n):
-            cand = delta[:, None] + trans[:L, :L]
-            best_prev = cand.argmax(axis=0)  # argmax picks the lowest index on ties
-            delta = cand[best_prev, np.arange(L)] + em[i]
-            backptrs[i] = best_prev
-        final = delta + trans[:L, self.end]
-        last = int(final.argmax())
-        path = [last]
-        for i in range(n - 1, 0, -1):
-            last = int(backptrs[i][last])
-            path.append(last)
-        path.reverse()
-        return path, float(final.max())
+        deltas = np.empty((lengths.max(), rows, L))
+        backptrs = np.empty(deltas.shape, dtype=np.intp)
+        deltas[0] = trans[self.begin, :L] + emissions.data[:, 0]
+        for i in range(1, len(deltas)):
+            cand = deltas[i - 1][:, :, None] + trans[:L, :L]
+            backptrs[i] = cand.argmax(axis=1)  # argmax picks the lowest index on ties
+            deltas[i] = cand.max(axis=1) + emissions.data[:, i]
+        final = deltas[lengths - 1, np.arange(rows)] + trans[:L, self.end]
+        paths = [[int(y)] for y in final.argmax(axis=1)]
+        for b, n in enumerate(lengths):
+            for i in range(n - 1, 0, -1):
+                paths[b].append(int(backptrs[i, b, paths[b][-1]]))
+        return [(path[::-1], float(best)) for path, best in zip(paths, final.max(axis=1))]

@@ -19,15 +19,15 @@ each fusion block over the (B, n_max, d) token rows against its (B, P, d)
 visual tokens, and the emission map. It returns the padded emissions,
 each sentence's truncated length, and per path the (B, d) CLS text rows
 and mean visual tokens, which `batch_losses` passes through each
-projection head once. `decode`, the one decode, runs it on length-sorted
-chunks of at most `DECODE_CHUNK` sentences and Viterbi-decodes each one;
-`predict` is `decode` of one sentence. Padded rows never reach a real
-one: padded text keys are masked out of self-attention, padded query rows
-only give rows the emissions drop, and no padded row draws dropout. In
-train mode sentence i draws its dropout masks from its own generator,
-rngs[i], in a fixed order (text, ViT, ViT fusion, conv fusion; the conv
-stack draws none), so its masks, like its outputs, do not depend on its
-neighbours or its padding.
+projection head once; the CRF takes the padded emissions and lengths.
+`decode`, the one decode, runs it and one Viterbi on each length-sorted
+chunk of at most `DECODE_CHUNK` sentences; `predict` is `decode` of one
+sentence. Padded rows never reach a real one: padded text keys are masked
+out of self-attention, padded query rows only give rows the CRF never
+reads, and no padded row draws dropout. In train mode sentence i draws
+its dropout masks from its own generator, rngs[i], in a fixed order
+(text, ViT, ViT fusion, conv fusion; the conv stack draws none), so its
+masks, like its outputs, do not depend on its neighbours or its padding.
 
 At inference the model keeps, per path key, a one-entry memo of the last
 encode: a copy of the image stack, the output, and, once the stack has
@@ -240,9 +240,8 @@ class MultimodalNerModel:
         """
         emissions, lengths, pooled = self.forward_batch(
             batch.token_ids, np.stack(batch.images), train, rngs)
-        crf_nll = ad.mean(ad.stack([
-            self.crf.nll(emissions[i, :n], label_ids[:n])
-            for i, (n, label_ids) in enumerate(zip(lengths, batch.label_ids))]))
+        crf_nll = self.crf.nll(emissions, lengths,
+                               [labels[:n] for n, labels in zip(lengths, batch.label_ids)])
         terms = []
         for key in ("vit", "conv"):
             if key not in pooled or not self.config.use_contrastive or len(lengths) < 2:
@@ -265,10 +264,9 @@ class MultimodalNerModel:
         with ad.no_grad():
             for lo in range(0, len(order), DECODE_CHUNK):
                 chunk = order[lo:lo + DECODE_CHUNK]
-                emissions, _, _ = self.forward_batch([token_ids[i] for i in chunk],
-                                                     np.stack([images[i] for i in chunk]))
-                for row, i in enumerate(chunk):
-                    path, _ = self.crf.viterbi(emissions[row, :lengths[i]])
+                emissions, chunk_lengths, _ = self.forward_batch(
+                    [token_ids[i] for i in chunk], np.stack([images[i] for i in chunk]))
+                for i, (path, _) in zip(chunk, self.crf.viterbi(emissions, chunk_lengths)):
                     tags[i] = self.schema.decode(path) + ["O"] * (len(token_ids[i]) - lengths[i])
         return tags
 

@@ -191,11 +191,11 @@ def _composite_cases():
 
     def crf_nll(rng):
         crf = LinearChainCrf(4, 4, rng)
-        feats = Tensor(rng.uniform(-1, 1, (3, 4)))
-        path = [2, 0, 3]
+        feats = Tensor(rng.uniform(-1, 1, (3, 3, 4)))  # a ragged batch: lengths 3, 1, 2
+        paths = [[2, 0, 3], [1], [3, 3]]
         params = dict(crf.parameters())
         _perturbed(params, rng, scale=0.2)
-        return lambda: crf.nll(crf.emissions(feats), path), params
+        return lambda: crf.nll(crf.emissions(feats), [3, 1, 2], paths), params
 
     return {
         "block.text_layer": text_layer,
@@ -260,7 +260,7 @@ def oracle_suite() -> list[CheckResult]:
         values = np.array(list(scores.values()))
         m = values.max()
         log_z_ref = m + math.log(np.exp(values - m).sum())
-        log_z = crf.log_partition(Tensor(em)).item()
+        log_z = crf.log_partition(Tensor(em[None]), [len(em)]).item()
         worst = max(worst, abs(log_z - log_z_ref))
         prob_worst = max(prob_worst, abs(np.exp(values - log_z).sum() - 1.0))
         best_path, best_score = None, None
@@ -269,7 +269,7 @@ def oracle_suite() -> list[CheckResult]:
                 s == best_score and tuple(reversed(path)) < tuple(reversed(best_path))
             ):
                 best_path, best_score = path, s
-        got_path, got_score = crf.viterbi(Tensor(em))
+        [(got_path, got_score)] = crf.viterbi(Tensor(em[None]), [len(em)])
         if got_path != list(best_path) or got_score != best_score:
             viterbi_ok = False
     results.append(CheckResult(

@@ -270,12 +270,12 @@ class TrainResult:
 
 
 def save_run_artifacts(out_dir: Path, model: MultimodalNerModel,
-                       vocab: Vocabulary, config: TrainConfig) -> None:
+                       vocab: Vocabulary, config: TrainConfig) -> dict[str, np.ndarray]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(model.parameters(), out_dir / "model.ckpt")
     vocab_text = "\n".join(vocab.tokens_in_order()) + "\n"
     write_atomic(out_dir / "vocab.txt", vocab_text.encode("utf-8"))
     write_atomic(out_dir / "config.cfg", format_config(config).encode("utf-8"))
+    return save_checkpoint(model.parameters(), out_dir / "model.ckpt")
 
 
 def load_run(out_dir: str | Path) -> tuple[MultimodalNerModel, Vocabulary, TrainConfig]:
@@ -393,9 +393,8 @@ def train(config: TrainConfig, data_root: str | Path,
         if f1 > best_f1:
             best_f1 = f1
             best_epoch = epoch
-            best_arrays = canonicalize(params)  # as a save would, with or without an out_dir
-            if out_path is not None:
-                save_run_artifacts(out_path, model, vocab, config)
+            best_arrays = (canonicalize(params) if out_path is None  # as the save rounds them
+                           else save_run_artifacts(out_path, model, vocab, config))
         if config.stop_at_f1 is not None and f1 >= config.stop_at_f1:
             break
 

@@ -17,7 +17,7 @@ from fixtures_util import (
     build_multimodal_fixture,
     build_overfit_fixture,
 )
-from test_crf import oracle_best_path, oracle_log_partition
+from test_crf import batch_of_one, oracle_best_path, oracle_log_partition
 
 from mmner import autodiff as ad
 from mmner.autodiff import Tensor
@@ -63,9 +63,9 @@ def test_c02_crf_enumeration_oracle():
                 em = rng.normal(size=(n, L)) * 2.0
                 trans = crf.transitions.data
                 log_z_ref = oracle_log_partition(em, trans, crf.begin, crf.end)
-                log_z = crf.log_partition(Tensor(em)).item()
+                log_z = crf.log_partition(*batch_of_one(em)).item()
                 worst_partition = max(worst_partition, abs(log_z - log_z_ref))
-                path, score = crf.viterbi(Tensor(em))
+                [(path, score)] = crf.viterbi(*batch_of_one(em))
                 ref_path, ref_score = oracle_best_path(em, trans, crf.begin, crf.end)
                 assert path == ref_path and score == ref_score
                 total = sum(

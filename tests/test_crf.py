@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mmner import autodiff as ad
-from mmner.autodiff import ContractError, Tensor, backward
+from mmner.autodiff import ContractError, ShapeError, Tensor, backward
 from mmner.crf import NEG_INF, LabelSchema, LinearChainCrf
 from mmner.gradcheck import check_gradients, max_error, rel_error
 from mmner.selftest import _enum_scores
@@ -45,6 +45,13 @@ def oracle_marginals(em, trans, begin, end):
     return marg
 
 
+def batch_of_one(em):
+    """A sentence's (n, L) emissions as the CRF's padded batch of one:
+    (emissions (1, n, L), lengths [n])."""
+    em = em if isinstance(em, Tensor) else Tensor(em)
+    return em.reshape(1, *em.shape), [em.shape[0]]
+
+
 def make_crf(num_labels, seed, input_dim=4, mask=None):
     return LinearChainCrf(input_dim, num_labels, np.random.default_rng(seed),
                           transition_mask=mask)
@@ -56,14 +63,14 @@ class TestScore:
         crf.transitions.data[:] = 0.0
         em = Tensor([[1.5, -2.0, 0.25, 3.0]])
         for y in range(4):
-            assert crf.score(em, [y]).item() == em.data[0, y]
+            assert crf.score(*batch_of_one(em), [[y]]).item() == em.data[0, y]
 
     def test_all_zero_instance(self):
         crf = make_crf(3, 1)
         crf.transitions.data[:] = 0.0
         em = Tensor(np.zeros((4, 3)))
         for path in itertools.product(range(3), repeat=4):
-            assert crf.score(em, list(path)).item() == 0.0
+            assert crf.score(*batch_of_one(em), [list(path)]).item() == 0.0
 
     def test_matches_resummation_oracle(self):
         rng = np.random.default_rng(2)
@@ -76,15 +83,15 @@ class TestScore:
         hops = [(crf.begin, path[0])] + list(zip(path, path[1:])) + [(path[-1], crf.end)]
         tr_terms = np.array([crf.transitions.data[a, b] for a, b in hops])
         expected = np.sum(em_terms) + np.sum(tr_terms)
-        assert crf.score(em, path).item() == expected
+        assert crf.score(*batch_of_one(em), [path]).item() == expected
         # and against the sequential walk within float tolerance
         walk = dict(_enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))[tuple(path)]
-        assert crf.score(em, path).item() == pytest.approx(walk, abs=1e-12)
+        assert crf.score(*batch_of_one(em), [path]).item() == pytest.approx(walk, abs=1e-12)
 
     def test_label_out_of_range(self):
         crf = make_crf(3, 3)
         with pytest.raises(ContractError):
-            crf.score(Tensor(np.zeros((2, 3))), [0, 3])
+            crf.score(*batch_of_one(np.zeros((2, 3))), [[0, 3]])
 
 
 class TestLogPartition:
@@ -93,7 +100,7 @@ class TestLogPartition:
         crf.transitions.data[:] = 0.0
         rng = np.random.default_rng(4)
         row = rng.normal(size=(1, 4))
-        got = crf.log_partition(Tensor(row)).item()
+        got = crf.log_partition(*batch_of_one(row)).item()
         assert got == pytest.approx(ad.log_sum_exp(Tensor(row[0])).item(), abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -107,17 +114,18 @@ class TestLogPartition:
             crf.transitions.data[:L, :L] = rng.normal(size=(L, L))
             em = Tensor(rng.normal(size=(n, L)) * 2.0)
             expected = oracle_log_partition(em.data, crf.transitions.data, crf.begin, crf.end)
-            assert abs(crf.log_partition(em).item() - expected) < 1e-8
+            assert abs(crf.log_partition(*batch_of_one(em)).item() - expected) < 1e-8
 
     def test_constant_emission_shift(self):
         rng = np.random.default_rng(5)
         crf = make_crf(4, 5)
         em = rng.normal(size=(3, 4))
-        base = crf.log_partition(Tensor(em)).item()
+        base = crf.log_partition(*batch_of_one(em)).item()
         c = 1.37
         shifted = em.copy()
         shifted[1] += c
-        assert crf.log_partition(Tensor(shifted)).item() == pytest.approx(base + c, abs=1e-10)
+        got = crf.log_partition(*batch_of_one(shifted)).item()
+        assert got == pytest.approx(base + c, abs=1e-10)
 
 
 class TestNll:
@@ -125,7 +133,7 @@ class TestNll:
         crf = make_crf(1, 6)
         rng = np.random.default_rng(6)
         em = Tensor(rng.normal(size=(5, 1)))
-        assert crf.nll(em, [0] * 5).item() == pytest.approx(0.0, abs=1e-10)
+        assert crf.nll(*batch_of_one(em), [[0] * 5]).item() == pytest.approx(0.0, abs=1e-10)
 
     def test_nonnegative(self):
         for seed in range(10):
@@ -134,7 +142,7 @@ class TestNll:
             n = int(rng.integers(1, 6))
             em = Tensor(rng.normal(size=(n, 4)) * 3.0)
             path = list(rng.integers(0, 4, size=n))
-            assert crf.nll(em, path).item() >= -1e-10
+            assert crf.nll(*batch_of_one(em), [path]).item() >= -1e-10
 
     def test_matches_enumeration_probability(self):
         for seed in range(5):
@@ -146,7 +154,8 @@ class TestNll:
             scores = dict(_enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))
             log_z = oracle_log_partition(em.data, crf.transitions.data, crf.begin, crf.end)
             p_gold = math.exp(scores[tuple(path)] - log_z)
-            assert crf.nll(em, path).item() == pytest.approx(-math.log(p_gold), abs=1e-8)
+            got = crf.nll(*batch_of_one(em), [path]).item()
+            assert got == pytest.approx(-math.log(p_gold), abs=1e-8)
 
     def test_path_probabilities_sum_to_one(self):
         for seed in range(5):
@@ -154,7 +163,7 @@ class TestNll:
             L, n = 4, 4
             crf = make_crf(L, seed)
             em = Tensor(rng.normal(size=(n, L)) * 2)
-            log_z = crf.log_partition(em).item()
+            log_z = crf.log_partition(*batch_of_one(em)).item()
             total = sum(
                 math.exp(s - log_z)
                 for _, s in _enum_scores(em.data, crf.transitions.data, crf.begin, crf.end)
@@ -167,7 +176,7 @@ class TestNll:
         crf = make_crf(L, 8)
         em = Tensor(rng.normal(size=(n, L)), requires_grad=True)
         path = [2, 0, 3]
-        loss = crf.nll(em, path)
+        loss = crf.nll(*batch_of_one(em), [path])
         backward(loss)
         marg = oracle_marginals(em.data, crf.transitions.data, crf.begin, crf.end)
         onehot = np.zeros((n, L))
@@ -185,7 +194,7 @@ class TestNll:
         feats = Tensor(rng.normal(size=(n, 4)))
 
         def loss_fn():
-            return crf.nll(ad.add(em, crf.emissions(feats)), path)
+            return crf.nll(*batch_of_one(ad.add(em, crf.emissions(feats))), [path])
 
         errors = check_gradients(loss_fn, params)
         assert max_error(errors.values()) < 1e-5
@@ -200,7 +209,7 @@ class TestViterbi:
             [5.0, 5.0, 5.0, 5.0],   # full tie -> 0
             [-1.0, -3.0, 0.0, -2.0],
         ])
-        path, score = crf.viterbi(Tensor(em))
+        [(path, score)] = crf.viterbi(*batch_of_one(em))
         assert path == [1, 0, 2]
         assert score == em[0, 1] + em[1, 0] + em[2, 2]
 
@@ -214,7 +223,7 @@ class TestViterbi:
             crf.transitions.data[:L, crf.end] = rng.normal(size=L)
             crf.transitions.data[:L, :L] = rng.normal(size=(L, L))
             em = Tensor(rng.normal(size=(n, L)))
-            path, score = crf.viterbi(em)
+            [(path, score)] = crf.viterbi(*batch_of_one(em))
             exp_path, exp_score = oracle_best_path(em.data, crf.transitions.data, crf.begin, crf.end)
             assert path == exp_path
             assert score == exp_score
@@ -227,7 +236,7 @@ class TestViterbi:
         crf.transitions.data[0, 1] = 1.0
         crf.transitions.data[1, 0] = 1.0
         em = Tensor(np.zeros((2, 2)))
-        path, score = crf.viterbi(em)
+        [(path, score)] = crf.viterbi(*batch_of_one(em))
         exp_path, exp_score = oracle_best_path(em.data, crf.transitions.data, crf.begin, crf.end)
         assert score == exp_score == 1.0
         assert path == exp_path == [1, 0]
@@ -239,8 +248,8 @@ class TestViterbi:
             n = int(rng.integers(1, 6))
             em = Tensor(rng.normal(size=(n, 5)))
             gold = list(rng.integers(0, 5, size=n))
-            _, best = crf.viterbi(em)
-            assert best >= crf.score(em, gold).item() - 1e-12
+            [(_, best)] = crf.viterbi(*batch_of_one(em))
+            assert best >= crf.score(*batch_of_one(em), [gold]).item() - 1e-12
 
     def test_masked_decoding_never_emits_invalid_iob2(self):
         schema = LabelSchema()
@@ -250,7 +259,7 @@ class TestViterbi:
             rng = np.random.default_rng(300 + seed)
             crf = make_crf(L, seed, mask=mask)
             em = Tensor(rng.uniform(-3, 3, size=(6, L)))
-            path, _ = crf.viterbi(em)
+            [(path, _)] = crf.viterbi(*batch_of_one(em))
             tags = schema.decode(path)
             assert schema.iob2_violations(tags) == []
 
@@ -263,7 +272,7 @@ class TestLabelSchema:
             "B-ORG", "I-ORG", "B-MISC", "I-MISC",
         )
         assert schema.num_labels == 9
-        assert schema.begin_index == 9 and schema.end_index == 10
+        assert schema.begin_index == 9
 
     def test_violations_and_repair(self):
         schema = LabelSchema()
@@ -285,3 +294,75 @@ class TestLabelSchema:
     def test_unknown_tag(self):
         with pytest.raises(ContractError):
             LabelSchema().tag_index("B-GPE")
+
+
+class TestPaddedBatch:
+    """A ragged batch gives each sentence what its batch of one gives."""
+
+    @staticmethod
+    def ragged(seed, mask=None):
+        rng = np.random.default_rng(seed)
+        L = LabelSchema().num_labels
+        crf = make_crf(L, seed, mask=mask)
+        crf.transitions.data[:] = rng.normal(size=crf.transitions.shape)
+        lengths = [3, 1, 7, 2, 7, 5]
+        em = rng.normal(size=(len(lengths), 7, L)) * 2.0
+        paths = [list(rng.integers(0, L, size=n)) for n in lengths]
+        return crf, em, lengths, paths
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_each_sentence_matches_its_batch_of_one_bitwise(self, masked):
+        mask = LabelSchema().invalid_transition_mask() if masked else None
+        crf, em, lengths, paths = self.ragged(20, mask)
+        log_z = crf.log_partition(Tensor(em), lengths).data
+        decoded = crf.viterbi(Tensor(em), lengths)
+        assert log_z.shape == (len(lengths),)
+        for b, n in enumerate(lengths):
+            one = batch_of_one(em[b, :n])
+            assert log_z[b] == crf.log_partition(*one).item()
+            assert decoded[b] == crf.viterbi(*one)[0]
+        singles = [crf.nll(*batch_of_one(em[b, :n]), [paths[b]]).item()
+                   for b, n in enumerate(lengths)]
+        assert crf.nll(Tensor(em), lengths, paths).item() == pytest.approx(
+            np.mean(singles), rel=1e-12, abs=1e-12)
+        gold = sum(crf.score(*batch_of_one(em[b, :n]), [paths[b]]).item()
+                   for b, n in enumerate(lengths))
+        assert crf.score(Tensor(em), lengths, paths).item() == pytest.approx(gold, rel=1e-12)
+
+    def test_padded_rows_get_zero_gradient_and_move_nothing(self):
+        crf, em, lengths, paths = self.ragged(21)
+        padded = np.arange(em.shape[1])[None, :] >= np.array(lengths)[:, None]
+        emissions = Tensor(em, requires_grad=True)
+        loss = crf.nll(emissions, lengths, paths)
+        backward(loss)
+        assert np.all(emissions.grad[padded] == 0.0)
+        assert np.all(emissions.grad[~padded] != 0.0)
+        moved = em.copy()
+        moved[padded] = np.random.default_rng(22).uniform(-50, 50, size=moved[padded].shape)
+        assert crf.nll(Tensor(moved), lengths, paths).item() == loss.item()
+        np.testing.assert_array_equal(crf.log_partition(Tensor(moved), lengths).data,
+                                      crf.log_partition(Tensor(em), lengths).data)
+        assert crf.viterbi(Tensor(moved), lengths) == crf.viterbi(Tensor(em), lengths)
+
+    @pytest.mark.parametrize("shape, lengths", [
+        ((2, 3, 4), [0, 3]),        # an empty sentence
+        ((2, 3, 4), [2, 4]),        # longer than the padded rows
+        ((2, 3, 4), [3]),           # one length for two rows
+        ((2, 3, 4), [3, 3, 1]),
+        ((0, 3, 4), []),            # an empty batch
+        ((3, 4), [3]),              # not a batch
+    ])
+    def test_bad_lengths_raise(self, shape, lengths):
+        crf = make_crf(4, 23)
+        em = Tensor(np.zeros(shape))
+        with pytest.raises(ShapeError):
+            crf.log_partition(em, lengths)
+        with pytest.raises(ShapeError):
+            crf.viterbi(em, lengths)
+        with pytest.raises(ShapeError):
+            crf.nll(em, lengths, [[0] * n for n in lengths])
+
+    def test_path_length_must_match_its_sentence(self):
+        crf = make_crf(4, 24)
+        with pytest.raises(ShapeError):
+            crf.score(Tensor(np.zeros((2, 3, 4))), [3, 2], [[0, 1, 2], [0, 1, 2]])

@@ -4,8 +4,12 @@ Each IOB2 case mutates a valid corpus (byte flips, truncation, duplicated,
 swapped or reordered lines, tabs removed, a header moved) and runs `mmner
 stats` and `mmner predict` on it. Each run-directory case mutates one of a
 run's `config.cfg`, `vocab.txt` and `model.ckpt` and runs `mmner predict`
-on one sentence, loading it afresh. Every command must exit 0, or exit 1
-with exactly one `mmner: error:` line on stderr; nothing may escape `main`.
+on one sentence, loading it afresh. Each PPM case rebuilds an image's
+header with a field replaced or dropped, mutates the bytes (flips, in the
+header too, and truncation), and reads the file through `ImageStore.load`
+and `mmner eval`. Every command must exit 0, or exit 1 with exactly one
+`mmner: error:` line on stderr, which for a bad image names the file;
+nothing may escape `main`.
 
 The IOB2 cases leave the run directory as it is, so `predict` loads it once
 for all of them. A fresh load made each of their `predict` calls about 11 ms
@@ -18,6 +22,7 @@ import functools
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from fixtures_util import build_overfit_fixture
@@ -25,12 +30,13 @@ from fixtures_util import build_overfit_fixture
 import mmner.cli
 from mmner.checkpoint import MAGIC
 from mmner.cli import main
-from mmner.data import Vocabulary, parse_iob2
+from mmner.data import CorpusError, ImageStore, Vocabulary, parse_iob2
 from mmner.model import MultimodalNerModel
 from mmner.training import TrainConfig, load_run, save_run_artifacts
 
 CASES = 200
 RUN_CASES = 60
+PPM_CASES = 60
 
 
 def flip_byte(rng, data):
@@ -107,6 +113,22 @@ RUN_MUTATIONS = {
 }
 
 
+PPM_FIELDS = (b"P3", b"P6P6", b"", b"0", b"-16", b"+16", b"1e1", b"16.0", b"0x10", b"4",
+              b"17", b"65535", b"256", b"99999999999999999999", b"nan", b"#16")
+
+
+def ppm_with_header(rng, payload):
+    """The 16x16 image's pixels under a header "P6 16 16 255" with one field
+    replaced by an odd, extreme or mistyped token, or dropped."""
+    fields = [b"P6", b"16", b"16", b"255"]
+    i = rng.randrange(len(fields))
+    if rng.random() < 0.2:
+        del fields[i]
+    else:
+        fields[i] = rng.choice(PPM_FIELDS)
+    return b" ".join(fields) + b"\n" + payload
+
+
 def mutate(rng, data, mutations=IOB2_MUTATIONS):
     """One to three mutations, each on the bytes or on a fresh list of lines."""
     for _ in range(rng.randint(1, 3)):
@@ -127,8 +149,9 @@ def resign(data):
     return data[:-8] + hashlib.blake2b(data[start:-8], digest_size=8).digest()
 
 
-def run_cli(capsys, case, argv, data):
-    """Exit code of `mmner argv`, after checking it exited cleanly."""
+def run_cli(capsys, case, argv, data, names=None):
+    """Exit code of `mmner argv`, after checking it exited cleanly and, on
+    an error, that its line names the file `names` if one is given."""
     try:
         code = main(argv)
     except Exception as exc:
@@ -138,6 +161,7 @@ def run_cli(capsys, case, argv, data):
     if code == 1:
         assert len(err.splitlines()) == 1 and err.startswith("mmner: error: "), (
             case, argv[0], err, data[:200])
+        assert names is None or str(names) in err, (case, argv[0], err, data[:200])
     else:
         assert err == "", (case, argv[0], err, data[:200])
     return code
@@ -194,3 +218,27 @@ def test_mutated_run_directory_exits_cleanly(seed_corpus, tmp_path, capsys):
     # every file reaches a clean failure, and mutations that keep a run
     # valid predict through
     assert {(name, 1) for name in RUN_MUTATIONS} | {("config.cfg", 0), ("vocab.txt", 0)} <= exits
+
+
+def test_mutated_ppm_exits_cleanly(seed_corpus, capsys, monkeypatch):
+    root, run, _ = seed_corpus
+    monkeypatch.setattr(mmner.cli, "load_run", functools.cache(load_run))
+    target = root / "images" / f"{parse_iob2(root / 'train.iob2').examples[0].image_ref}.ppm"
+    valid = target.read_bytes()
+    payload = valid[len(b"P6\n16 16\n255\n"):]
+    assert len(payload) == 3 * 16 * 16
+    rng = random.Random(2)
+    exits = set()
+    for case in range(PPM_CASES):
+        data = valid if rng.random() < 0.5 else ppm_with_header(rng, payload)
+        data = mutate(rng, data, BYTE_MUTATIONS)
+        target.write_bytes(data)
+        try:
+            image = ImageStore(target.parent, 32).load(target.stem)
+            assert image.shape == (3, 32, 32) and np.all(np.abs(image) <= 1.0), (case, data[:40])
+        except CorpusError as exc:
+            assert str(exc).startswith(f"{target}: ") and "\n" not in str(exc), (case, exc)
+        argv = ["eval", "--checkpoint", str(run), str(root), "--split", "train"]
+        exits.add(run_cli(capsys, case, argv, data, names=target))
+    target.write_bytes(valid)
+    assert exits == {0, 1}

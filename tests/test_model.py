@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fixtures_util import build_overfit_fixture
+from test_crf import batch_of_one
 
 from mmner import autodiff as ad
 from mmner.alignment import contrastive_loss
@@ -80,7 +81,7 @@ def test_inference_matches_graph_forward_bitwise():
     for ids, image in [(IDS, a), ([4, 4], a), (IDS, b), ([9], b), (IDS, a)]:
         with ad.no_grad():
             emissions = emissions_of(model, ids, image)
-            path, _ = model.crf.viterbi(emissions)
+            [(path, _)] = model.crf.viterbi(*batch_of_one(emissions))
         reference = graph_emissions(model, ids, image)
         np.testing.assert_array_equal(emissions.data, reference)
         assert model.predict(ids, image) == model.schema.decode(path)
@@ -165,7 +166,7 @@ def per_sentence_losses(model, batch, rngs, tau=0.07):
     nlls, pooled = [], {"vit": [], "conv": []}
     for ids, labels, image, rng in zip(batch.token_ids, batch.label_ids, batch.images, rngs):
         emissions, (n,), pairs = model.forward_batch([ids], image[None], True, [rng])
-        nlls.append(model.crf.nll(emissions[0, :n], labels[:n]))
+        nlls.append(model.crf.nll(*batch_of_one(emissions[0, :n]), [labels[:n]]))
         for key, (text, visual) in pairs.items():
             pooled[key].append((text[0], visual[0]))
 
@@ -240,7 +241,8 @@ def test_sentence_nll_does_not_depend_on_its_neighbours():
         rngs = [np.random.default_rng([5, 1 + j]) for j in neighbours]
         rngs.insert(position, np.random.default_rng([5, 0]))
         emissions, lengths, _ = model.forward_batch(token_ids, np.stack(stack), True, rngs)
-        nlls.append(model.crf.nll(emissions[position, :lengths[position]], labels).item())
+        nlls.append(model.crf.nll(*batch_of_one(emissions[position, :lengths[position]]),
+                                  [labels]).item())
     assert max(nlls) - min(nlls) < 1e-12, nlls
 
 

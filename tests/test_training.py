@@ -501,6 +501,22 @@ class TestTrainLoop:
         assert saved == unsaved
         assert runs[0].kv_lines() == runs[1].kv_lines()
 
+    def test_each_new_best_is_rounded_once(self, tmp_path, monkeypatch):
+        root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
+        calls = []
+        original = mmner.checkpoint.canonicalize
+
+        def counted(params):
+            calls.append(len(params))
+            return original(params)
+
+        for module in (mmner.checkpoint, mmner.training):
+            monkeypatch.setattr(module, "canonicalize", counted)
+        result = train(tiny_train_config(epochs=4, lr=2e-2), root, out_dir=tmp_path / "run")
+        f1s = [log.eval_f1 for log in result.epoch_logs]
+        new_bests = sum(f1 > max(f1s[:i], default=-1.0) for i, f1 in enumerate(f1s))
+        assert new_bests >= 2 and len(calls) == new_bests, (f1s, calls)
+
     def test_load_run_draws_nothing(self, tmp_path, monkeypatch):
         config, vocab = TrainConfig(seed=1), Vocabulary(["a", "b"])
         model = MultimodalNerModel(config.model_config(), len(vocab), seed=5)
