@@ -316,26 +316,24 @@ def maximum_scalar(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def dropout(a: Tensor, p: float, train: bool,
-            rngs: Sequence[np.random.Generator] | None = None,
+def dropout(a: Tensor, p: float, rngs: Sequence[np.random.Generator] | None,
             lengths: Sequence[int] | None = None) -> Tensor:
-    """Inverted dropout: identity in eval mode, survivors scaled by 1/(1-p).
-    Item i of a's leading axis draws its mask from rngs[i], over its first
-    lengths[i] rows if given; later rows draw nothing and are zeroed."""
+    """Inverted dropout: the identity without generators, else survivors
+    scaled by 1/(1-p). Item i of a's leading axis draws its boolean mask from
+    rngs[i], over its first lengths[i] rows if given; later rows draw none and are zeroed."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    if rngs is None or p == 0.0:
         return a
-    if rngs is None or len(rngs) != a.shape[0]:
-        raise ContractError("dropout in train mode needs one rng per item of the leading axis")
-    mask = np.zeros(a.shape)
+    if len(rngs) != a.shape[0]:
+        raise ContractError("dropout needs one rng per item of the leading axis")
+    keep = np.zeros(a.shape, dtype=bool)
     for i, rng in enumerate(rngs):
-        rows = mask[i] if lengths is None else mask[i, :lengths[i]]
+        rows = keep[i] if lengths is None else keep[i, :lengths[i]]
         rows[...] = rng.random(rows.shape) >= p
-    mask /= 1.0 - p
-    out = Tensor(a.data * mask)
+    out = Tensor(a.data * (keep / (1.0 - p)))
     if _tracked(a):
-        _record(out, (a,), lambda g: _accum(a, g * mask))
+        _record(out, (a,), lambda g: _accum(a, g * (keep / (1.0 - p))))
     return out
 
 

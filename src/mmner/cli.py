@@ -201,6 +201,8 @@ def cmd_kappa(args) -> int:
             row = [float(v) for v in line.split()]
         except ValueError:
             raise ContractError(f"{args.table}:{line_no}: non-numeric count in {line!r}") from None
+        if not np.isfinite(row).all():
+            raise ContractError(f"{args.table}:{line_no}: non-finite count in {line!r}")
         if rows and len(row) != len(rows[0]):
             raise ContractError(
                 f"{args.table}:{line_no}: {len(row)} counts, first row has {len(rows[0])}")

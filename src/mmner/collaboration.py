@@ -66,8 +66,7 @@ class CrossAttentionBlock:
         """The (d_in, d_out) matrix `ad.linear` applies for a stacked map."""
         return ad.transpose2d(ad.reshape(w, (self.d, self.d)))
 
-    def __call__(self, text: Tensor, visual: Tensor, train: bool = False,
-                 rngs: list[np.random.Generator] | None = None,
+    def __call__(self, text: Tensor, visual: Tensor, rngs: list[np.random.Generator] | None = None,
                  lengths: list[int] | None = None) -> Tensor:
         if (text.ndim not in (2, 3) or text.shape[:-2] != visual.shape[:-2]
                 or text.shape[-1] != self.d or visual.shape[-1] != self.d):
@@ -77,10 +76,10 @@ class CrossAttentionBlock:
                              ad.linear(visual, self._map(self.wk)),
                              ad.linear(visual, self._map(self.wv)), self.heads)
         ia = ad.linear(heads, ad.transpose2d(self.wo))
-        ia = ad.dropout(ia, self.dropout, train, rngs, lengths)
+        ia = ad.dropout(ia, self.dropout, rngs, lengths)
         fused = ad.layer_norm(ad.add(ia, text), self.ln1_g, self.ln1_b)
         h = ad.linear(fused, self.mlp_w1, self.mlp_b1)
         h = ad.gelu(h)
         h = ad.linear(h, self.mlp_w2, self.mlp_b2)
-        h = ad.dropout(h, self.dropout, train, rngs, lengths)
+        h = ad.dropout(h, self.dropout, rngs, lengths)
         return ad.layer_norm(ad.add(fused, h), self.ln2_g, self.ln2_b)

@@ -234,7 +234,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
 
     magic = next_token()
     if magic != b"P6":
-        raise CorpusError(f"{path}: not a binary PPM (magic {magic!r})")
+        raise CorpusError(f"{path}: not a binary PPM (first token begins {magic[:8]!r})")
     try:
         width = int(next_token())
         height = int(next_token())
@@ -246,9 +246,11 @@ def read_ppm(path: str | Path) -> np.ndarray:
     if width < 1 or height < 1:
         raise CorpusError(f"{path}: bad dimensions {width}x{height}")
     pos += 1  # single whitespace byte after maxval
-    data = blob[pos:pos + 3 * width * height]
-    if len(data) != 3 * width * height:
-        raise CorpusError(f"{path}: pixel payload truncated")
+    data, need = blob[pos:], 3 * width * height
+    if len(data) != need:
+        kind = "truncated" if len(data) < need else "too long"
+        raise CorpusError(f"{path}: pixel payload {kind}: {len(data)} bytes, "
+                          f"header {width}x{height} needs {need}")
     arr = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 255.0
     return arr.reshape(height, width, 3).transpose(2, 0, 1)
 

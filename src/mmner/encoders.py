@@ -120,23 +120,21 @@ class TransformerLayer:
         h = ad.gelu(ad.linear(x, self.mlp_w1, self.mlp_b1))
         return ad.linear(h, self.mlp_w2, self.mlp_b2)
 
-    def _apply(self, x, f, ln_g, ln_b, train, rngs, lengths):
+    def _apply(self, x, f, ln_g, ln_b, rngs, lengths):
         if self.sublayer == TEXT_SUBLAYER:
-            out = ad.dropout(f(x), self.dropout, train, rngs, lengths)
+            out = ad.dropout(f(x), self.dropout, rngs, lengths)
             return ad.add(ad.layer_norm(out, ln_g, ln_b), x)
-        out = ad.dropout(f(ad.layer_norm(x, ln_g, ln_b)), self.dropout, train, rngs, lengths)
+        out = ad.dropout(f(ad.layer_norm(x, ln_g, ln_b)), self.dropout, rngs, lengths)
         return ad.add(out, x)
 
-    def __call__(self, x: Tensor, train: bool = False,
-                 rngs: list[np.random.Generator] | None = None,
+    def __call__(self, x: Tensor, rngs: list[np.random.Generator] | None = None,
                  lengths: list[int] | None = None) -> Tensor:
         rows = x.shape[-2]
         mask = None
         if lengths is not None and min(lengths) < rows:
             mask = np.arange(rows) < np.asarray(lengths)[:, None]
-        x = self._apply(x, lambda h: self.attn(h, mask), self.ln1_g, self.ln1_b,
-                        train, rngs, lengths)
-        return self._apply(x, self._mlp, self.ln2_g, self.ln2_b, train, rngs, lengths)
+        x = self._apply(x, lambda h: self.attn(h, mask), self.ln1_g, self.ln1_b, rngs, lengths)
+        return self._apply(x, self._mlp, self.ln2_g, self.ln2_b, rngs, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +172,7 @@ class TextEncoder:
         """Each sentence's token count after truncation."""
         return [min(len(ids), self.max_len - 2) for ids in token_ids]
 
-    def encode(self, token_ids: list[list[int]], train: bool = False,
+    def encode(self, token_ids: list[list[int]],
                rngs: list[np.random.Generator] | None = None) -> Tensor:
         if not token_ids or min(map(len, token_ids)) < 1:
             raise ContractError("text_encode needs at least one token per sentence")
@@ -189,7 +187,7 @@ class TextEncoder:
             self.position_table[: framed.shape[1]],
         )
         for layer in self.layers:
-            x = layer(x, train, rngs, lengths)
+            x = layer(x, rngs, lengths)
         return x
 
 
@@ -199,8 +197,8 @@ class TextEncoder:
 
 class VitEncoder:
     """(..., C, H, W) images -> one d-wide row per patch after K transformer
-    layers, (..., P, d); in train mode a stack's image i draws its dropout
-    masks from rngs[i]."""
+    layers, (..., P, d); given generators, a stack's image i draws its
+    dropout masks from rngs[i]."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.image_size = config.image_size
@@ -230,16 +228,15 @@ class VitEncoder:
         patches = images.reshape(-1, c, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)
         return patches.reshape(*lead, g * g, c * p * p)
 
-    def encode_patches(self, patches: np.ndarray, train: bool = False,
+    def encode_patches(self, patches: np.ndarray,
                        rngs: list[np.random.Generator] | None = None) -> Tensor:
         x = ad.add(ad.linear(Tensor(patches), self.patch_proj), self.position_table)
         for layer in self.layers:
-            x = layer(x, train, rngs)
+            x = layer(x, rngs)
         return x
 
-    def encode(self, images: np.ndarray, train: bool = False,
-               rngs: list[np.random.Generator] | None = None) -> Tensor:
-        return self.encode_patches(self.extract_patches(images), train, rngs)
+    def encode(self, images: np.ndarray, rngs: list[np.random.Generator] | None = None) -> Tensor:
+        return self.encode_patches(self.extract_patches(images), rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +301,10 @@ class ConvEncoder:
         return _with_parts({"stem_w": self.stem_w, "stem_b": self.stem_b,
                             "proj_w": self.proj_w, "proj_b": self.proj_b}, "block", self.blocks)
 
-    def encode(self, images: np.ndarray, train: bool = False,
-               rngs: list[np.random.Generator] | None = None) -> Tensor:
+    def encode(self, images: np.ndarray, rngs: list[np.random.Generator] | None = None) -> Tensor:
         """(N, C, H, W) images -> (N, g^2, d) tokens, the whole stack in each conv.
 
-        The stack draws no dropout, so `train` and `rngs` change nothing.
+        The stack draws no dropout; it takes `rngs` only for the ViT's call shape.
         """
         size = self.image_size
         if images.shape[1:] != (CHANNELS, size, size):

@@ -24,15 +24,15 @@ projection head once; the CRF takes the padded emissions and lengths.
 chunk of at most `DECODE_CHUNK` sentences; `predict` is `decode` of one
 sentence. Padded rows never reach a real one: padded text keys are masked
 out of self-attention, padded query rows only give rows the CRF never
-reads, and no padded row draws dropout. In train mode sentence i draws
-its dropout masks from its own generator, rngs[i], in a fixed order
+reads, and no padded row draws dropout. Given generators (training),
+sentence i draws its dropout masks from its own, rngs[i], in a fixed order
 (text, ViT, ViT fusion, conv fusion; the conv stack draws none), so its
 masks, like its outputs, do not depend on its neighbours or its padding.
 
 At inference the model keeps, per path key, a one-entry memo of the last
 encode: a copy of the image stack, the output, and, once the stack has
 repeated, a copy of each of that encoder's parameter arrays. It is
-consulted only when no graph is recorded (`train=False` under `no_grad`,
+consulted only when no graph is recorded (no generators, under `no_grad`,
 as in `predict`), and hits only when the image stack and every encoder
 parameter equal their stored copies by value, compared bit for bit (same
 dtype, shape and bytes). Any change to the weights, by reassignment or in
@@ -195,11 +195,11 @@ class MultimodalNerModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _encode_image(self, key: str, images: np.ndarray, train: bool,
+    def _encode_image(self, key: str, images: np.ndarray,
                       rngs: list[np.random.Generator] | None) -> Tensor:
         encoder = self.paths[key].encoder
-        if train or ad._grad_enabled():
-            return encoder.encode(images, train, rngs)
+        if rngs is not None or ad._grad_enabled():
+            return encoder.encode(images, rngs)
         entry = self._encoded.get(key)
         snapshot = None
         if entry is not None and _identical(entry[0], images):
@@ -207,39 +207,39 @@ class MultimodalNerModel:
             if entry[1] is not None and all(map(_identical, entry[1], weights)):
                 return entry[2]
             snapshot = [w.copy() for w in weights]
-        out = encoder.encode(images, train, rngs)
+        out = encoder.encode(images)
         self._encoded[key] = (images.copy(), snapshot, out)
         return out
 
     def forward_batch(self, token_ids: list[list[int]], images: np.ndarray,
-                      train: bool = False, rngs: list[np.random.Generator] | None = None):
+                      rngs: list[np.random.Generator] | None = None):
         """The batch's padded emissions (B, n_max, L), each sentence's
         truncated length n_i, and a dict mapping each path key to the (B, d)
         text CLS rows and mean visual tokens its contrastive term needs.
-        `images` is the (B, C, H, W) stack, row i belonging to sentence i; in
-        train mode sentence i draws its dropout masks from rngs[i]."""
+        `images` is the (B, C, H, W) stack, row i belonging to sentence i;
+        given `rngs`, sentence i draws its dropout masks from rngs[i]."""
         lengths = self.text.lengths(token_ids)
-        text_rows = self.text.encode(token_ids, train, rngs)
+        text_rows = self.text.encode(token_ids, rngs)
         tokens = text_rows[:, 1:max(lengths) + 1]
         pooled_text = text_rows[:, 0]
         fused, pooled = [], {}
         for key, path in self.paths.items():
-            visual = self._encode_image(key, images, train, rngs)
-            fused.append(path.fusion(tokens, visual, train, rngs, lengths))
+            visual = self._encode_image(key, images, rngs)
+            fused.append(path.fusion(tokens, visual, rngs, lengths))
             pooled[key] = (pooled_text, ad.mean(visual, axis=1))
         if len(fused) > 1:
             fused = [ad.concat(fused, axis=-1)]
         return self.crf.emissions(fused[0] if fused else tokens), lengths, pooled
 
-    def batch_losses(self, batch: Batch, train: bool = False,
-                     rngs: list[np.random.Generator] | None = None, tau: float = 0.07):
+    def batch_losses(self, batch: Batch, rngs: list[np.random.Generator] | None = None,
+                     tau: float = 0.07):
         """Mean CRF NLL over the batch plus the two contrastive terms.
 
         A disabled image path (or a batch too small to form negative
         pairs) contributes an exact scalar zero.
         """
         emissions, lengths, pooled = self.forward_batch(
-            batch.token_ids, np.stack(batch.images), train, rngs)
+            batch.token_ids, np.stack(batch.images), rngs)
         crf_nll = self.crf.nll(emissions, lengths,
                                [labels[:n] for n, labels in zip(lengths, batch.label_ids)])
         terms = []

@@ -100,7 +100,7 @@ def _op_cases():
 
         def loss():  # the same masks on every call
             rngs = [np.random.default_rng([mask_seed, i]) for i in range(4)]
-            return ad.tensor_sum(ad.dropout(a, 0.5, True, rngs))
+            return ad.tensor_sum(ad.dropout(a, 0.5, rngs))
         return loss, {"p0": a}
 
     key_mask = np.arange(5) < np.array([[5], [2]])

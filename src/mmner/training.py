@@ -358,8 +358,7 @@ def train(config: TrainConfig, data_root: str | Path,
             rngs = [np.random.default_rng([config.seed, 104729, step, i])
                     for i in range(len(batch.token_ids))]
             try:
-                crf_nll, cl_vit, cl_conv = model.batch_losses(
-                    batch, train=True, rngs=rngs, tau=config.tau)
+                crf_nll, cl_vit, cl_conv = model.batch_losses(batch, rngs, tau=config.tau)
                 terms = {"crf_nll": crf_nll.item(), "cl_vit": cl_vit.item(),
                          "cl_conv": cl_conv.item()}
                 for name, value in terms.items():

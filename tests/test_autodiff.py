@@ -195,20 +195,20 @@ class TestElementwise:
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
-        out = ad.dropout(x, p=0.1, train=False)
+        out = ad.dropout(x, p=0.1, rngs=None)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_dropout_scales_survivors(self):
         rng = np.random.default_rng(5)
         x = Tensor(np.ones((1, 100, 100)))
-        out = ad.dropout(x, p=0.25, train=True, rngs=[rng])
+        out = ad.dropout(x, p=0.25, rngs=[rng])
         values = np.unique(out.data)
         np.testing.assert_allclose(values, [0.0, 1.0 / 0.75])
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_dropout_bad_rate(self):
         with pytest.raises(ContractError):
-            ad.dropout(Tensor([1.0]), p=1.0, train=True, rngs=[np.random.default_rng(0)])
+            ad.dropout(Tensor([1.0]), p=1.0, rngs=[np.random.default_rng(0)])
 
     def test_embedding_gather_rows(self):
         table = Tensor(np.arange(15.0).reshape(5, 3))
@@ -474,7 +474,7 @@ class TestGradientChecks:
 
         def loss_fn():
             rng = np.random.default_rng(99)  # same mask every call
-            return ad.tensor_sum(ad.dropout(x, p=0.5, train=True, rngs=[rng]))
+            return ad.tensor_sum(ad.dropout(x, p=0.5, rngs=[rng]))
 
         errors = check_gradients(loss_fn, {"x": x})
         assert max_error(errors.values()) < GRAD_TOL
@@ -525,6 +525,15 @@ class TestGraphMemory:
         finally:
             tracemalloc.stop()
         assert out.data.nbytes <= growth < columns_bytes
+
+    def test_tracked_dropout_keeps_a_boolean_mask(self):
+        """A tracked dropout's backward holds its mask as booleans: under a
+        quarter of the float64 mask's bytes (an eighth, exactly)."""
+        x = Tensor(np.ones((4, 30, 64)), requires_grad=True)
+        out = ad.dropout(x, 0.1, [np.random.default_rng([8, i]) for i in range(4)])
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        held_bytes = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+        assert 0 < held_bytes < x.data.nbytes / 4
 
     def test_untracked_gelu_allocates_one_output(self):
         """GELU forms its output inside its one temporary: a (8, 62, 256)

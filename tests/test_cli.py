@@ -139,6 +139,14 @@ class TestKappa:
         assert code == 1
         assert err == f"mmner: error: {table}:2: non-numeric count in '0 x'\n"
 
+    @pytest.mark.parametrize("count", ["nan", "inf", "1e999", "-inf"])
+    def test_non_finite_count_names_line(self, tmp_path, capsys, count):
+        table = tmp_path / "t.txt"
+        table.write_text(f"5 0\n1 {count}\n")
+        code, out, err = run_cli(capsys, "kappa", str(table))
+        assert code == 1 and out == ""
+        assert err == f"mmner: error: {table}:2: non-finite count in '1 {count}'\n"
+
 
 class TestStats:
     def test_empty_corpus_zero_table(self, tmp_path, capsys):

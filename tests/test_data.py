@@ -232,6 +232,22 @@ class TestPpm:
         with pytest.raises(CorpusError, match="truncated"):
             read_ppm(path)
 
+    def test_payload_beyond_header_size_refused(self, tmp_path):
+        # a 16x16 payload under a 12x16 header would load as a sheared image
+        path = tmp_path / "long.ppm"
+        path.write_bytes(b"P6 12 16 255\n" + bytes(range(256)) * 3)
+        with pytest.raises(CorpusError) as exc:
+            read_ppm(path)
+        assert str(exc.value) == (f"{path}: pixel payload too long: 768 bytes, "
+                                  "header 12x16 needs 576")
+
+    def test_long_bad_magic_gives_a_short_error(self, tmp_path):
+        path = tmp_path / "q6.ppm"
+        path.write_bytes(b"Q6" + b"A" * 768)
+        with pytest.raises(CorpusError) as exc:
+            read_ppm(path)
+        assert str(exc.value) == f"{path}: not a binary PPM (first token begins b'Q6AAAAAA')"
+
 
 class TestBilinearResize:
     def test_four_to_two_block_average(self):

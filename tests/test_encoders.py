@@ -304,5 +304,5 @@ class TestDropoutPlumbing:
         eval_a = enc.encode([ids]).data
         eval_b = enc.encode([ids]).data
         np.testing.assert_array_equal(eval_a, eval_b)
-        train_out = enc.encode([ids], train=True, rngs=[np.random.default_rng(17)]).data
+        train_out = enc.encode([ids], [np.random.default_rng(17)]).data
         assert np.abs(train_out - eval_a).max() > 1e-9

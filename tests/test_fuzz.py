@@ -7,7 +7,10 @@ run's `config.cfg`, `vocab.txt` and `model.ckpt` and runs `mmner predict`
 on one sentence, loading it afresh. Each PPM case rebuilds an image's
 header with a field replaced or dropped, mutates the bytes (flips, in the
 header too, and truncation), and reads the file through `ImageStore.load`
-and `mmner eval`. Every command must exit 0, or exit 1 with exactly one
+and `mmner eval`. Each kappa case replaces counts of an agreement table
+with odd, non-finite or mistyped tokens and mutates its lines and bytes,
+then runs `mmner kappa`, which must print a finite kappa or fail, with
+no warning. Every command must exit 0, or exit 1 with exactly one
 `mmner: error:` line on stderr, which for a bad image names the file;
 nothing may escape `main`.
 
@@ -20,6 +23,7 @@ rest the image encodes that a new model's empty inference memo repeats. Over
 
 import functools
 import hashlib
+import math
 import random
 
 import numpy as np
@@ -37,6 +41,7 @@ from mmner.training import TrainConfig, load_run, save_run_artifacts
 CASES = 200
 RUN_CASES = 60
 PPM_CASES = 60
+KAPPA_CASES = 60
 
 
 def flip_byte(rng, data):
@@ -93,6 +98,16 @@ def set_value(rng, lines):
     return lines
 
 
+def set_count(rng, lines):
+    """One whitespace-separated count of a line replaced as `set_value` does."""
+    i = rng.randrange(len(lines))
+    counts = lines[i].split()
+    if counts:
+        counts[rng.randrange(len(counts))] = rng.choice(CONFIG_VALUES)
+        lines[i] = b" ".join(counts)
+    return lines
+
+
 def drop_line(rng, lines):
     del lines[rng.randrange(len(lines))]
     return lines
@@ -111,6 +126,9 @@ RUN_MUTATIONS = {
     "vocab.txt": (flip_byte, truncate, duplicate_line, swap_lines, drop_line),
     "model.ckpt": (flip_byte, truncate, flip_head_byte),
 }
+# a count replacement is three times as likely as each line or byte mutation
+KAPPA_MUTATIONS = (flip_byte, truncate, duplicate_line, swap_lines, drop_line,
+                   set_count, set_count, set_count)
 
 
 PPM_FIELDS = (b"P3", b"P6P6", b"", b"0", b"-16", b"+16", b"1e1", b"16.0", b"0x10", b"4",
@@ -150,13 +168,14 @@ def resign(data):
 
 
 def run_cli(capsys, case, argv, data, names=None):
-    """Exit code of `mmner argv`, after checking it exited cleanly and, on
-    an error, that its line names the file `names` if one is given."""
+    """Exit code and stdout of `mmner argv`, after checking it exited
+    cleanly and, on an error, that its line names the file `names` if one
+    is given."""
     try:
         code = main(argv)
     except Exception as exc:
         pytest.fail(f"case {case}: {argv[0]} raised {exc!r} on {data[:200]!r}")
-    _, err = capsys.readouterr()
+    out, err = capsys.readouterr()
     assert code in (0, 1), (case, argv[0], data[:200])
     if code == 1:
         assert len(err.splitlines()) == 1 and err.startswith("mmner: error: "), (
@@ -164,7 +183,7 @@ def run_cli(capsys, case, argv, data, names=None):
         assert names is None or str(names) in err, (case, argv[0], err, data[:200])
     else:
         assert err == "", (case, argv[0], err, data[:200])
-    return code
+    return code, out
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +210,7 @@ def test_mutated_iob2_exits_cleanly(seed_corpus, capsys, monkeypatch):
         for argv in (["stats", str(root)],
                      ["predict", str(target), "--checkpoint", str(run),
                       "--images", str(root / "images")]):
-            exits.add((argv[0], run_cli(capsys, case, argv, data)))
+            exits.add((argv[0], run_cli(capsys, case, argv, data)[0]))
     # the mutations reach both outcomes of stats, and predict runs through
     assert {("stats", 0), ("stats", 1), ("predict", 0)} <= exits
 
@@ -214,7 +233,7 @@ def test_mutated_run_directory_exits_cleanly(seed_corpus, tmp_path, capsys):
             (mutated / other).write_bytes(data if other == name else content)
         argv = ["predict", str(sentence), "--checkpoint", str(mutated),
                 "--images", str(root / "images")]
-        exits.add((name, run_cli(capsys, case, argv, data)))
+        exits.add((name, run_cli(capsys, case, argv, data)[0]))
     # every file reaches a clean failure, and mutations that keep a run
     # valid predict through
     assert {(name, 1) for name in RUN_MUTATIONS} | {("config.cfg", 0), ("vocab.txt", 0)} <= exits
@@ -239,6 +258,21 @@ def test_mutated_ppm_exits_cleanly(seed_corpus, capsys, monkeypatch):
         except CorpusError as exc:
             assert str(exc).startswith(f"{target}: ") and "\n" not in str(exc), (case, exc)
         argv = ["eval", "--checkpoint", str(run), str(root), "--split", "train"]
-        exits.add(run_cli(capsys, case, argv, data, names=target))
+        exits.add(run_cli(capsys, case, argv, data, names=target)[0])
     target.write_bytes(valid)
+    assert exits == {0, 1}
+
+
+def test_mutated_kappa_table_exits_cleanly(tmp_path, capsys):
+    valid = b"# rater A rows, rater B columns\n20 5 1\n10 15 2\n\n0 3 9\n"
+    table = tmp_path / "table.txt"
+    rng = random.Random(3)
+    exits = set()
+    for case in range(KAPPA_CASES):
+        data = mutate(rng, valid, KAPPA_MUTATIONS)
+        table.write_bytes(data)
+        code, out = run_cli(capsys, case, ["kappa", str(table)], data)
+        if code == 0:
+            assert math.isfinite(float(out)), (case, out, data)
+        exits.add(code)
     assert exits == {0, 1}

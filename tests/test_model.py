@@ -150,7 +150,7 @@ def test_batch_losses_encode_once_per_sentence(encode_counts, train):
     ids = [IDS, [3, 4], [5], IDS]
     batch = Batch(token_ids=ids,
                   label_ids=[[0] * len(t) for t in ids], images=[image] * 4)
-    model.batch_losses(batch, train=train, rngs=streams(4))
+    model.batch_losses(batch, streams(4) if train else None)
     assert encode_counts == {"vit": 1, "conv": 1}
 
 
@@ -165,7 +165,7 @@ def per_sentence_losses(model, batch, rngs, tau=0.07):
     dropout masks from its own generator."""
     nlls, pooled = [], {"vit": [], "conv": []}
     for ids, labels, image, rng in zip(batch.token_ids, batch.label_ids, batch.images, rngs):
-        emissions, (n,), pairs = model.forward_batch([ids], image[None], True, [rng])
+        emissions, (n,), pairs = model.forward_batch([ids], image[None], [rng])
         nlls.append(model.crf.nll(*batch_of_one(emissions[0, :n]), [labels[:n]]))
         for key, (text, visual) in pairs.items():
             pooled[key].append((text[0], visual[0]))
@@ -187,7 +187,7 @@ def test_batch_losses_match_per_image_conv_encodes():
                   label_ids=[[i % 3 for i in range(len(t))] for t in ids], images=make_images(5))
     params = model.parameters()
     results = []
-    for losses in (lambda rngs: model.batch_losses(batch, train=True, rngs=rngs),
+    for losses in (lambda rngs: model.batch_losses(batch, rngs),
                    lambda rngs: per_sentence_losses(model, batch, rngs)):
         terms = losses(streams(5))
         ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
@@ -220,7 +220,7 @@ def test_ragged_batch_matches_batch_of_one_forwards():
     batch = Batch(token_ids=ids, label_ids=[[i % 3 for i in range(len(t))] for t in ids],
                   images=make_images(4))
     batched = loss_and_gradients(
-        model, lambda: model.batch_losses(batch, train=True, rngs=streams(4)))
+        model, lambda: model.batch_losses(batch, streams(4)))
     single = loss_and_gradients(model, lambda: per_sentence_losses(model, batch, streams(4)))
     for a, b in zip(batched, single):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
@@ -240,7 +240,7 @@ def test_sentence_nll_does_not_depend_on_its_neighbours():
         stack.insert(position, images[0])
         rngs = [np.random.default_rng([5, 1 + j]) for j in neighbours]
         rngs.insert(position, np.random.default_rng([5, 0]))
-        emissions, lengths, _ = model.forward_batch(token_ids, np.stack(stack), True, rngs)
+        emissions, lengths, _ = model.forward_batch(token_ids, np.stack(stack), rngs)
         nlls.append(model.crf.nll(*batch_of_one(emissions[position, :lengths[position]]),
                                   [labels]).item())
     assert max(nlls) - min(nlls) < 1e-12, nlls
@@ -356,7 +356,7 @@ def test_overlong_sentence_matches_hand_truncation():
     for cut in (None, limit):
         batch = Batch(token_ids=[t[:cut] for t in ids],
                       label_ids=[l[:cut] for l in labels], images=images)
-        terms = model.batch_losses(batch, train=True, rngs=streams(3))
+        terms = model.batch_losses(batch, streams(3))
         ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
         results.append([t.data for t in terms] + [params[k].grad for k in sorted(params)])
         for p in params.values():
@@ -450,7 +450,7 @@ def test_training_graph_of_a_desk_batch_stays_bounded(tmp_path):
     params = list(model.parameters().values())
 
     def loss():
-        return total_loss(*model.batch_losses(batch, train=True, rngs=streams(8)), config.alpha)
+        return total_loss(*model.batch_losses(batch, streams(8)), config.alpha)
 
     ad.backward(loss())  # first-call allocations are not the graph's
     gc.collect()

@@ -408,7 +408,7 @@ class TestModelAssembly:
             for p in model.parameters().values():
                 p.data += perturb.uniform(-0.1, 0.1, p.shape)
             (batch,) = list(make_batches(corpus, 4, 0, False, vocab, store))
-            nll, clv, clc = model.batch_losses(batch, train=False)
+            nll, clv, clc = model.batch_losses(batch)
             results[flag] = (nll.item(), clv.item(), clc.item())
         assert results[True][0] == results[False][0]  # same init, same nll
         assert results[False][1] == 0.0 and results[False][2] == 0.0
