@@ -2,11 +2,20 @@
 
 Row-major float64 storage on top of numpy and the small set of
 differentiable operations the rest of the package is built from. No views,
-no strides, no GPU. An op output holds its inputs (`_parents`), a closure
-pushing its gradient to them (`_backward`) and a creation number. backward()
-sweeps the graph reachable from the loss in reverse creation order and
-consumes each node it sweeps, so nothing else keeps a graph alive and no
-node is swept twice; it keeps gradients only on the leaves and the loss.
+no strides, no GPU. A tracked op's output Tensor holds its value and a
+graph node; the node holds no tensor value. It holds its parents' nodes
+(a leaf Tensor that needs a gradient stands for itself, an input that
+needs none is None), a closure mapping its gradient to its parents'
+gradients, its own gradient while backward runs, and a creation number.
+Each closure keeps only what its backward reads: shapes for add, sub,
+reshape, transpose2d, slicing, concat, stack, sums and means; masks for
+relu, maximum_scalar and dropout; inputs for linear, matmul, mul, gelu,
+pow_scalar, conv2d and attention; softmax, log_sum_exp and layer_norm
+their normalized values. So an activation no backward reads is freed,
+by reference counting alone, as soon as the forward code drops it.
+backward() sweeps the nodes reachable from the loss in reverse creation
+order and consumes each node it sweeps, freeing what the node kept, so
+no node is swept twice; it keeps gradients only on the leaves and the loss.
 
 Ops: elementwise arithmetic (add, sub, mul, neg, pow_scalar,
 maximum_scalar), activations (relu, gelu, dropout), linear algebra (matmul,
@@ -27,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,7 +115,7 @@ class no_grad:
 class Tensor:
     """Dense row-major float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -115,8 +124,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -151,20 +159,43 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
+class _Node:
+    """One recorded op: where its input gradients go (`parents`, None for
+    an input that needs none), the closure `backward(g)` giving one
+    gradient per parent, its own gradient while the sweep runs, and its
+    creation number."""
+
+    __slots__ = ("parents", "backward", "grad", "seq")
+
+    def __init__(self, parents: tuple, backward_fn):
+        self.parents = parents
+        self.backward = backward_fn
+        self.grad: np.ndarray | None = None
+        self.seq = next(_creation_seq)
+
+
 def _as_tensor(v) -> Tensor:
     return v if isinstance(v, Tensor) else Tensor(v)
 
 
-def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+def _target(t: Tensor) -> "_Node | Tensor | None":
+    """What a gradient for t accumulates into: its node, the leaf itself,
+    or None when t needs no gradient."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     out.requires_grad = True
-    out._parents = parents
-    out._backward = backward_fn
-    out._seq = next(_creation_seq)
+    # tuple of a list, not of a generator: that one is resized, and resized
+    # tuples pile up in the interpreter's tuple free list
+    out._node = _Node(tuple([_target(t) for t in inputs]), backward_fn)
     return out
 
 
 def _consumed(g: np.ndarray | None = None) -> None:
-    """`_backward` of a node whose backward sweep has already run."""
+    """`backward` of a node whose backward sweep has already run."""
     raise ContractError("backward() already swept this graph node; run a new forward pass")
 
 
@@ -172,13 +203,11 @@ def _tracked(*tensors: Tensor) -> bool:
     return _grad_enabled() and any(t.requires_grad for t in tensors)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)  # a copy: later sums add into it in place
+def _accum(target: "_Node | Tensor", g: np.ndarray) -> None:
+    if target.grad is None:
+        target.grad = np.array(g, dtype=np.float64)  # a copy: later sums add into it in place
     else:
-        t.grad += g
+        target.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -194,33 +223,37 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep seeding d(loss)/d(loss) = 1.
 
-    The loss must be a scalar. The interior nodes reachable from it through
-    `_parents` run `_backward` in reverse creation order (a topological
-    order), then are consumed: parents, closure and gradient are dropped,
-    so after the sweep only the loss and the leaves hold `.grad`. Reaching
-    a consumed node (a second call on the same loss, or a loss built on a
-    swept node) raises ContractError before any grad is written.
+    The loss must be a scalar. The nodes reachable from its node through
+    `parents` run their closures in reverse creation order (a topological
+    order that also fixes the order of every gradient sum); each closure's
+    gradients are added into its parents' nodes, or into the `.grad` of
+    the leaves. A swept node is consumed at once: its parents, closure
+    (and with it every array the closure kept) and gradient are dropped,
+    so the graph's memory falls as the sweep proceeds and after it only
+    the loss and the leaves hold `.grad`. Reaching a consumed node (a
+    second call on the same loss, or a loss built on a swept node) raises
+    ContractError before any grad is written.
     """
     if loss.data.shape not in ((), (1,)):
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    found, pending = {}, [loss]
+    found, pending = set(), [] if loss._node is None else [loss._node]
     while pending:
         node = pending.pop()
-        if node._backward is _consumed:
+        if node.backward is _consumed:
             _consumed()
-        if node._backward is not None and id(node) not in found:
-            found[id(node)] = node
-            pending.extend(node._parents)
+        if node not in found:
+            found.add(node)
+            pending.extend(p for p in node.parents if type(p) is _Node)
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
-    # Creation order fixes the order of every gradient sum, not just topology.
-    for node in sorted(found.values(), key=lambda n: n._seq, reverse=True):
+        if loss._node is not None:
+            loss._node.grad = loss.grad
+    for node in sorted(found, key=lambda n: n.seq, reverse=True):
         if node.grad is not None:
-            node._backward(node.grad)
-            if node is not loss:
-                node.grad = None
-        node._parents = ()
-        node._backward = _consumed
+            for parent, g in zip(node.parents, node.backward(node.grad)):
+                if parent is not None:
+                    _accum(parent, g)
+        node.parents, node.backward, node.grad = (), _consumed, None
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +261,8 @@ def backward(loss: Tensor) -> None:
 
 
 def _broadcasting(name: str, f, a, b, grads) -> Tensor:
-    """f(a, b) under numpy broadcasting; grads(g, a.data, b.data) gives the
-    two input gradients before they are summed back to the input shapes."""
+    """f(a, b) under numpy broadcasting; grads(g) gives the two input
+    gradients before they are summed back to the input shapes."""
     a, b = _as_tensor(a), _as_tensor(b)
     try:
         data = f(a.data, b.data)
@@ -237,30 +270,32 @@ def _broadcasting(name: str, f, a, b, grads) -> Tensor:
         raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
     out = Tensor(data)
     if _tracked(a, b):
+        a_shape, b_shape = a.shape, b.shape
         def _bw(g):
-            ga, gb = grads(g, a.data, b.data)
-            _accum(a, _unbroadcast(ga, a.shape))
-            _accum(b, _unbroadcast(gb, b.shape))
+            ga, gb = grads(g)
+            return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
         _record(out, (a, b), _bw)
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcasting("add", np.add, a, b, lambda g, x, y: (g, g))
+    return _broadcasting("add", np.add, a, b, lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcasting("sub", np.subtract, a, b, lambda g, x, y: (g, -g))
+    return _broadcasting("sub", np.subtract, a, b, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcasting("mul", np.multiply, a, b, lambda g, x, y: (g * y, g * x))
+    a, b = _as_tensor(a), _as_tensor(b)
+    x, y = a.data, b.data
+    return _broadcasting("mul", np.multiply, a, b, lambda g: (g * y, g * x))
 
 
 def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
     if _tracked(a):
-        _record(out, (a,), lambda g: _accum(a, -g))
+        _record(out, (a,), lambda g: (-g,))
     return out
 
 
@@ -268,7 +303,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     if _tracked(a):
         mask = a.data > 0.0
-        _record(out, (a,), lambda g: _accum(a, g * mask))
+        _record(out, (a,), lambda g: (g * mask,))
     return out
 
 
@@ -294,7 +329,7 @@ def gelu(a: Tensor) -> Tensor:
             t = np.tanh(_GELU_C * (x * x * x * 0.044715 + x))  # the forward's steps, in order
             dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x**2)
             grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-            _accum(a, g * grad)
+            return (g * grad,)
         _record(out, (a,), _bw)
     return out
 
@@ -302,9 +337,8 @@ def gelu(a: Tensor) -> Tensor:
 def pow_scalar(a: Tensor, p: float) -> Tensor:
     out = Tensor(a.data**p)
     if _tracked(a):
-        def _bw(g):
-            _accum(a, g * p * a.data ** (p - 1.0))
-        _record(out, (a,), _bw)
+        x = a.data
+        _record(out, (a,), lambda g: (g * p * x ** (p - 1.0),))
     return out
 
 
@@ -312,7 +346,7 @@ def maximum_scalar(a: Tensor, c: float) -> Tensor:
     out = Tensor(np.maximum(a.data, c))
     if _tracked(a):
         mask = a.data >= c
-        _record(out, (a,), lambda g: _accum(a, g * mask))
+        _record(out, (a,), lambda g: (g * mask,))
     return out
 
 
@@ -333,7 +367,7 @@ def dropout(a: Tensor, p: float, rngs: Sequence[np.random.Generator] | None,
         rows[...] = rng.random(rows.shape) >= p
     out = Tensor(a.data * (keep / (1.0 - p)))
     if _tracked(a):
-        _record(out, (a,), lambda g: _accum(a, g * (keep / (1.0 - p))))
+        _record(out, (a,), lambda g: (g * (keep / (1.0 - p)),))
     return out
 
 
@@ -347,10 +381,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
     if _tracked(a, b):
-        def _bw(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        _record(out, (a, b), _bw)
+        x, y = a.data, b.data
+        _record(out, (a, b), lambda g: (g @ y.T, x.T @ g))
     return out
 
 
@@ -366,14 +398,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out = Tensor(data)
     tracked = _tracked(x, w, b) if b is not None else _tracked(x, w)
     if tracked:
+        xd, wd, has_bias = x.data, w.data, b is not None
         def _bw(g):
-            _accum(x, g @ w.data.T)
-            g2 = g.reshape(-1, w.shape[1])
-            _accum(w, x.data.reshape(-1, w.shape[0]).T @ g2)
-            if b is not None:
-                _accum(b, g2.sum(axis=0))
-        parents = (x, w) if b is None else (x, w, b)
-        _record(out, parents, _bw)
+            g2 = g.reshape(-1, wd.shape[1])
+            gx, gw = g @ wd.T, xd.reshape(-1, wd.shape[0]).T @ g2
+            return (gx, gw, g2.sum(axis=0)) if has_bias else (gx, gw)
+        inputs = (x, w, b) if has_bias else (x, w)
+        _record(out, inputs, _bw)
     return out
 
 
@@ -383,14 +414,15 @@ def transpose2d(a: Tensor) -> Tensor:
         raise ShapeError(f"transpose2d needs rank >= 2, got {a.shape}")
     out = Tensor(a.data.swapaxes(-1, -2))
     if _tracked(a):
-        _record(out, (a,), lambda g: _accum(a, g.swapaxes(-1, -2)))
+        _record(out, (a,), lambda g: (g.swapaxes(-1, -2),))
     return out
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     if _tracked(a):
-        _record(out, (a,), lambda g: _accum(a, g.reshape(a.shape)))
+        a_shape = a.shape
+        _record(out, (a,), lambda g: (g.reshape(a_shape),))
     return out
 
 
@@ -405,10 +437,11 @@ def _slice(a: Tensor, key) -> Tensor:
             raise ContractError(f"tensor indexing supports ints and slices, got {type(part)!r}")
     out = Tensor(a.data[key].copy())
     if _tracked(a):
+        a_shape = a.shape
         def _bw(g):
-            buf = np.zeros_like(a.data)
+            buf = np.zeros(a_shape)
             buf[key] += g
-            _accum(a, buf)
+            return (buf,)
         _record(out, (a,), _bw)
     return out
 
@@ -424,10 +457,11 @@ def take_pairs(a: Tensor, rows, cols) -> Tensor:
         raise ContractError("take_pairs: index out of range")
     out = Tensor(a.data[rows, cols])
     if _tracked(a):
+        a_shape = a.shape
         def _bw(g):
-            buf = np.zeros_like(a.data)
+            buf = np.zeros(a_shape)
             np.add.at(buf, (rows, cols), g)
-            _accum(a, buf)
+            return (buf,)
         _record(out, (a,), _bw)
     return out
 
@@ -441,10 +475,11 @@ def embedding_gather(table: Tensor, indices) -> Tensor:
         raise ContractError("embedding_gather: index out of range")
     out = Tensor(table.data[idx])
     if _tracked(table):
+        table_shape = table.shape
         def _bw(g):
-            buf = np.zeros_like(table.data)
+            buf = np.zeros(table_shape)
             np.add.at(buf, idx, g)
-            _accum(table, buf)
+            return (buf,)
         _record(out, (table,), _bw)
     return out
 
@@ -463,14 +498,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]}") from None
     out = Tensor(data)
     if _tracked(*tensors):
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def _bw(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                sl = [slice(None)] * nd
-                sl[axis] = slice(lo, hi)
-                _accum(t, g[tuple(sl)])
-        _record(out, tuple(tensors), _bw)
+        cuts = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+        _record(out, tuple(tensors), lambda g: np.split(g, cuts, axis=axis))
     return out
 
 
@@ -484,10 +513,7 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
         raise ShapeError(f"stack: unequal shapes {[t.shape for t in tensors]}")
     out = Tensor(np.stack([t.data for t in tensors], axis=0))
     if _tracked(*tensors):
-        def _bw(g):
-            for i, t in enumerate(tensors):
-                _accum(t, g[i])
-        _record(out, tuple(tensors), _bw)
+        _record(out, tuple(tensors), lambda g: list(g))
     return out
 
 
@@ -498,8 +524,9 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
 def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
     out = Tensor(a.data.sum(axis=axis))
     if _tracked(a):
+        a_shape = a.shape
         def _bw(g):
-            _accum(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape))
+            return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a_shape),)
         _record(out, (a,), _bw)
     return out
 
@@ -510,9 +537,10 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
         raise ShapeError(f"mean over empty axis of shape {a.shape}")
     out = Tensor(a.data.mean(axis=axis))
     if _tracked(a):
+        a_shape = a.shape
         def _bw(g):
             g = g if axis is None else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g / count, a.shape))
+            return (np.broadcast_to(g / count, a_shape),)
         _record(out, (a,), _bw)
     return out
 
@@ -538,7 +566,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if _tracked(a):
         def _bw(g):
             dot = (g * s).sum(axis=axis, keepdims=True)
-            _accum(a, s * (g - dot))
+            return (s * (g - dot),)
         _record(out, (a,), _bw)
     return out
 
@@ -595,9 +623,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             gh = _split_heads(g, heads)
             ds = np.matmul(gh, vh.swapaxes(-1, -2))
             dlogits = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * scale
-            _accum(q, _merge_heads(np.matmul(dlogits, kh)))
-            _accum(k, _merge_heads(np.matmul(dlogits.swapaxes(-1, -2), qh)))
-            _accum(v, _merge_heads(np.matmul(s.swapaxes(-1, -2), gh)))
+            return (_merge_heads(np.matmul(dlogits, kh)),
+                    _merge_heads(np.matmul(dlogits.swapaxes(-1, -2), qh)),
+                    _merge_heads(np.matmul(s.swapaxes(-1, -2), gh)))
         _record(out, (q, k, v), _bw)
     return out
 
@@ -615,9 +643,7 @@ def log_sum_exp(a: Tensor, axis: int = -1) -> Tensor:
     out = Tensor(out_data)
     if _tracked(a):
         sm = e / sum_e
-        def _bw(g):
-            _accum(a, np.expand_dims(g, axis) * sm)
-        _record(out, (a,), _bw)
+        _record(out, (a,), lambda g: (np.expand_dims(g, axis) * sm,))
     return out
 
 
@@ -638,15 +664,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat = xc * inv
     out = Tensor(gamma.data * xhat + beta.data)
     if _tracked(x, gamma, beta):
+        gd = gamma.data
         def _bw(g):
             lead = tuple(range(g.ndim - 1))
-            _accum(gamma, (g * xhat).sum(axis=lead))
-            _accum(beta, g.sum(axis=lead))
-            dxhat = g * gamma.data
+            dxhat = g * gd
             dx = inv * (dxhat
                         - dxhat.mean(axis=-1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-            _accum(x, dx)
+            return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
         _record(out, (x, gamma, beta), _bw)
     return out
 
@@ -679,13 +704,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} too large for input {h}x{ww}")
 
+    xd, wd = x.data, w.data
+
     def padded() -> np.ndarray:
         # Channel-major (C, N, H + 2p, W + 2p), so each kernel offset's
         # windows are one strided slice.
-        xp = x.data.transpose(1, 0, 2, 3)
+        xp = xd.transpose(1, 0, 2, 3)
         if padding:
             xp = np.zeros((c, n, h + 2 * padding, ww + 2 * padding))
-            xp[:, :, padding:padding + h, padding:padding + ww] = x.data.transpose(1, 0, 2, 3)
+            xp[:, :, padding:padding + h, padding:padding + ww] = xd.transpose(1, 0, 2, 3)
         return xp
 
     offsets = [(ki, kj, np.s_[:, :, ki:ki + stride * h_out:stride, kj:kj + stride * w_out:stride])
@@ -694,30 +721,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     cols = np.empty((c, kh, kw, n, h_out, w_out))
     for ki, kj, win in offsets:
         cols[:, ki, kj] = xp[win]
-    out2 = w.data.reshape(co, c * kh * kw) @ cols.reshape(c * kh * kw, n * h_out * w_out)
+    out2 = wd.reshape(co, c * kh * kw) @ cols.reshape(c * kh * kw, n * h_out * w_out)
     if b is not None:
         out2 += b.data[:, None]
     out = Tensor(out2.reshape(co, n, h_out, w_out).transpose(1, 0, 2, 3))
 
     tracked = _tracked(x, w, b) if b is not None else _tracked(x, w)
     if tracked:
+        x_needs_grad, has_bias = x.requires_grad, b is not None
         def _bw(g):
             g2 = g.transpose(1, 0, 2, 3).reshape(co, n * h_out * w_out)
             xp = padded()
-            dxp = np.zeros(xp.shape) if x.requires_grad else None
-            dw = np.empty(w.shape)
+            dxp = np.zeros(xp.shape) if x_needs_grad else None
+            dw = np.empty(wd.shape)
             for ki, kj, win in offsets:
                 dw[:, :, ki, kj] = g2 @ xp[win].reshape(c, n * h_out * w_out).T
                 if dxp is not None:
-                    dxp[win] += (w.data[:, :, ki, kj].T @ g2).reshape(c, n, h_out, w_out)
-            _accum(w, dw)
-            if b is not None:
-                _accum(b, g2.sum(axis=1))
-            if dxp is None:
-                return
-            if padding:
-                dxp = dxp[:, :, padding:padding + h, padding:padding + ww]
-            _accum(x, dxp.transpose(1, 0, 2, 3))
-        parents = (x, w) if b is None else (x, w, b)
-        _record(out, parents, _bw)
+                    dxp[win] += (wd[:, :, ki, kj].T @ g2).reshape(c, n, h_out, w_out)
+            if dxp is not None:
+                if padding:
+                    dxp = dxp[:, :, padding:padding + h, padding:padding + ww]
+                dxp = dxp.transpose(1, 0, 2, 3)
+            return (dxp, dw, g2.sum(axis=1)) if has_bias else (dxp, dw)
+        inputs = (x, w, b) if has_bias else (x, w)
+        _record(out, inputs, _bw)
     return out

@@ -207,7 +207,11 @@ def cmd_kappa(args) -> int:
             raise ContractError(
                 f"{args.table}:{line_no}: {len(row)} counts, first row has {len(rows[0])}")
         rows.append(row)
-    print(cohens_kappa(np.array(rows)))
+    try:
+        kappa = cohens_kappa(np.array(rows))
+    except ContractError as exc:
+        raise ContractError(f"{args.table}: {exc}") from None
+    print(kappa)
     return 0
 
 

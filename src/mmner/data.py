@@ -417,16 +417,18 @@ def cohens_kappa(table: np.ndarray) -> float:
     """Chance-corrected agreement from a square label-pair count table.
 
     k = (p_o - p_e) / (1 - p_e) with p_o the diagonal mass and p_e the
-    product of the marginals.
+    product of the marginals. The table is divided by its largest count
+    first, so the products of the marginals cannot overflow.
     """
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise ContractError(f"agreement table must be square, got {table.shape}")
     if (table < 0).any():
         raise ContractError("agreement counts must be >= 0")
-    total = table.sum()
-    if total <= 0:
+    if table.size == 0 or table.max() == 0:
         raise ContractError("agreement table is empty")
+    table = table / table.max()
+    total = table.sum()
     p_o = np.trace(table) / total
     p_e = float((table.sum(axis=1) * table.sum(axis=0)).sum()) / (total * total)
     if p_e == 1.0:

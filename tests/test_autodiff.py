@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -288,7 +289,7 @@ class TestBackwardBasics:
         x = Tensor([1.0], requires_grad=True)
         with ad.no_grad():
             y = ad.mul(x, x)
-        assert y._backward is None and not y.requires_grad
+        assert y._node is None and not y.requires_grad
 
     def test_grad_shape_matches_data(self):
         rng = np.random.default_rng(7)
@@ -509,8 +510,9 @@ class TestGraphMemory:
         assert max(growth) < 16 * 1024, f"traced memory grew by {growth} bytes over 990 steps"
 
     def test_conv2d_graph_keeps_no_im2col_columns(self):
-        """A tracked conv holds its output, not its (C*kh*kw, N*Ho*Wo)
-        columns: 27 x 8192 floats, 1.77 MB, for the stem on 8 images."""
+        """A tracked conv's node keeps its input, not its (C*kh*kw, N*Ho*Wo)
+        columns (27 x 8192 floats, 1.77 MB, for the stem on 8 images): the
+        call leaves only its output behind."""
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(8, 3, 32, 32)))
         w = Tensor(rng.normal(size=(8, 3, 3, 3)), requires_grad=True)
@@ -526,12 +528,37 @@ class TestGraphMemory:
             tracemalloc.stop()
         assert out.data.nbytes <= growth < columns_bytes
 
+    def test_activation_no_backward_reads_is_freed_at_once(self):
+        """relu keeps its mask, not its input: a tracked conv2d output passed
+        through relu is freed as soon as the forward code drops it, by
+        reference counting alone, and the graph still gives w its gradient."""
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        c = ad.conv2d(x, w, padding=1)
+        positive = ad.conv2d(x, Tensor(w.data), padding=1).data > 0.0
+        refs = weakref.ref(c), weakref.ref(c.data)
+        r = ad.relu(c)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del c
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
+        backward(ad.tensor_sum(r))
+        mask = Tensor(positive.astype(float))
+        w2 = Tensor(w.data, requires_grad=True)
+        backward(ad.tensor_sum(ad.mul(ad.conv2d(x, w2, padding=1), mask)))
+        np.testing.assert_array_equal(w.grad, w2.grad)
+
     def test_tracked_dropout_keeps_a_boolean_mask(self):
         """A tracked dropout's backward holds its mask as booleans: under a
         quarter of the float64 mask's bytes (an eighth, exactly)."""
         x = Tensor(np.ones((4, 30, 64)), requires_grad=True)
         out = ad.dropout(x, 0.1, [np.random.default_rng([8, i]) for i in range(4)])
-        held = [cell.cell_contents for cell in out._backward.__closure__]
+        held = [cell.cell_contents for cell in out._node.backward.__closure__]
         held_bytes = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
         assert 0 < held_bytes < x.data.nbytes / 4
 

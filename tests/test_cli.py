@@ -123,7 +123,22 @@ class TestKappa:
         table = tmp_path / "t.txt"
         table.write_text("5 0\n0 0\n")
         code, _, err = run_cli(capsys, "kappa", str(table))
-        assert code == 1 and "undefined" in err
+        assert code == 1
+        assert err == f"mmner: error: {table}: kappa undefined: expected agreement is 1\n"
+
+    def test_non_square_table_names_file(self, tmp_path, capsys):
+        table = tmp_path / "t.txt"
+        table.write_text("5 0\n")
+        code, _, err = run_cli(capsys, "kappa", str(table))
+        assert code == 1
+        assert err == f"mmner: error: {table}: agreement table must be square, got (1, 2)\n"
+
+    def test_counts_whose_squares_overflow_give_a_finite_kappa(self, tmp_path, capsys):
+        table = tmp_path / "t.txt"
+        table.write_text("1e154 1\n1 1e154\n")
+        code, out, err = run_cli(capsys, "kappa", str(table))
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(1.0)
 
     def test_ragged_table_names_line(self, tmp_path, capsys):
         table = tmp_path / "t.txt"

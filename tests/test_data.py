@@ -407,3 +407,9 @@ class TestCohensKappa:
     def test_disagreement_can_go_negative(self):
         k = cohens_kappa(np.array([[0, 10], [10, 0]]))
         assert -1.0 <= k < 0.0
+
+    def test_huge_counts_do_not_overflow(self):
+        # the squared total of these tables overflows float64
+        assert cohens_kappa(np.array([[1e154, 1.0], [1.0, 1e154]])) == pytest.approx(1.0)
+        k = cohens_kappa(np.array([[20, 5], [10, 15]]) * 1e300)
+        assert k == pytest.approx(0.4, abs=1e-12)

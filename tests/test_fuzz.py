@@ -11,8 +11,8 @@ and `mmner eval`. Each kappa case replaces counts of an agreement table
 with odd, non-finite or mistyped tokens and mutates its lines and bytes,
 then runs `mmner kappa`, which must print a finite kappa or fail, with
 no warning. Every command must exit 0, or exit 1 with exactly one
-`mmner: error:` line on stderr, which for a bad image names the file;
-nothing may escape `main`.
+`mmner: error:` line on stderr, which for a bad image or kappa table
+names the file; nothing may escape `main`.
 
 The IOB2 cases leave the run directory as it is, so `predict` loads it once
 for all of them. A fresh load made each of their `predict` calls about 11 ms
@@ -271,7 +271,7 @@ def test_mutated_kappa_table_exits_cleanly(tmp_path, capsys):
     for case in range(KAPPA_CASES):
         data = mutate(rng, valid, KAPPA_MUTATIONS)
         table.write_bytes(data)
-        code, out = run_cli(capsys, case, ["kappa", str(table)], data)
+        code, out = run_cli(capsys, case, ["kappa", str(table)], data, names=table)
         if code == 0:
             assert math.isfinite(float(out)), (case, out, data)
         exits.add(code)

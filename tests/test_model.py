@@ -401,46 +401,45 @@ def test_predict_tags_every_token_of_an_overlong_sentence():
 
 def graph_bytes(loss, leaves):
     """Bytes of the distinct buffers the graph recorded under `loss` holds,
-    per op: each node's output, then what its backward closure captures.
-    Buffers of `leaves` (the parameters) are not the graph's."""
+    per op: what each node's backward closure captures, through the
+    functions and sequences it holds. Buffers of `leaves` (the parameters)
+    are not the graph's."""
     def root(a):
         while isinstance(a.base, np.ndarray):
             a = a.base
         return a
 
-    nodes, seen, stack = [], set(), [loss]
+    nodes, seen, stack = [], set(), [loss._node]
     while stack:
-        t = stack.pop()
-        if id(t) not in seen and t._backward is not None:
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
+        node = stack.pop()
+        if isinstance(node, ad._Node) and node not in seen:
+            seen.add(node)
+            nodes.append(node)
+            stack.extend(node.parents)
     counted = {id(root(t.data)) for t in leaves}
     per_op = {}
 
-    def count(op, array):
-        buffer = root(array)
-        if id(buffer) not in counted:
-            counted.add(id(buffer))
-            per_op[op] = per_op.get(op, 0) + buffer.nbytes
+    def count(op, held):
+        if isinstance(held, np.ndarray):
+            buffer = root(held)
+            if id(buffer) not in counted:
+                counted.add(id(buffer))
+                per_op[op] = per_op.get(op, 0) + buffer.nbytes
+        elif isinstance(held, (tuple, list)):
+            for value in held:
+                count(op, value)
+        elif callable(held):
+            for cell in getattr(held, "__closure__", None) or ():
+                count(op, cell.cell_contents)
 
-    def op(t):
-        return t._backward.__qualname__.split(".")[0]
-
-    for t in nodes:
-        count(op(t), t.data)
-    for t in nodes:
-        for cell in t._backward.__closure__ or ():
-            held = cell.cell_contents
-            for value in held if isinstance(held, (tuple, list)) else (held,):
-                if isinstance(value, np.ndarray):
-                    count(op(t) + ".closure", value)
+    for node in nodes:
+        count(node.backward.__qualname__.split(".")[0], node.backward)
     return per_op
 
 
-def test_training_graph_of_a_desk_batch_stays_bounded(tmp_path):
-    """The graph a train-mode batch of 8 holds when backward starts. It was
-    21.7 MB when conv2d kept its im2col columns for backward, 11.0 MB since."""
+def desk_batch_loss(tmp_path):
+    """A train-mode desk-model loss of one overfit-fixture batch of 8, as a
+    function, and the model's parameters, whose gradients are unset."""
     root = build_overfit_fixture(tmp_path, n_sentences=8)
     corpus = parse_iob2(root / "train.iob2")
     vocab = Vocabulary.from_corpus(corpus)
@@ -453,7 +452,18 @@ def test_training_graph_of_a_desk_batch_stays_bounded(tmp_path):
         return total_loss(*model.batch_losses(batch, streams(8)), config.alpha)
 
     ad.backward(loss())  # first-call allocations are not the graph's
+    for p in params:
+        p.zero_grad()
     gc.collect()
+    return loss, params
+
+
+def test_training_graph_of_a_desk_batch_stays_bounded(tmp_path):
+    """The graph a train-mode batch of 8 holds when backward starts. It was
+    21.7 MB when conv2d kept its im2col columns for backward, 9.6 MB when
+    each op's output was its graph node, and 6.5 MB since nodes keep only
+    what their backward reads."""
+    loss, params = desk_batch_loss(tmp_path)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -465,5 +475,23 @@ def test_training_graph_of_a_desk_batch_stays_bounded(tmp_path):
     walked = sum(per_op.values())
     # the walk sees every array tracemalloc does; the rest is Python objects
     assert walked <= held < walked + 2_000_000, (walked, held)
-    assert walked < 16_000_000, per_op
-    assert "conv2d.closure" not in per_op
+    assert held < 7_500_000, per_op
+    # conv2d keeps its inputs (1.5 MB here), not its im2col columns (10.7 MB)
+    assert per_op["conv2d"] < 2_000_000, per_op
+
+
+def test_backward_of_a_desk_batch_frees_as_it_sweeps(tmp_path):
+    """backward's tracemalloc peak over its start stays within the
+    parameters' gradients, which it creates, plus 1 MB of transients."""
+    loss, params = desk_batch_loss(tmp_path)
+    tracemalloc.start()  # before the forward, so that what backward frees counts
+    try:
+        graph = loss()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ad.backward(graph)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(p.grad.nbytes for p in params if p.grad is not None)
+    assert peak < grad_bytes + 1_000_000, (peak, grad_bytes)
