@@ -76,17 +76,14 @@ def _check_case(build, seed: int) -> float:
 
 
 def _op_cases():
-    def u(rng, shape):
-        return rng.uniform(-1.0, 1.0, size=shape)
-
     def case(shapes, op, weight=None, scales=None):
         """op over U(-1, 1) leaves of the given shapes, leaf i times
         scales[i]; the loss sums op's output, weighted by a U(-1, 1) tensor
         of shape `weight` when one is given (drawn after the leaves)."""
         def build(rng):
-            leaves = [Tensor(scale * u(rng, shape), requires_grad=True)
+            leaves = [Tensor(scale * rng.uniform(-1, 1, shape), requires_grad=True)
                       for shape, scale in zip(shapes, scales or [1.0] * len(shapes))]
-            w = Tensor(u(rng, weight)) if weight is not None else None
+            w = Tensor(rng.uniform(-1, 1, weight)) if weight is not None else None
 
             def loss():
                 out = op(*leaves)
@@ -95,7 +92,7 @@ def _op_cases():
         return build
 
     def dropout(rng):
-        a = Tensor(u(rng, (4, 5)), requires_grad=True)
+        a = Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
         mask_seed = int(rng.integers(1 << 31))
 
         def loss():  # the same masks on every call
@@ -104,14 +101,20 @@ def _op_cases():
         return loss, {"p0": a}
 
     key_mask = np.arange(5) < np.array([[5], [2]])
+    one = Tensor(np.ones(5))
     return {
         "op.add": case([(4, 3)] * 2, lambda a, b: ad.mul(ad.add(a, b), b)),
         "op.sub": case([(4, 3)] * 2, lambda a, b: ad.mul(ad.sub(a, b), a)),
         "op.mul": case([(4, 3)] * 2, ad.mul),
+        "op.neg": case([(4, 3)], lambda a: ad.mul(ad.neg(a), a)),
         "op.matmul": case([(3, 4), (4, 2)], ad.matmul),
         # looked up per call, so _min_relu_margin's spy sees it
         "op.relu": case([(4, 3)], lambda a: ad.relu(a), (4, 3)),
         "op.gelu": case([(4, 3)], ad.gelu, (4, 3)),
+        # the square root of a positive base, as in the cosine norms
+        "op.pow_scalar": case([(5,)], lambda a: ad.pow_scalar(ad.add(ad.mul(a, a), one), 0.5),
+                              (5,)),
+        "op.maximum_scalar": case([(4, 3)], lambda a: ad.maximum_scalar(a, 0.25), (4, 3)),
         "op.softmax": case([(4, 5)], lambda a: ad.softmax(a, axis=-1), (4, 5)),
         "op.attention": case([(3, 4), (5, 4), (5, 4)],
                              lambda q, k, v: ad.attention(q, k, v, 2), (3, 4), [2.0, 2.0, 1.0]),
@@ -121,10 +124,16 @@ def _op_cases():
         "op.log_sum_exp": case([(4, 5)], lambda a: ad.log_sum_exp(a, axis=-1)),
         "op.layer_norm": case([(4, 5), (5,), (5,)], ad.layer_norm, (4, 5)),
         "op.concat": case([(4, 3)] * 2, lambda a, b: ad.concat([a, b], axis=1), (4, 6)),
+        "op.stack": case([(5,)] * 2, lambda a, b: ad.stack([a, b]), (2, 5)),
         "op.mean": case([(4, 5)], lambda a: ad.mean(a, axis=0), (5,)),
+        "op.mean_all": case([(4, 5)], ad.mean),
+        "op.tensor_sum": case([(4, 5)], lambda a: ad.tensor_sum(a, axis=1), (4,)),
         "op.embedding_gather": case([(5, 3)], lambda t: ad.embedding_gather(t, [4, 0, 4]),
                                     (3, 3)),
         "op.linear": case([(3, 4), (4, 2), (2,)], ad.linear),
+        "op.linear_1d": case([(6,), (6, 2), (2,)], ad.linear, (2,)),
+        "op.transpose2d": case([(2, 3, 4)], ad.transpose2d, (2, 4, 3)),
+        "op.reshape": case([(3, 4)], lambda a: ad.reshape(a, (4, 3)), (4, 3)),
         "op.slice": case([(4, 5)], lambda a: a[1:3, 1:4], (2, 3)),
         "op.take_pairs": case([(4, 5)], lambda a: ad.take_pairs(a, [0, 2, 2], [1, 4, 4])),
         "op.dropout": dropout,
@@ -139,55 +148,26 @@ def _perturbed(params: dict[str, Tensor], rng, scale=0.3):
 
 
 def _composite_cases():
-    def text_layer(rng):
-        layer = TransformerLayer(8, 2, rng, TEXT_SUBLAYER, mlp_ratio=2)
-        params = dict(layer.parameters())
-        _perturbed(params, rng)
-        x = Tensor(rng.uniform(-1, 1, (4, 8)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, (4, 8)))
-        params["x"] = x
-        return lambda: ad.tensor_sum(ad.mul(layer(x), w)), params
-
-    def vit_layer(rng):
-        layer = TransformerLayer(8, 2, rng, VIT_SUBLAYER, mlp_ratio=2)
-        params = dict(layer.parameters())
-        _perturbed(params, rng)
-        x = Tensor(rng.uniform(-1, 1, (4, 8)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, (4, 8)))
-        params["x"] = x
-        return lambda: ad.tensor_sum(ad.mul(layer(x), w)), params
-
-    def conv_block(rng):
-        block = ResidualBlock(2, 3, stride=2, rng=rng)
-        params = dict(block.parameters())
-        x = Tensor(rng.uniform(-1, 1, (2, 2, 4, 4)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, (2, 3, 2, 2)))
-        params["x"] = x
-        return lambda: ad.tensor_sum(ad.mul(block(x), w)), params
-
-    def projection_head(rng):
-        head = ProjectionHead(4, 6, 3, rng)
-        params = dict(head.parameters())
-        _perturbed(params, rng)
-        x = Tensor(rng.uniform(-1, 1, (4,)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, (3,)))
-        params["x"] = x
-        return lambda: ad.tensor_sum(ad.mul(head(x), w)), params
+    def weighted(make, inputs, weight, perturb=True):
+        """The block make(rng), perturbed unless perturb is False, over U(-1, 1) inputs;
+        the loss sums its output times a fixed U(-1, 1) tensor of shape `weight`.
+        The rng draws block init, perturbation, inputs and weight, in that order."""
+        def build(rng):
+            block = make(rng)
+            params = dict(block.parameters())
+            if perturb:
+                _perturbed(params, rng)
+            xs = {name: Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+                  for name, shape in inputs.items()}
+            w = Tensor(rng.uniform(-1, 1, weight))
+            params.update(xs)
+            return lambda: ad.tensor_sum(ad.mul(block(*xs.values()), w)), params
+        return build
 
     def contrastive(rng):
         t = Tensor(rng.uniform(-1, 1, (3, 6)), requires_grad=True)
         i = Tensor(rng.uniform(-1, 1, (3, 6)), requires_grad=True)
         return lambda: contrastive_loss(t, i, tau=0.4), {"t": t, "i": i}
-
-    def cross_attention(rng):
-        block = CrossAttentionBlock(4, 2, rng)
-        params = dict(block.parameters())
-        _perturbed(params, rng)
-        t = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-        v = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, (3, 4)))
-        params.update({"text": t, "visual": v})
-        return lambda: ad.tensor_sum(ad.mul(block(t, v), w)), params
 
     def crf_nll(rng):
         crf = LinearChainCrf(4, 4, rng)
@@ -198,26 +178,33 @@ def _composite_cases():
         return lambda: crf.nll(crf.emissions(feats), [3, 1, 2], paths), params
 
     return {
-        "block.text_layer": text_layer,
-        "block.vit_layer": vit_layer,
-        "block.conv_block": conv_block,
-        "block.projection_head": projection_head,
+        "block.text_layer": weighted(
+            lambda rng: TransformerLayer(8, 2, rng, TEXT_SUBLAYER, mlp_ratio=2),
+            {"x": (4, 8)}, (4, 8)),
+        "block.vit_layer": weighted(
+            lambda rng: TransformerLayer(8, 2, rng, VIT_SUBLAYER, mlp_ratio=2),
+            {"x": (4, 8)}, (4, 8)),
+        "block.conv_block": weighted(
+            lambda rng: ResidualBlock(2, 3, stride=2, rng=rng),
+            {"x": (2, 2, 4, 4)}, (2, 3, 2, 2), perturb=False),
+        "block.projection_head": weighted(
+            lambda rng: ProjectionHead(4, 6, 3, rng), {"x": (4,)}, (3,)),
         "block.contrastive_loss": contrastive,
-        "block.cross_attention": cross_attention,
+        "block.cross_attention": weighted(
+            lambda rng: CrossAttentionBlock(4, 2, rng),
+            {"text": (3, 4), "visual": (2, 4)}, (3, 4)),
         "block.crf_nll": crf_nll,
     }
 
 
-def gradient_suite(seeds=SEEDS) -> list[CheckResult]:
+def gradient_suite() -> list[CheckResult]:
     results = []
-    cases = dict(_op_cases())
-    cases.update(_composite_cases())
-    for name, build in cases.items():
-        worst = max(_check_case(build, seed) for seed in seeds)
+    for name, build in {**_op_cases(), **_composite_cases()}.items():
+        worst = max(_check_case(build, seed) for seed in SEEDS)
         results.append(CheckResult(
             name=name,
             passed=worst < GRAD_TOL,
-            detail=f"max rel err {worst:.3e} over {len(seeds)} seeds (tol {GRAD_TOL:.0e})",
+            detail=f"max rel err {worst:.3e} over {len(SEEDS)} seeds (tol {GRAD_TOL:.0e})",
         ))
     return results
 
@@ -234,6 +221,21 @@ def _enum_scores(em, trans, begin, end):
             s = s + trans[path[i - 1], path[i]]
             s = s + em[i, path[i]]
         yield path, s + trans[path[-1], end]
+
+
+def oracle_log_partition(scores) -> float:
+    """log Z: the log-sum-exp of an enumeration's (path, score) pairs."""
+    values = np.array([s for _, s in scores])
+    m = values.max()
+    return m + math.log(np.exp(values - m).sum())
+
+
+def oracle_best_path(scores) -> tuple[list[int], float]:
+    """The max-score path of an enumeration's (path, score) pairs; ties
+    resolve to the path whose reversed tuple is smallest, matching
+    lowest-index backpointer decisions."""
+    path, score = min(scores, key=lambda pair: (-pair[1], pair[0][::-1]))
+    return list(path), score
 
 
 def _crf_instances():
@@ -256,22 +258,13 @@ def oracle_suite() -> list[CheckResult]:
     prob_worst = 0.0
     viterbi_ok = True
     for crf, em in _crf_instances():
-        scores = dict(_enum_scores(em, crf.transitions.data, crf.begin, crf.end))
-        values = np.array(list(scores.values()))
-        m = values.max()
-        log_z_ref = m + math.log(np.exp(values - m).sum())
+        scores = list(_enum_scores(em, crf.transitions.data, crf.begin, crf.end))
         log_z = crf.log_partition(Tensor(em[None]), [len(em)]).item()
-        worst = max(worst, abs(log_z - log_z_ref))
+        worst = max(worst, abs(log_z - oracle_log_partition(scores)))
+        values = np.array([s for _, s in scores])
         prob_worst = max(prob_worst, abs(np.exp(values - log_z).sum() - 1.0))
-        best_path, best_score = None, None
-        for path, s in scores.items():
-            if best_path is None or s > best_score or (
-                s == best_score and tuple(reversed(path)) < tuple(reversed(best_path))
-            ):
-                best_path, best_score = path, s
-        [(got_path, got_score)] = crf.viterbi(Tensor(em[None]), [len(em)])
-        if got_path != list(best_path) or got_score != best_score:
-            viterbi_ok = False
+        [viterbi] = crf.viterbi(Tensor(em[None]), [len(em)])
+        viterbi_ok = viterbi_ok and viterbi == oracle_best_path(scores)
     results.append(CheckResult(
         "oracle.crf_log_partition", worst < 1e-8,
         f"max |forward - enumeration| = {worst:.3e} (tol 1e-08)"))

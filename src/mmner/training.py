@@ -320,8 +320,14 @@ def train(config: TrainConfig, data_root: str | Path,
     that epoch, and one in the final eval says "final eval". The counters
     are facts about the data: eval-split tokens outside the vocabulary,
     distinct train/eval sentences longer than max_len - 2 tokens, missing
-    images, repaired labels.
+    images, repaired labels. An out_dir that cannot become a directory fails
+    before any work.
     """
+    out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:
+        existing = next(p for p in (out_path, *out_path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ContractError(f"{out_path}: {existing} is not a directory")
     root = Path(data_root)
     train_corpus = load_split(root, "train", repair=config.repair)
     if train_corpus is None or len(train_corpus) == 0:
@@ -342,7 +348,6 @@ def train(config: TrainConfig, data_root: str | Path,
 
     steps_per_epoch = math.ceil(len(train_corpus) / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
-    out_path = Path(out_dir) if out_dir is not None else None
 
     logs: list[EpochLog] = []
     best_f1 = -1.0

@@ -17,7 +17,7 @@ from fixtures_util import (
     build_multimodal_fixture,
     build_overfit_fixture,
 )
-from test_crf import batch_of_one, oracle_best_path, oracle_log_partition
+from test_crf import batch_of_one
 
 from mmner import autodiff as ad
 from mmner.autodiff import Tensor
@@ -29,7 +29,7 @@ from mmner.data import ImageStore, cohens_kappa, parse_iob2
 from mmner.metrics import evaluate
 from mmner.model import ModelConfig, MultimodalNerModel
 from mmner.selftest import (_direct_contrastive, _enum_scores, _loop_cross_attention,
-                            gradient_suite)
+                            gradient_suite, oracle_best_path, oracle_log_partition)
 from mmner.training import TrainConfig, load_run, lr_at, total_loss, train
 
 
@@ -61,17 +61,14 @@ def test_c02_crf_enumeration_oracle():
                 crf.transitions.data[:L, crf.end] = rng.normal(size=L)
                 crf.transitions.data[:L, :L] = rng.normal(size=(L, L))
                 em = rng.normal(size=(n, L)) * 2.0
-                trans = crf.transitions.data
-                log_z_ref = oracle_log_partition(em, trans, crf.begin, crf.end)
+                scores = list(_enum_scores(em, crf.transitions.data, crf.begin, crf.end))
                 log_z = crf.log_partition(*batch_of_one(em)).item()
-                worst_partition = max(worst_partition, abs(log_z - log_z_ref))
+                worst_partition = max(worst_partition,
+                                      abs(log_z - oracle_log_partition(scores)))
                 [(path, score)] = crf.viterbi(*batch_of_one(em))
-                ref_path, ref_score = oracle_best_path(em, trans, crf.begin, crf.end)
+                ref_path, ref_score = oracle_best_path(scores)
                 assert path == ref_path and score == ref_score
-                total = sum(
-                    math.exp(s - log_z)
-                    for _, s in _enum_scores(em, trans, crf.begin, crf.end)
-                )
+                total = sum(math.exp(s - log_z) for _, s in scores)
                 worst_prob_sum = max(worst_prob_sum, abs(total - 1.0))
     elapsed = time.perf_counter() - t0
     assert worst_partition < 1e-8

@@ -1,4 +1,5 @@
-"""Tensor op semantics, backward-sweep rules, and per-op gradient checks."""
+"""Tensor op semantics and backward-sweep rules. The per-op finite-difference
+cases live in `mmner.selftest`; this file checks that every op has one."""
 
 import gc
 import math
@@ -16,10 +17,10 @@ from mmner.autodiff import (
     Tensor,
     backward,
 )
-from mmner.gradcheck import check_gradients, max_error, rel_error
+from mmner.gradcheck import rel_error
+from mmner.selftest import _op_cases
 
 SEEDS = [0, 1, 2, 3, 4]
-GRAD_TOL = 1e-5
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,15 +112,6 @@ class TestAttention:
                    for rows in (n, m, m))
         weight = Tensor(_rand(rng, (n, d)))
         return q, k, v, weight
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_gradient_check(self, seed):
-        q, k, v, weight = self._inputs(seed, scale=2.0)
-        errors = check_gradients(
-            lambda: ad.tensor_sum(ad.mul(ad.attention(q, k, v, 2), weight)),
-            {"q": q, "k": k, "v": v},
-        )
-        assert max_error(errors.values()) < GRAD_TOL
 
     @pytest.mark.parametrize("heads,m", [(1, 4), (2, 4), (4, 4), (1, 1), (2, 1), (4, 1)])
     def test_matches_per_head_composition(self, heads, m):
@@ -373,112 +365,14 @@ def _rand(rng, shape):
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
-# Each entry: name -> (loss builder over named params, param shapes).
-def _op_cases(rng):
-    shapes = {
-        "a": (4, 3),
-        "b": (4, 3),
-        "m1": (3, 4),
-        "m2": (4, 2),
-        "g": (5,),
-        "beta": (5,),
-        "x5": (4, 5),
-        "vec": (6,),
-        "table": (5, 3),
-        "w": (4, 4),
-        "bias": (4,),
-        "img": (2, 2, 6, 6),
-        "kern": (3, 2, 3, 3),
-        "kbias": (3,),
-    }
-    params = {k: Tensor(_rand(rng, s), requires_grad=True) for k, s in shapes.items()}
-    p = params
-    # Fixed (non-parameter) weights so each loss is deterministic across
-    # the re-evaluations finite differencing performs.
-    w45 = Tensor(_rand(rng, (4, 5)))
-    w45b = Tensor(_rand(rng, (4, 5)))
-    w46 = Tensor(_rand(rng, (4, 6)))
-    w25 = Tensor(_rand(rng, (2, 5)))
-    w33 = Tensor(_rand(rng, (3, 3)))
-    w34 = Tensor(_rand(rng, (3, 4)))
-    w62 = Tensor(_rand(rng, (6, 2)))
-    w2 = Tensor(_rand(rng, (2,)))
-    w24 = Tensor(_rand(rng, (2, 4)))
-    w43 = Tensor(_rand(rng, (4, 3)))
-    cases = {
-        "add": ((p["a"], p["b"]), lambda: ad.tensor_sum(ad.mul(ad.add(p["a"], p["b"]), p["b"]))),
-        "sub": ((p["a"], p["b"]), lambda: ad.tensor_sum(ad.mul(ad.sub(p["a"], p["b"]), p["a"]))),
-        "mul": ((p["a"], p["b"]), lambda: ad.tensor_sum(ad.mul(p["a"], p["b"]))),
-        "neg": ((p["a"],), lambda: ad.tensor_sum(ad.mul(ad.neg(p["a"]), p["a"]))),
-        "matmul": ((p["m1"], p["m2"]), lambda: ad.tensor_sum(ad.matmul(p["m1"], p["m2"]))),
-        "relu": ((p["a"],), lambda: ad.tensor_sum(ad.mul(ad.relu(p["a"]), p["b"]))),
-        "gelu": ((p["a"],), lambda: ad.tensor_sum(ad.mul(ad.gelu(p["a"]), p["b"]))),
-        "softmax": ((p["x5"],), lambda: ad.tensor_sum(ad.mul(ad.softmax(p["x5"], axis=-1), w45))),
-        "log_sum_exp": ((p["x5"],), lambda: ad.tensor_sum(ad.log_sum_exp(p["x5"], axis=-1))),
-        "layer_norm": ((p["x5"], p["g"], p["beta"]),
-                       lambda: ad.tensor_sum(ad.mul(ad.layer_norm(p["x5"], p["g"], p["beta"]), w45b))),
-        "concat": ((p["a"], p["b"]), lambda: ad.tensor_sum(ad.mul(ad.concat([p["a"], p["b"]], axis=1), w46))),
-        "stack": ((p["g"], p["beta"]), lambda: ad.tensor_sum(ad.mul(ad.stack([p["g"], p["beta"]]), w25))),
-        "mean": ((p["x5"],), lambda: ad.tensor_sum(ad.mul(ad.mean(p["x5"], axis=0), p["g"]))),
-        "mean_all": ((p["x5"],), lambda: ad.mean(p["x5"])),
-        "embedding_gather": ((p["table"],), lambda: ad.tensor_sum(ad.mul(ad.embedding_gather(p["table"], [4, 0, 4]), w33))),
-        "linear": ((p["m1"], p["w"], p["bias"]),
-                   lambda: ad.tensor_sum(ad.mul(ad.linear(p["m1"], p["w"], p["bias"]), w34))),
-        "linear_1d": ((p["vec"],), lambda: ad.tensor_sum(ad.linear(p["vec"], w62, w2))),
-        "transpose": ((p["m1"],), lambda: ad.tensor_sum(ad.mul(ad.transpose2d(p["m1"]), w43))),
-        "reshape": ((p["m1"],), lambda: ad.tensor_sum(ad.mul(ad.reshape(p["m1"], (4, 3)), p["b"]))),
-        "slice": ((p["x5"],), lambda: ad.tensor_sum(ad.mul(p["x5"][1:3, 0:4], w24))),
-        "take_pairs": ((p["x5"],), lambda: ad.tensor_sum(ad.take_pairs(p["x5"], [0, 3, 3], [4, 1, 1]))),
-        "pow": ((p["g"],), lambda: ad.tensor_sum(ad.pow_scalar(ad.add(ad.mul(p["g"], p["g"]), Tensor(np.ones(5))), 0.5))),
-        "maximum_scalar": ((p["a"],), lambda: ad.tensor_sum(ad.maximum_scalar(p["a"], 0.25))),
-        "conv2d": ((p["img"], p["kern"], p["kbias"]),
-                   lambda: ad.tensor_sum(ad.conv2d(p["img"], p["kern"], p["kbias"], stride=2, padding=1))),
-    }
-    return params, cases
-
-
-class TestGradientChecks:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_every_op_matches_central_differences(self, seed):
-        rng = np.random.default_rng(seed)
-        _, cases = _op_cases(rng)
-        for name, (tensors, loss_fn) in cases.items():
-            named = {f"p{i}": t for i, t in enumerate(tensors)}
-            errors = check_gradients(loss_fn, named)
-            err = max_error(errors.values())
-            assert err < GRAD_TOL, f"{name}: max rel err {err:.3e} (seed {seed})"
-
-    def test_layer_norm_gradient_specifically(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(_rand(rng, (3, 6)), requires_grad=True)
-        g = Tensor(_rand(rng, (6,)), requires_grad=True)
-        b = Tensor(_rand(rng, (6,)), requires_grad=True)
-        weight = Tensor(_rand(rng, (3, 6)))
-        errors = check_gradients(
-            lambda: ad.tensor_sum(ad.mul(ad.layer_norm(x, g, b), weight)),
-            {"x": x, "gamma": g, "beta": b},
-        )
-        assert max_error(errors.values()) < GRAD_TOL
-
-    def test_embedding_gather_gradient_scatters(self):
-        rng = np.random.default_rng(12)
-        table = Tensor(_rand(rng, (5, 3)), requires_grad=True)
-        weight = Tensor(_rand(rng, (2, 3)))
-        errors = check_gradients(
-            lambda: ad.tensor_sum(ad.mul(ad.embedding_gather(table, [4, 0]), weight)),
-            {"table": table},
-        )
-        assert max_error(errors.values()) < GRAD_TOL
-
-    def test_dropout_gradient_through_fixed_mask(self):
-        x = Tensor(np.linspace(-1, 1, 12).reshape(1, 3, 4), requires_grad=True)
-
-        def loss_fn():
-            rng = np.random.default_rng(99)  # same mask every call
-            return ad.tensor_sum(ad.dropout(x, p=0.5, rngs=[rng]))
-
-        errors = check_gradients(loss_fn, {"x": x})
-        assert max_error(errors.values()) < GRAD_TOL
+def test_every_differentiable_op_has_a_gradient_case():
+    """gradient_suite runs selftest's op table, which holds an `op.<name>`
+    case for every op in `autodiff.__all__`: deleting an op deletes its case."""
+    not_ops = {"ShapeError", "NumericError", "ContractError", "ConfigError",
+               "Tensor", "no_grad", "backward"}
+    cases = _op_cases()
+    missing = [name for name in ad.__all__ if name not in not_ops and f"op.{name}" not in cases]
+    assert not missing
 
 
 class TestGraphMemory:

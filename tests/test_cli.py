@@ -53,6 +53,25 @@ class TestUsageErrors:
         assert code == 1
         assert err == "mmner: error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_out_under_a_file_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                    target):
+        root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
+        (tmp_path / "afile").write_text("")
+        batch_losses = MultimodalNerModel.batch_losses
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return batch_losses(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultimodalNerModel, "batch_losses", counted)
+        out = tmp_path / target
+        code, _, err = run_cli(capsys, "train", str(root), "--out", str(out), "--epochs", "1")
+        assert code == 1
+        assert err == f"mmner: error: {out}: {tmp_path / 'afile'} is not a directory\n"
+        assert calls == []
+
     def test_numeric_error_in_eval_names_its_epoch(self, tmp_path, capsys, monkeypatch):
         root = build_overfit_fixture(tmp_path, n_sentences=4)
         evaluate_model = mmner.training.evaluate_model

@@ -10,35 +10,15 @@ from mmner import autodiff as ad
 from mmner.autodiff import ContractError, ShapeError, Tensor, backward
 from mmner.crf import NEG_INF, LabelSchema, LinearChainCrf
 from mmner.gradcheck import check_gradients, max_error, rel_error
-from mmner.selftest import _enum_scores
-
-
-# --- folds of the shipped enumeration oracle over all L^n paths ------------
-
-def oracle_log_partition(em, trans, begin, end):
-    values = np.array([s for _, s in _enum_scores(em, trans, begin, end)])
-    m = values.max()
-    return m + math.log(np.exp(values - m).sum())
-
-
-def oracle_best_path(em, trans, begin, end):
-    """Max-score path; ties resolve to the path whose reversed tuple is
-    smallest, matching lowest-index backpointer decisions."""
-    best = None
-    best_score = None
-    for path, s in _enum_scores(em, trans, begin, end):
-        if best is None or s > best_score or (
-            s == best_score and tuple(reversed(path)) < tuple(reversed(best))
-        ):
-            best, best_score = path, s
-    return list(best), best_score
+from mmner.selftest import _enum_scores, oracle_best_path, oracle_log_partition
 
 
 def oracle_marginals(em, trans, begin, end):
-    n, L = em.shape
-    log_z = oracle_log_partition(em, trans, begin, end)
-    marg = np.zeros((n, L))
-    for path, s in _enum_scores(em, trans, begin, end):
+    """Per-position label marginals summed over the enumeration of all L^n paths."""
+    scores = list(_enum_scores(em, trans, begin, end))
+    log_z = oracle_log_partition(scores)
+    marg = np.zeros(em.shape)
+    for path, s in scores:
         p = math.exp(s - log_z)
         for i, y in enumerate(path):
             marg[i, y] += p
@@ -113,7 +93,8 @@ class TestLogPartition:
             crf.transitions.data[:L, crf.end] = rng.normal(size=L)
             crf.transitions.data[:L, :L] = rng.normal(size=(L, L))
             em = Tensor(rng.normal(size=(n, L)) * 2.0)
-            expected = oracle_log_partition(em.data, crf.transitions.data, crf.begin, crf.end)
+            expected = oracle_log_partition(
+                _enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))
             assert abs(crf.log_partition(*batch_of_one(em)).item() - expected) < 1e-8
 
     def test_constant_emission_shift(self):
@@ -152,7 +133,7 @@ class TestNll:
             em = Tensor(rng.normal(size=(n, L)))
             path = list(rng.integers(0, L, size=n))
             scores = dict(_enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))
-            log_z = oracle_log_partition(em.data, crf.transitions.data, crf.begin, crf.end)
+            log_z = oracle_log_partition(scores.items())
             p_gold = math.exp(scores[tuple(path)] - log_z)
             got = crf.nll(*batch_of_one(em), [path]).item()
             assert got == pytest.approx(-math.log(p_gold), abs=1e-8)
@@ -224,7 +205,8 @@ class TestViterbi:
             crf.transitions.data[:L, :L] = rng.normal(size=(L, L))
             em = Tensor(rng.normal(size=(n, L)))
             [(path, score)] = crf.viterbi(*batch_of_one(em))
-            exp_path, exp_score = oracle_best_path(em.data, crf.transitions.data, crf.begin, crf.end)
+            exp_path, exp_score = oracle_best_path(
+                _enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))
             assert path == exp_path
             assert score == exp_score
 
@@ -237,7 +219,8 @@ class TestViterbi:
         crf.transitions.data[1, 0] = 1.0
         em = Tensor(np.zeros((2, 2)))
         [(path, score)] = crf.viterbi(*batch_of_one(em))
-        exp_path, exp_score = oracle_best_path(em.data, crf.transitions.data, crf.begin, crf.end)
+        exp_path, exp_score = oracle_best_path(
+            _enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))
         assert score == exp_score == 1.0
         assert path == exp_path == [1, 0]
 
