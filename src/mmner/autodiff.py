@@ -17,13 +17,15 @@ backward() sweeps the nodes reachable from the loss in reverse creation
 order and consumes each node it sweeps, freeing what the node kept, so
 no node is swept twice; it keeps gradients only on the leaves and the loss.
 
-Ops: elementwise arithmetic (add, sub, mul, neg, pow_scalar,
-maximum_scalar), activations (relu, gelu, dropout), linear algebra (matmul,
-linear, transpose2d, reshape, slicing, take_pairs, embedding_gather, concat,
-stack), reductions and normalization (tensor_sum, mean, softmax,
-log_sum_exp, layer_norm), conv2d over an (N, C, H, W) batch as one
-matrix product whose im2col columns the graph does not keep, and
-multi-head scaled dot-product attention as one node.
+Ops take Tensors; an absent optional operand (the bias of linear and
+conv2d) is None and gets no gradient. Ops: elementwise arithmetic (add,
+sub, mul, neg, pow_scalar, maximum_scalar), activations (relu, gelu,
+dropout), linear algebra (matmul, linear, transpose2d, reshape, slicing,
+take_pairs, embedding_gather, concat, stack), reductions and
+normalization (tensor_sum, mean, softmax, log_sum_exp, layer_norm), conv2d
+over an (N, C, H, W) batch as one matrix product whose im2col columns the
+graph does not keep, and multi-head scaled dot-product attention as one
+node.
 attention(q, k, v, heads, key_mask) gives head i columns i*dh:(i+1)*dh of
 q, k and v (dh = d / heads) and writes its output to the same columns,
 i.e. head outputs side by side, with an optional batch axis; masked keys
@@ -174,19 +176,17 @@ class _Node:
         self.seq = next(_creation_seq)
 
 
-def _as_tensor(v) -> Tensor:
-    return v if isinstance(v, Tensor) else Tensor(v)
-
-
-def _target(t: Tensor) -> "_Node | Tensor | None":
+def _target(t: Tensor | None) -> "_Node | Tensor | None":
     """What a gradient for t accumulates into: its node, the leaf itself,
-    or None when t needs no gradient."""
+    or None when t needs no gradient or is an absent operand (None)."""
+    if t is None:
+        return None
     if t._node is not None:
         return t._node
     return t if t.requires_grad else None
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+def _record(out: Tensor, inputs: tuple[Tensor | None, ...], backward_fn) -> Tensor:
     out.requires_grad = True
     # tuple of a list, not of a generator: that one is resized, and resized
     # tuples pile up in the interpreter's tuple free list
@@ -199,8 +199,8 @@ def _consumed(g: np.ndarray | None = None) -> None:
     raise ContractError("backward() already swept this graph node; run a new forward pass")
 
 
-def _tracked(*tensors: Tensor) -> bool:
-    return _grad_enabled() and any(t.requires_grad for t in tensors)
+def _tracked(*tensors: Tensor | None) -> bool:
+    return _grad_enabled() and any(t is not None and t.requires_grad for t in tensors)
 
 
 def _accum(target: "_Node | Tensor", g: np.ndarray) -> None:
@@ -263,7 +263,6 @@ def backward(loss: Tensor) -> None:
 def _broadcasting(name: str, f, a, b, grads) -> Tensor:
     """f(a, b) under numpy broadcasting; grads(g) gives the two input
     gradients before they are summed back to the input shapes."""
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         data = f(a.data, b.data)
     except ValueError:
@@ -287,7 +286,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     x, y = a.data, b.data
     return _broadcasting("mul", np.multiply, a, b, lambda g: (g * y, g * x))
 
@@ -376,7 +374,6 @@ def dropout(a: Tensor, p: float, rngs: Sequence[np.random.Generator] | None,
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
@@ -396,15 +393,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         data += b.data
     out = Tensor(data)
-    tracked = _tracked(x, w, b) if b is not None else _tracked(x, w)
-    if tracked:
-        xd, wd, has_bias = x.data, w.data, b is not None
+    if _tracked(x, w, b):
+        xd, wd = x.data, w.data
         def _bw(g):
             g2 = g.reshape(-1, wd.shape[1])
-            gx, gw = g @ wd.T, xd.reshape(-1, wd.shape[0]).T @ g2
-            return (gx, gw, g2.sum(axis=0)) if has_bias else (gx, gw)
-        inputs = (x, w, b) if has_bias else (x, w)
-        _record(out, inputs, _bw)
+            return g @ wd.T, xd.reshape(-1, wd.shape[0]).T @ g2, g2.sum(axis=0)
+        _record(out, (x, w, b), _bw)
     return out
 
 
@@ -485,7 +479,6 @@ def embedding_gather(table: Tensor, indices) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat of zero tensors")
     nd = tensors[0].ndim
@@ -505,7 +498,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def stack(tensors: Sequence[Tensor]) -> Tensor:
     """Stack equal-shape tensors along a new leading axis."""
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("stack of zero tensors")
     shape = tensors[0].shape
@@ -726,9 +718,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         out2 += b.data[:, None]
     out = Tensor(out2.reshape(co, n, h_out, w_out).transpose(1, 0, 2, 3))
 
-    tracked = _tracked(x, w, b) if b is not None else _tracked(x, w)
-    if tracked:
-        x_needs_grad, has_bias = x.requires_grad, b is not None
+    if _tracked(x, w, b):
+        x_needs_grad = x.requires_grad
         def _bw(g):
             g2 = g.transpose(1, 0, 2, 3).reshape(co, n * h_out * w_out)
             xp = padded()
@@ -742,7 +733,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                 if padding:
                     dxp = dxp[:, :, padding:padding + h, padding:padding + ww]
                 dxp = dxp.transpose(1, 0, 2, 3)
-            return (dxp, dw, g2.sum(axis=1)) if has_bias else (dxp, dw)
-        inputs = (x, w, b) if has_bias else (x, w)
-        _record(out, inputs, _bw)
+            return dxp, dw, g2.sum(axis=1)
+        _record(out, (x, w, b), _bw)
     return out

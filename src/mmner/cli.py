@@ -22,6 +22,7 @@ import numpy as np
 
 from mmner import __version__
 from mmner.autodiff import ContractError, NumericError
+from mmner.checkpoint import write_atomic
 from mmner.data import (
     Corpus,
     CorpusError,
@@ -162,6 +163,10 @@ def read_predict_input(path: Path, raw: bool) -> list[SentenceExample]:
 
 
 def cmd_predict(args) -> int:
+    if args.out is not None and args.out.is_dir():
+        raise ContractError(f"--out {args.out} is a directory")
+    if args.out is not None and not args.out.parent.is_dir():
+        raise ContractError(f"--out {args.out}: {args.out.parent} is not a directory")
     model, vocab, _config = load_run(args.checkpoint)
     examples = read_predict_input(args.input, args.raw)
     images = ImageStore(args.images, model.config.image_size)
@@ -171,7 +176,7 @@ def cmd_predict(args) -> int:
         SentenceExample(ex.tokens, t, ex.image_ref or "none", ex.language)
         for ex, t in zip(examples, tags)]))
     if args.out is not None:
-        Path(args.out).write_text(output, encoding="utf-8")
+        write_atomic(args.out, output.encode("utf-8"))
     else:
         sys.stdout.write(output)
     return 0

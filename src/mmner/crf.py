@@ -8,6 +8,10 @@ finite.
 
 Each computation takes padded (B, n, L) emissions and the sentence
 lengths; padded rows are computed, never read, and get a zero gradient.
+
+`continues(prev, tag)` is the one strict-IOB2 rule: an I-X must follow
+B-X or I-X, with "O" standing before the first tag. The schema's
+violations and transition mask, and `metrics.extract_spans`, all ask it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,11 @@ from mmner.autodiff import ContractError, ShapeError, Tensor
 NEG_INF = -1e4
 
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
+
+
+def continues(prev: str, tag: str) -> bool:
+    """False only for an I-X whose predecessor is neither B-X nor I-X."""
+    return not tag.startswith("I-") or prev in ("B" + tag[1:], tag)
 
 
 class LabelSchema:
@@ -48,16 +57,9 @@ class LabelSchema:
         return [self.tags[i] for i in ids]
 
     def iob2_violations(self, tags: list[str]) -> list[int]:
-        """Positions where I-X does not continue a same-type B-X/I-X."""
-        bad = []
-        prev = "O"
-        for i, tag in enumerate(tags):
-            if tag.startswith("I-"):
-                etype = tag[2:]
-                if prev not in (f"B-{etype}", f"I-{etype}"):
-                    bad.append(i)
-            prev = tag
-        return bad
+        """Positions whose tag does not continue its predecessor."""
+        return [i for i, (prev, tag) in enumerate(zip(["O", *tags], tags))
+                if not continues(prev, tag)]
 
     def repair(self, tags: list[str]) -> tuple[list[str], int]:
         """Rewrite each dangling I-X to B-X; returns (tags, repair count).
@@ -69,18 +71,13 @@ class LabelSchema:
         return fixed, len(bad)
 
     def invalid_transition_mask(self) -> np.ndarray:
-        """(L+2)x(L+2) additive mask, NEG_INF on structurally invalid moves."""
-        size = self.num_labels + 2
-        mask = np.zeros((size, size))
-        for j, tag in enumerate(self.tags):
-            if not tag.startswith("I-"):
-                continue
-            etype = tag[2:]
-            allowed = {self.tag_index(f"B-{etype}"), self.tag_index(f"I-{etype}")}
-            for i in range(self.num_labels):
-                if i not in allowed:
+        """(L+2)x(L+2) additive mask, NEG_INF where a tag does not continue
+        its predecessor; the BEGIN row asks as if "O" came before."""
+        mask = np.zeros((self.num_labels + 2, self.num_labels + 2))
+        for i, prev in enumerate(self.tags + ("O",)):  # row num_labels is BEGIN
+            for j, tag in enumerate(self.tags):
+                if not continues(prev, tag):
                     mask[i, j] = NEG_INF
-            mask[self.begin_index, j] = NEG_INF
         return mask
 
 

@@ -1,7 +1,7 @@
 """Finite-difference gradient checking.
 
-Central differences with step h are the independent oracle for every
-analytic gradient in this package. The error measure is
+Central differences with step h = DEFAULT_H are the independent oracle
+for every analytic gradient in this package. The error measure is
 |a - b| / max(1, |a|, |b|), i.e. absolute for small gradients and
 relative for large ones, so the h^2 truncation error of the central
 difference dominates the comparison at any scale.
@@ -27,8 +27,8 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def numeric_gradient(f: Callable[[], float], param: Tensor, h: float = DEFAULT_H) -> np.ndarray:
-    """Central finite differences of scalar f() wrt every entry of param.
+def numeric_gradient(f: Callable[[], float], param: Tensor) -> np.ndarray:
+    """Central finite differences (step DEFAULT_H) of scalar f() wrt every entry of param.
 
     f must re-run the forward pass from current parameter values; param.data
     is perturbed in place and restored.
@@ -38,20 +38,16 @@ def numeric_gradient(f: Callable[[], float], param: Tensor, h: float = DEFAULT_H
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + DEFAULT_H
         f_plus = f()
-        flat[i] = orig - h
+        flat[i] = orig - DEFAULT_H
         f_minus = f()
         flat[i] = orig
-        gflat[i] = (f_plus - f_minus) / (2.0 * h)
+        gflat[i] = (f_plus - f_minus) / (2.0 * DEFAULT_H)
     return grad
 
 
-def check_gradients(
-    f: Callable[[], Tensor],
-    params: Mapping[str, Tensor],
-    h: float = DEFAULT_H,
-) -> dict[str, float]:
+def check_gradients(f: Callable[[], Tensor], params: Mapping[str, Tensor]) -> dict[str, float]:
     """Compare analytic grads of scalar loss f() against central differences.
 
     Returns the error per parameter name. Analytic gradients are taken from
@@ -72,7 +68,7 @@ def check_gradients(
 
     errors = {}
     for name, p in params.items():
-        numeric = numeric_gradient(scalar_f, p, h=h)
+        numeric = numeric_gradient(scalar_f, p)
         errors[name] = rel_error(analytic[name], numeric)
     for p in params.values():
         p.zero_grad()

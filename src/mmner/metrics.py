@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from mmner.autodiff import ContractError
-from mmner.crf import ENTITY_TYPES
+from mmner.crf import ENTITY_TYPES, continues
 
 
 @dataclass(frozen=True)
@@ -27,27 +27,19 @@ class EntitySpan:
 def extract_spans(labels: Sequence[str]) -> list[EntitySpan]:
     """Maximal B-X (I-X)* runs as spans.
 
-    An I-X that does not continue a same-type span opens a new one
-    (lenient conlleval-style repair), so decoder output that violates
-    strict IOB2 still scores sensibly.
+    Every non-O tag that does not continue a span (a B-X, or an I-X that
+    fails `crf.continues`) opens a new one (lenient conlleval-style
+    repair), so decoder output that violates strict IOB2 still scores
+    sensibly.
     """
     spans: list[EntitySpan] = []
-    start = None
-    cur_type = None
-    for i, tag in enumerate(labels):
-        if tag == "O":
-            prefix, etype = "O", None
-        elif tag.startswith("B-") or tag.startswith("I-"):
-            prefix, etype = tag[0], tag[2:]
-        else:
+    for i, (prev, tag) in enumerate(zip(["O", *labels], labels)):
+        if tag != "O" and not tag.startswith(("B-", "I-")):
             raise ContractError(f"unknown IOB2 tag {tag!r} at position {i}")
-        if start is not None and (prefix == "O" or prefix == "B" or etype != cur_type):
-            spans.append(EntitySpan(start, i - 1, cur_type))
-            start, cur_type = None, None
-        if prefix == "B" or (prefix == "I" and start is None):
-            start, cur_type = i, etype
-    if start is not None:
-        spans.append(EntitySpan(start, len(labels) - 1, cur_type))
+        if tag.startswith("B-") or not continues(prev, tag):
+            spans.append(EntitySpan(i, i, tag[2:]))
+        elif tag != "O":
+            spans[-1] = EntitySpan(spans[-1].start, i, spans[-1].type)
     return spans
 
 

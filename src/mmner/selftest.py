@@ -251,6 +251,11 @@ def _crf_instances():
                 yield crf, em
 
 
+def _bound(name: str, what: str, err: float, tol: float) -> CheckResult:
+    """A check that passes when err < tol, reporting both."""
+    return CheckResult(name, err < tol, f"{what} = {err:.3e} (tol {tol:.0e})")
+
+
 def oracle_suite() -> list[CheckResult]:
     results = []
 
@@ -265,15 +270,11 @@ def oracle_suite() -> list[CheckResult]:
         prob_worst = max(prob_worst, abs(np.exp(values - log_z).sum() - 1.0))
         [viterbi] = crf.viterbi(Tensor(em[None]), [len(em)])
         viterbi_ok = viterbi_ok and viterbi == oracle_best_path(scores)
-    results.append(CheckResult(
-        "oracle.crf_log_partition", worst < 1e-8,
-        f"max |forward - enumeration| = {worst:.3e} (tol 1e-08)"))
+    results.append(_bound("oracle.crf_log_partition", "max |forward - enumeration|", worst, 1e-8))
     results.append(CheckResult(
         "oracle.crf_viterbi", viterbi_ok,
         "paths and scores match enumeration argmax with lowest-index ties"))
-    results.append(CheckResult(
-        "oracle.crf_path_probabilities", prob_worst < 1e-8,
-        f"max |sum p - 1| = {prob_worst:.3e} (tol 1e-08)"))
+    results.append(_bound("oracle.crf_path_probabilities", "max |sum p - 1|", prob_worst, 1e-8))
 
     worst = 0.0
     for n in (2, 4, 8):
@@ -283,9 +284,7 @@ def oracle_suite() -> list[CheckResult]:
             i = rng.normal(size=(n, 16))
             got = contrastive_loss(Tensor(t), Tensor(i), tau=0.07).item()
             worst = max(worst, abs(got - _direct_contrastive(t, i, 0.07)))
-    results.append(CheckResult(
-        "oracle.contrastive_direct_sum", worst < 1e-10,
-        f"max |loss - direct sum| = {worst:.3e} (tol 1e-10)"))
+    results.append(_bound("oracle.contrastive_direct_sum", "max |loss - direct sum|", worst, 1e-10))
 
     rng = np.random.default_rng(77)
     t = rng.normal(size=(4, 16))
@@ -294,18 +293,15 @@ def oracle_suite() -> list[CheckResult]:
     scaled = contrastive_loss(
         Tensor(t * rng.uniform(0.1, 10, (4, 1))),
         Tensor(i * rng.uniform(0.1, 10, (4, 1))), tau=0.5).item()
-    err = abs(base - scaled)
-    results.append(CheckResult(
-        "oracle.contrastive_scale_invariance", err < 1e-10,
-        f"|loss - scaled loss| = {err:.3e} (tol 1e-10)"))
+    results.append(_bound("oracle.contrastive_scale_invariance", "|loss - scaled loss|",
+                          abs(base - scaled), 1e-10))
 
     eye = np.eye(2)
     closed = contrastive_loss(Tensor(eye), Tensor(eye), tau=1.0).item()
     expected = -math.log(math.e / (math.e + 1.0))
-    err = abs(closed - expected)
-    results.append(CheckResult(
-        "oracle.contrastive_closed_form", err < 1e-5,
-        f"N=2 orthonormal case: |loss - (-log(e/(e+1)))| = {err:.3e} (tol 1e-05)"))
+    results.append(_bound("oracle.contrastive_closed_form",
+                          "N=2 orthonormal case: |loss - (-log(e/(e+1)))|",
+                          abs(closed - expected), 1e-5))
 
     worst = 0.0
     perm_worst = 0.0
@@ -322,12 +318,10 @@ def oracle_suite() -> list[CheckResult]:
             worst = max(worst, float(np.max(np.abs(got[b] - ref))))
         permuted = block(Tensor(text), Tensor(visual[:, rng.permutation(5)])).data
         perm_worst = max(perm_worst, float(np.max(np.abs(got - permuted))))
-    results.append(CheckResult(
-        "oracle.cross_attention_per_head_loop", worst < 1e-10,
-        f"max |block - loop oracle| = {worst:.3e} (tol 1e-10)"))
-    results.append(CheckResult(
-        "oracle.cross_attention_key_permutation", perm_worst < 1e-10,
-        f"max |block - permuted keys| = {perm_worst:.3e} (tol 1e-10)"))
+    results.append(_bound("oracle.cross_attention_per_head_loop", "max |block - loop oracle|",
+                          worst, 1e-10))
+    results.append(_bound("oracle.cross_attention_key_permutation",
+                          "max |block - permuted keys|", perm_worst, 1e-10))
 
     worst = 0.0
     rng = np.random.default_rng(700)
@@ -338,9 +332,8 @@ def oracle_suite() -> list[CheckResult]:
     for b, n in enumerate(lengths):
         ref = ad.attention(Tensor(q[b, :n]), Tensor(k[b, :n]), Tensor(v[b, :n]), 2).data
         worst = max(worst, float(np.max(np.abs(got[b, :n] - ref))))
-    results.append(CheckResult(
-        "oracle.attention_masked_batch", worst < 1e-12,
-        f"max |masked batch - unpadded call| = {worst:.3e} (tol 1e-12)"))
+    results.append(_bound("oracle.attention_masked_batch", "max |masked batch - unpadded call|",
+                          worst, 1e-12))
     return results
 
 

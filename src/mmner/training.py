@@ -238,7 +238,6 @@ class TrainResult:
     best_f1: float
     final_report: EvalReport
     counters: dict[str, int]
-    out_dir: Path | None
     eval_split: str
 
     def report_text(self) -> str:
@@ -286,7 +285,11 @@ def load_run(out_dir: str | Path) -> tuple[MultimodalNerModel, Vocabulary, Train
     every parameter from the checkpoint."""
     out_dir = Path(out_dir)
     config_path = out_dir / "config.cfg"
-    config = TrainConfig(**parse_config_text(read_text(config_path), config_path))
+    values = parse_config_text(read_text(config_path), config_path)
+    try:
+        config = TrainConfig(**values)
+    except ContractError as exc:  # a range check: name the file, as parse errors do
+        raise ContractError(f"{config_path}: {exc}") from None
     tokens = read_text(out_dir / "vocab.txt").split("\n")
     vocab = Vocabulary([t for t in tokens if t])
     model = MultimodalNerModel(config.model_config(), len(vocab), None)
@@ -355,8 +358,7 @@ def train(config: TrainConfig, data_root: str | Path,
     best_arrays: dict[str, np.ndarray] = {}
     step = 0
     for epoch in range(1, config.epochs + 1):
-        sums = {"loss": 0.0, "crf": 0.0, "vit": 0.0, "conv": 0.0}
-        batches = 0
+        rows = []  # (loss, crf_nll, cl_vit, cl_conv) per step
         for batch in make_batches(train_corpus, config.batch_size,
                                   [config.seed, epoch], True, vocab, images):
             # one dropout stream per sentence, so masks do not depend on the batch's layout
@@ -376,24 +378,13 @@ def train(config: TrainConfig, data_root: str | Path,
             clip_global_norm(params)
             optimizer.step(lr_at(step, total_steps, config.lr))
             step += 1
-            sums["loss"] += loss.item()
-            sums["crf"] += terms["crf_nll"]
-            sums["vit"] += terms["cl_vit"]
-            sums["conv"] += terms["cl_conv"]
-            batches += 1
+            rows.append((loss.item(), *terms.values()))
         try:
             report = evaluate_model(model, eval_corpus, vocab, images)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch} eval: {exc}") from None
         f1 = report.overall.f1
-        logs.append(EpochLog(
-            epoch=epoch,
-            loss=sums["loss"] / batches,
-            crf_nll=sums["crf"] / batches,
-            cl_vit=sums["vit"] / batches,
-            cl_conv=sums["conv"] / batches,
-            eval_f1=f1,
-        ))
+        logs.append(EpochLog(epoch, *(sum(column) / len(rows) for column in zip(*rows)), f1))
         if f1 > best_f1:
             best_f1 = f1
             best_epoch = epoch
@@ -424,6 +415,5 @@ def train(config: TrainConfig, data_root: str | Path,
         best_f1=best_f1,
         final_report=final_report,
         counters=counters,
-        out_dir=out_path,
         eval_split=eval_split,
     )

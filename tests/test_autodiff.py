@@ -365,6 +365,26 @@ def _rand(rng, shape):
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
+@pytest.mark.parametrize("op,x_shape,w_shape,bias", [
+    (ad.linear, (2, 3, 4), (4, 5), 5),
+    (lambda x, w, b: ad.conv2d(x, w, b, stride=2, padding=1), (2, 3, 5, 5), (4, 3, 3, 3), 4),
+])
+def test_no_bias_matches_a_zero_bias_bitwise(op, x_shape, w_shape, bias):
+    """An absent bias is a None operand that gets no gradient: the output and
+    the x and w gradients are those of the same call with a zero bias."""
+    rng = np.random.default_rng(6)
+    x_data, w_data = _rand(rng, x_shape), _rand(rng, w_shape)
+    results = []
+    for b in (None, Tensor(np.zeros(bias), requires_grad=True)):
+        x, w = Tensor(x_data, requires_grad=True), Tensor(w_data, requires_grad=True)
+        out = op(x, w, b)
+        weight = Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
+        backward(ad.tensor_sum(ad.mul(out, weight)))
+        results.append((out.data, x.grad, w.grad))
+    for without, zero in zip(*results):
+        np.testing.assert_array_equal(without, zero)
+
+
 def test_every_differentiable_op_has_a_gradient_case():
     """gradient_suite runs selftest's op table, which holds an `op.<name>`
     case for every op in `autodiff.__all__`: deleting an op deletes its case."""

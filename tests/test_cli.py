@@ -272,6 +272,27 @@ class TestTrainEvalPredict:
         assert code == 0
         assert target.exists() and "IMGID:" in target.read_text()
 
+    @pytest.mark.parametrize("target", ["outdir", "missing/pred.iob2", "afile/pred.iob2"])
+    def test_bad_predict_out_fails_before_decoding(self, trained_run, tmp_path, capsys,
+                                                   monkeypatch, target):
+        root, out = trained_run
+        (tmp_path / "outdir").mkdir()
+        (tmp_path / "afile").write_text("")
+        decode, calls = MultimodalNerModel.decode, []
+
+        def counted(self, *args):
+            calls.append(1)
+            return decode(self, *args)
+
+        monkeypatch.setattr(MultimodalNerModel, "decode", counted)
+        path = tmp_path / target
+        code, text, err = run_cli(
+            capsys, "predict", str(root / "train.iob2"),
+            "--checkpoint", str(out), "--images", str(root / "images"), "--out", str(path))
+        assert code == 1 and text == "" and calls == []
+        reason = " is a directory" if target == "outdir" else f": {path.parent} is not a directory"
+        assert err == f"mmner: error: --out {path}{reason}\n"
+
     def test_predict_headers_only_in_header_position(self, trained_run, tmp_path, capsys):
         # A LANG line after the IMGID line, or a second IMGID line, is a
         # token row, as parse_iob2 reads it; so is a header after a row.

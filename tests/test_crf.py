@@ -10,6 +10,7 @@ from mmner import autodiff as ad
 from mmner.autodiff import ContractError, ShapeError, Tensor, backward
 from mmner.crf import NEG_INF, LabelSchema, LinearChainCrf
 from mmner.gradcheck import check_gradients, max_error, rel_error
+from mmner.metrics import extract_spans
 from mmner.selftest import _enum_scores, oracle_best_path, oracle_log_partition
 
 
@@ -277,6 +278,29 @@ class TestLabelSchema:
     def test_unknown_tag(self):
         with pytest.raises(ContractError):
             LabelSchema().tag_index("B-GPE")
+
+    def test_violations_repair_spans_and_mask_agree(self):
+        # every sequence of up to 4 tags (7,381 of them): a violation is exactly
+        # a span that extract_spans opens on an I- tag, and repair removes
+        # each one without moving a span
+        schema = LabelSchema()
+        sequences = [list(tags) for n in range(5)
+                     for tags in itertools.product(schema.tags, repeat=n)]
+        assert len(sequences) == 7381
+        for tags in sequences:
+            spans = extract_spans(tags)
+            bad = schema.iob2_violations(tags)
+            assert bad == [s.start for s in spans if tags[s.start].startswith("I-")], tags
+            fixed, count = schema.repair(tags)
+            assert schema.iob2_violations(fixed) == [] and count == len(bad), tags
+            assert extract_spans(fixed) == spans, tags
+        # the mask forbids exactly the moves that make a violation
+        mask = schema.invalid_transition_mask()
+        for b, tag in enumerate(schema.tags):
+            for a, prev in enumerate(schema.tags):
+                assert (mask[a, b] == NEG_INF) == (1 in schema.iob2_violations([prev, tag]))
+            begin_forbids = mask[schema.begin_index, b] == NEG_INF
+            assert begin_forbids == (schema.iob2_violations([tag]) == [0])
 
 
 class TestPaddedBatch:

@@ -233,7 +233,7 @@ def test_mutated_run_directory_exits_cleanly(seed_corpus, tmp_path, capsys):
             (mutated / other).write_bytes(data if other == name else content)
         argv = ["predict", str(sentence), "--checkpoint", str(mutated),
                 "--images", str(root / "images")]
-        exits.add((name, run_cli(capsys, case, argv, data)[0]))
+        exits.add((name, run_cli(capsys, case, argv, data, names=name)[0]))
     # every file reaches a clean failure, and mutations that keep a run
     # valid predict through
     assert {(name, 1) for name in RUN_MUTATIONS} | {("config.cfg", 0), ("vocab.txt", 0)} <= exits
