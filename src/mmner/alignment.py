@@ -4,7 +4,9 @@ The loss is the symmetric InfoNCE form: every pooled text embedding is an
 anchor scored against all N image embeddings of the batch (and vice
 versa), with cosine similarity over temperature tau and the matched pair
 as the positive. The in-batch construction yields the 2N-2 negatives per
-anchor pair; the reported value is the mean over all 2N anchors.
+anchor pair; the reported value is the mean over all 2N anchors. A zero
+row (the conv path's, for a missing image, while its biases are 0) stays
+zero: cosine 0 with every row, and no gradient.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from mmner import autodiff as ad
-from mmner.autodiff import ContractError, NumericError, ShapeError, Tensor
+from mmner.autodiff import ContractError, ShapeError, Tensor
 
 COSINE_EPS = 1e-12
 
@@ -35,10 +37,9 @@ class ProjectionHead:
 
 def _normalize_rows(x: Tensor) -> Tensor:
     norms_sq = ad.tensor_sum(ad.mul(x, x), axis=1)
-    if (norms_sq.data == 0.0).any():
-        raise NumericError("contrastive_loss: zero-norm embedding row (cosine undefined)")
-    norms = ad.maximum_scalar(ad.pow_scalar(norms_sq, 0.5), COSINE_EPS)
-    inv = ad.pow_scalar(norms, -1.0)
+    nonzero = Tensor(norms_sq.data > 0.0)
+    norms = ad.pow_scalar(ad.maximum_scalar(norms_sq, COSINE_EPS**2), 0.5)
+    inv = ad.mul(ad.pow_scalar(norms, -1.0), nonzero)
     return ad.mul(x, inv.reshape(x.shape[0], 1))
 
 

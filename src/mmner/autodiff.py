@@ -152,8 +152,6 @@ class Tensor:
         return _slice(self, key)
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
     def __repr__(self):

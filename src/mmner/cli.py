@@ -39,7 +39,7 @@ from mmner.training import (
     evaluate_model,
     load_run,
     load_split,
-    parse_config_text,
+    read_config,
     train,
 )
 
@@ -111,13 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merged_train_config(args) -> TrainConfig:
-    values = {}
-    if args.config is not None:
-        values.update(parse_config_text(read_text(args.config), args.config))
-    for f in fields(TrainConfig):
-        if getattr(args, f.name) is not None:
-            values[f.name] = getattr(args, f.name)
-    return TrainConfig(**values)
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                 if getattr(args, f.name) is not None}
+    return TrainConfig(**overrides) if args.config is None else read_config(args.config, overrides)
 
 
 def cmd_train(args) -> int:

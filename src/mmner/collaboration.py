@@ -2,9 +2,10 @@
 
 Per head i, with d/m-dimensional projections of queries (text rows) and
 keys/values (visual rows), attention logits are scaled by sqrt(d/m).
-Head outputs are concatenated, mapped by an output matrix, then the block
-closes with residual + LN and an MLP + LN stage, yielding image-aware
-token representations with the query shape.
+Head outputs are concatenated and mapped by an output matrix (`attend`).
+The block is an `encoders.SublayerBlock` in the `post_ln` ordering, y =
+LN(x + f(x)) for the attention and then the MLP sublayer, yielding
+image-aware token representations with the query shape.
 
 A call takes (n, d) queries and (P, d) visual tokens, or a batch of them
 with one leading axis. No key is padded, so none is masked; a padded query
@@ -22,49 +23,37 @@ from __future__ import annotations
 import numpy as np
 
 from mmner import autodiff as ad
-from mmner.autodiff import ConfigError, ShapeError, Tensor
+from mmner.autodiff import ShapeError, Tensor
+from mmner.encoders import FUSION_SUBLAYER, SublayerBlock, _w, check_heads
 
 
-class CrossAttentionBlock:
+class CrossAttentionBlock(SublayerBlock):
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
                  mlp_ratio: int = 4, dropout: float = 0.0):
-        if d < 1 or heads < 1 or d % heads != 0:
-            raise ConfigError(f"model dim {d} not divisible by {heads} heads")
+        check_heads(d, heads)
         self.d = d
         self.heads = heads
         self.head_dim = d // heads
-        self.dropout = dropout
-        hidden = mlp_ratio * d
-
-        def w(shape, std=0.02):
-            return Tensor(rng.normal(0.0, std, shape), requires_grad=True)
-
         # per-head maps stacked on a leading head axis, each (d/m, d)
-        self.wq = w((heads, self.head_dim, d))
-        self.wk = w((heads, self.head_dim, d))
-        self.wv = w((heads, self.head_dim, d))
-        self.wo = w((d, d))
-        self.ln1_g = Tensor(np.ones(d), requires_grad=True)
-        self.ln1_b = Tensor(np.zeros(d), requires_grad=True)
-        self.mlp_w1 = w((d, hidden))
-        self.mlp_b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.mlp_w2 = w((hidden, d))
-        self.mlp_b2 = Tensor(np.zeros(d), requires_grad=True)
-        self.ln2_g = Tensor(np.ones(d), requires_grad=True)
-        self.ln2_b = Tensor(np.zeros(d), requires_grad=True)
+        self.wq = _w(rng, (heads, self.head_dim, d))
+        self.wk = _w(rng, (heads, self.head_dim, d))
+        self.wv = _w(rng, (heads, self.head_dim, d))
+        self.wo = _w(rng, (d, d))
+        super().__init__(d, rng, FUSION_SUBLAYER, mlp_ratio, dropout)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo,
-            "ln1_g": self.ln1_g, "ln1_b": self.ln1_b,
-            "mlp_w1": self.mlp_w1, "mlp_b1": self.mlp_b1,
-            "mlp_w2": self.mlp_w2, "mlp_b2": self.mlp_b2,
-            "ln2_g": self.ln2_g, "ln2_b": self.ln2_b,
-        }
+    def attention_parameters(self) -> dict[str, Tensor]:
+        return {"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo}
 
     def _map(self, w: Tensor) -> Tensor:
         """The (d_in, d_out) matrix `ad.linear` applies for a stacked map."""
         return ad.transpose2d(ad.reshape(w, (self.d, self.d)))
+
+    def attend(self, text: Tensor, visual: Tensor) -> Tensor:
+        """Every head's attention of the text rows over the visual tokens, mapped by wo."""
+        heads = ad.attention(ad.linear(text, self._map(self.wq)),
+                             ad.linear(visual, self._map(self.wk)),
+                             ad.linear(visual, self._map(self.wv)), self.heads)
+        return ad.linear(heads, ad.transpose2d(self.wo))
 
     def __call__(self, text: Tensor, visual: Tensor, rngs: list[np.random.Generator] | None = None,
                  lengths: list[int] | None = None) -> Tensor:
@@ -72,14 +61,6 @@ class CrossAttentionBlock:
                 or text.shape[-1] != self.d or visual.shape[-1] != self.d):
             raise ShapeError(f"text {text.shape} / visual {visual.shape}: expected "
                              f"(n, {self.d}) / (P, {self.d}), with one shared batch axis or none")
-        heads = ad.attention(ad.linear(text, self._map(self.wq)),
-                             ad.linear(visual, self._map(self.wk)),
-                             ad.linear(visual, self._map(self.wv)), self.heads)
-        ia = ad.linear(heads, ad.transpose2d(self.wo))
-        ia = ad.dropout(ia, self.dropout, rngs, lengths)
-        fused = ad.layer_norm(ad.add(ia, text), self.ln1_g, self.ln1_b)
-        h = ad.linear(fused, self.mlp_w1, self.mlp_b1)
-        h = ad.gelu(h)
-        h = ad.linear(h, self.mlp_w2, self.mlp_b2)
-        h = ad.dropout(h, self.dropout, rngs, lengths)
-        return ad.layer_norm(ad.add(fused, h), self.ln2_g, self.ln2_b)
+        x = self._apply(text, lambda t: self.attend(t, visual), self.ln1_g, self.ln1_b,
+                        rngs, lengths)
+        return self._apply(x, self._mlp, self.ln2_g, self.ln2_b, rngs, lengths)

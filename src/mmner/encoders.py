@@ -7,9 +7,10 @@ and every image has `CHANNELS` = 3 channels, as `read_ppm` returns them.
 
 All weights are randomly initialized (normal, std 0.02 for embeddings and
 projection matrices; conv kernels use fan-in scaling; LN affine starts at
-identity). The two transformer branches deliberately use different
-sublayer orderings: the text branch normalizes the sublayer output before
-the residual add, the patch branch normalizes the sublayer input.
+identity). `SublayerBlock` wires every transformer-style block in one of
+three sublayer orderings: the text branch normalizes the sublayer output
+before the residual add, the patch branch the sublayer input, and the
+fusion blocks (`collaboration`) the residual sum.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ if TYPE_CHECKING:
 CHANNELS = 3
 TEXT_SUBLAYER = "ln_then_add"   # y = LN(f(x)) + x, text branch
 VIT_SUBLAYER = "pre_ln"         # y = f(LN(x)) + x, patch branch
+FUSION_SUBLAYER = "post_ln"     # y = LN(f(x) + x), fusion blocks
 
 
 def _w(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
@@ -41,6 +43,12 @@ def _zeros(shape) -> Tensor:
 
 def _ones(shape) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=True)
+
+
+def check_heads(d: int, heads: int) -> None:
+    """A d-wide attention needs d >= 1 and heads >= 1 dividing d."""
+    if d < 1 or heads < 1 or d % heads != 0:
+        raise ConfigError(f"d={d} not divisible by heads={heads}")
 
 
 def _with_parts(params: dict[str, Tensor], prefix: str, parts) -> dict[str, Tensor]:
@@ -60,8 +68,7 @@ class SelfAttention:
     """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
-        if d % heads != 0:
-            raise ConfigError(f"model dim {d} not divisible by {heads} heads")
+        check_heads(d, heads)
         self.heads = heads
         self.head_dim = d // heads
         self.wq = _w(rng, (d, d))
@@ -86,46 +93,59 @@ class SelfAttention:
         return ad.linear(ad.attention(q, k, v, self.heads, key_mask), self.wo, self.bo)
 
 
-class TransformerLayer:
-    """One MHSA + MLP layer in either sublayer ordering, over (rows, d) or a
-    padded (B, rows, d) batch. Item i's first lengths[i] rows are real: the
-    rest are masked out of the attention keys and draw no dropout."""
+class SublayerBlock:
+    """An attention sublayer, then an MLP sublayer, each with dropout, a residual
+    add and a LayerNorm in `sublayer` order. A subclass draws its attention
+    parameters (`attention_parameters`) before this __init__ draws the MLP's."""
 
-    def __init__(self, d: int, heads: int, rng: np.random.Generator,
-                 sublayer: str, mlp_ratio: int = 4, dropout: float = 0.0):
-        if sublayer not in (TEXT_SUBLAYER, VIT_SUBLAYER):
-            raise ConfigError(f"unknown sublayer ordering {sublayer!r}")
+    def __init__(self, d: int, rng: np.random.Generator, sublayer: str,
+                 mlp_ratio: int, dropout: float):
         self.sublayer = sublayer
         self.dropout = dropout
-        self.attn = SelfAttention(d, heads, rng)
         self.ln1_g, self.ln1_b = _ones(d), _zeros(d)
-        hidden = mlp_ratio * d
-        self.mlp_w1 = _w(rng, (d, hidden))
-        self.mlp_b1 = _zeros(hidden)
-        self.mlp_w2 = _w(rng, (hidden, d))
+        self.mlp_w1 = _w(rng, (d, mlp_ratio * d))
+        self.mlp_b1 = _zeros(mlp_ratio * d)
+        self.mlp_w2 = _w(rng, (mlp_ratio * d, d))
         self.mlp_b2 = _zeros(d)
         self.ln2_g, self.ln2_b = _ones(d), _zeros(d)
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {f"attn.{k}": v for k, v in self.attn.parameters().items()}
-        params.update({
+        return {
+            **self.attention_parameters(),
             "ln1_g": self.ln1_g, "ln1_b": self.ln1_b,
             "mlp_w1": self.mlp_w1, "mlp_b1": self.mlp_b1,
             "mlp_w2": self.mlp_w2, "mlp_b2": self.mlp_b2,
             "ln2_g": self.ln2_g, "ln2_b": self.ln2_b,
-        })
-        return params
+        }
 
     def _mlp(self, x: Tensor) -> Tensor:
         h = ad.gelu(ad.linear(x, self.mlp_w1, self.mlp_b1))
         return ad.linear(h, self.mlp_w2, self.mlp_b2)
 
     def _apply(self, x, f, ln_g, ln_b, rngs, lengths):
+        if self.sublayer == VIT_SUBLAYER:
+            out = ad.dropout(f(ad.layer_norm(x, ln_g, ln_b)), self.dropout, rngs, lengths)
+            return ad.add(out, x)
+        out = ad.dropout(f(x), self.dropout, rngs, lengths)
         if self.sublayer == TEXT_SUBLAYER:
-            out = ad.dropout(f(x), self.dropout, rngs, lengths)
             return ad.add(ad.layer_norm(out, ln_g, ln_b), x)
-        out = ad.dropout(f(ad.layer_norm(x, ln_g, ln_b)), self.dropout, rngs, lengths)
-        return ad.add(out, x)
+        return ad.layer_norm(ad.add(out, x), ln_g, ln_b)
+
+
+class TransformerLayer(SublayerBlock):
+    """One MHSA + MLP layer in the text or patch ordering, over (rows, d) or
+    a padded (B, rows, d) batch. Item i's first lengths[i] rows are real:
+    the rest are masked out of the attention keys and draw no dropout."""
+
+    def __init__(self, d: int, heads: int, rng: np.random.Generator,
+                 sublayer: str, mlp_ratio: int = 4, dropout: float = 0.0):
+        if sublayer not in (TEXT_SUBLAYER, VIT_SUBLAYER):
+            raise ConfigError(f"unknown sublayer ordering {sublayer!r}")
+        self.attn = SelfAttention(d, heads, rng)
+        super().__init__(d, rng, sublayer, mlp_ratio, dropout)
+
+    def attention_parameters(self) -> dict[str, Tensor]:
+        return {f"attn.{k}": v for k, v in self.attn.parameters().items()}
 
     def __call__(self, x: Tensor, rngs: list[np.random.Generator] | None = None,
                  lengths: list[int] | None = None) -> Tensor:
@@ -280,13 +300,9 @@ class ConvEncoder:
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.image_size = config.image_size
-        self.stem_stride = config.conv_stem_stride
-        self.stem_pad = config.conv_stem_kernel // 2
-        self.grid = config.image_size // (config.conv_stem_stride
-                                          * 2 ** len(config.conv_stage_channels))
-        k = config.conv_stem_kernel
-        self.stem_w = _w(rng, (config.conv_stem_channels, CHANNELS, k, k),
-                         math.sqrt(2.0 / (CHANNELS * k * k)))
+        self.grid = config.image_size // 2 ** len(config.conv_stage_channels)
+        self.stem_w = _w(rng, (config.conv_stem_channels, CHANNELS, 3, 3),
+                         math.sqrt(2.0 / (CHANNELS * 9)))
         self.stem_b = _zeros(config.conv_stem_channels)
         self.blocks: list[ResidualBlock] = []
         c_prev = config.conv_stem_channels
@@ -312,8 +328,7 @@ class ConvEncoder:
                 f"image stack shape {images.shape} vs configured "
                 f"(N, {CHANNELS}, {size}, {size})"
             )
-        x = ad.relu(ad.conv2d(Tensor(images), self.stem_w, self.stem_b,
-                              stride=self.stem_stride, padding=self.stem_pad))
+        x = ad.relu(ad.conv2d(Tensor(images), self.stem_w, self.stem_b, stride=1, padding=1))
         for block in self.blocks:
             x = block(x)
         g = self.grid

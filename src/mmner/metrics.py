@@ -45,31 +45,29 @@ def extract_spans(labels: Sequence[str]) -> list[EntitySpan]:
 
 @dataclass
 class TypeScore:
+    """Span counts; the scores are computed from them on each read."""
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    precision: float = 0.0
-    recall: float = 0.0
-    f1: float = 0.0
-    # metric names whose denominator was zero (value reported as 0, not NaN)
-    undefined: tuple[str, ...] = ()
 
-    def finalize(self) -> "TypeScore":
-        undefined = []
-        if self.tp + self.fp > 0:
-            self.precision = self.tp / (self.tp + self.fp)
-        else:
-            undefined.append("precision")
-        if self.tp + self.fn > 0:
-            self.recall = self.tp / (self.tp + self.fn)
-        else:
-            undefined.append("recall")
-        if self.precision + self.recall > 0:
-            self.f1 = 2 * self.precision * self.recall / (self.precision + self.recall)
-        else:
-            undefined.append("f1")
-        self.undefined = tuple(undefined)
-        return self
+    @property
+    def precision(self) -> float:
+        return self.tp / (self.tp + self.fp) if self.tp + self.fp > 0 else 0.0
+
+    @property
+    def recall(self) -> float:
+        return self.tp / (self.tp + self.fn) if self.tp + self.fn > 0 else 0.0
+
+    @property
+    def f1(self) -> float:
+        p, r = self.precision, self.recall
+        return 2 * p * r / (p + r) if p + r > 0 else 0.0
+
+    @property
+    def undefined(self) -> tuple[str, ...]:
+        """Metric names whose denominator is zero (value reported as 0, not NaN)."""
+        denominators = (self.tp + self.fp, self.tp + self.fn, self.precision + self.recall)
+        return tuple(n for n, den in zip(("precision", "recall", "f1"), denominators) if den <= 0)
 
 
 @dataclass
@@ -135,8 +133,5 @@ def evaluate(gold: Iterable[Sequence[str]], pred: Iterable[Sequence[str]]) -> Ev
         fp=sum(s.fp for s in scores.values()),
         fn=sum(s.fn for s in scores.values()),
     )
-    for s in scores.values():
-        s.finalize()
-    overall.finalize()
     accuracy = tokens_right / tokens_total if tokens_total else 0.0
     return EvalReport(per_type=scores, overall=overall, token_accuracy=accuracy)

@@ -56,7 +56,7 @@ from mmner.alignment import ProjectionHead, contrastive_loss
 from mmner.collaboration import CrossAttentionBlock
 from mmner.crf import LabelSchema, LinearChainCrf
 from mmner.data import Batch
-from mmner.encoders import ConvEncoder, TextEncoder, VitEncoder
+from mmner.encoders import ConvEncoder, TextEncoder, VitEncoder, check_heads
 
 # sentences per forward in `decode`: its activations set peak memory, and
 # a chunk of 16 raised predict_long's peak RSS from 55.8 MB to 59.6-63.5 MB
@@ -74,8 +74,6 @@ class ModelConfig:
     image_size: int = 32
     patch_size: int = 8
     conv_stem_channels: int = 8
-    conv_stem_kernel: int = 3
-    conv_stem_stride: int = 1
     conv_stage_channels: tuple[int, int, int] = (8, 12, 16)
     proj_hidden: int = 64
     proj_out: int = 64
@@ -86,15 +84,14 @@ class ModelConfig:
     mask_invalid_transitions: bool = False
 
     def __post_init__(self):
-        if self.d % self.heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
+        check_heads(self.d, self.heads)
         if self.max_len < 3:
             raise ConfigError(f"max_len={self.max_len} cannot hold CLS + token + SEP")
         if self.use_vit and self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image size {self.image_size} not divisible by patch size {self.patch_size}"
             )
-        downsample = self.conv_stem_stride * 2 ** len(self.conv_stage_channels)
+        downsample = 2 ** len(self.conv_stage_channels)
         if self.use_resnet and self.image_size % downsample != 0:
             raise ConfigError(
                 f"image size {self.image_size} not divisible by total stride {downsample}"

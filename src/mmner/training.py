@@ -102,6 +102,17 @@ def parse_config_text(text: str, path: str | Path) -> dict:
     return values
 
 
+def read_config(path: str | Path, overrides: dict) -> TrainConfig:
+    """The config file at `path` with `overrides` replacing its values; a file
+    value out of range that no override replaces fails naming the file."""
+    values = parse_config_text(read_text(path), path)
+    try:
+        TrainConfig(**{k: v for k, v in values.items() if k not in overrides})
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None
+    return TrainConfig(**{**values, **overrides})
+
+
 def _coerce(kind: str, value: str):
     """`value` as a field of type `kind`; ValueError if it is not one."""
     if kind == "bool":
@@ -284,12 +295,7 @@ def load_run(out_dir: str | Path) -> tuple[MultimodalNerModel, Vocabulary, Train
     and `load_parameters`, the one check of names, order and shapes, fills
     every parameter from the checkpoint."""
     out_dir = Path(out_dir)
-    config_path = out_dir / "config.cfg"
-    values = parse_config_text(read_text(config_path), config_path)
-    try:
-        config = TrainConfig(**values)
-    except ContractError as exc:  # a range check: name the file, as parse errors do
-        raise ContractError(f"{config_path}: {exc}") from None
+    config = read_config(out_dir / "config.cfg", {})
     tokens = read_text(out_dir / "vocab.txt").split("\n")
     vocab = Vocabulary([t for t in tokens if t])
     model = MultimodalNerModel(config.model_config(), len(vocab), None)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mmner import autodiff as ad
-from mmner.autodiff import ContractError, NumericError, Tensor, backward
+from mmner.autodiff import ContractError, Tensor, backward
 from mmner.alignment import ProjectionHead, contrastive_loss
 from mmner.gradcheck import check_gradients, max_error
 from mmner.selftest import _direct_contrastive
@@ -95,11 +95,32 @@ class TestContrastiveLoss:
         loss_near = contrastive_loss(Tensor(base_t), Tensor(pulled), tau=1.0).item()
         assert loss_near <= loss_far + 1e-12
 
-    def test_zero_norm_row_raises(self):
-        t = np.ones((2, 4))
-        t[0] = 0.0
-        with pytest.raises(NumericError):
-            contrastive_loss(Tensor(t), Tensor(np.ones((2, 4))), tau=1.0)
+    @pytest.mark.parametrize("side", ["text", "image"])
+    def test_zero_norm_row_has_zero_cosines_and_no_gradient(self, side):
+        rng = np.random.default_rng(7)
+        t = rng.normal(size=(3, 4))
+        i = rng.normal(size=(3, 4))
+        (t if side == "text" else i)[1] = 0.0
+        tt, it = Tensor(t, requires_grad=True), Tensor(i, requires_grad=True)
+        loss = contrastive_loss(tt, it, tau=0.5)
+        # direct summation with the zero row's cosines set to 0
+        norms_t, norms_i = np.linalg.norm(t, axis=1), np.linalg.norm(i, axis=1)
+        cos = np.zeros((3, 3))
+        for a in range(3):
+            for j in range(3):
+                if norms_t[a] > 0 and norms_i[j] > 0:
+                    cos[a, j] = t[a] @ i[j] / (norms_t[a] * norms_i[j])
+        logits = cos / 0.5
+        expected = sum(
+            -math.log(math.exp(logits[a, a]) / sum(math.exp(logits[a, j]) for j in range(3)))
+            - math.log(math.exp(logits[a, a]) / sum(math.exp(logits[j, a]) for j in range(3)))
+            for a in range(3)) / 6
+        assert math.isfinite(loss.item())
+        assert abs(loss.item() - expected) < 1e-12
+        backward(loss)
+        zero_side = tt if side == "text" else it
+        assert np.all(zero_side.grad[1] == 0.0)
+        assert np.isfinite(tt.grad).all() and np.isfinite(it.grad).all()
 
     def test_single_pair_rejected(self):
         with pytest.raises(ContractError):

@@ -563,6 +563,15 @@ class TestConfigPrecedence:
         assert "epoch 1:" in out
         assert "epoch 2:" not in out  # flag overrode the file's 5 epochs
 
+    def test_out_of_range_config_value_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("tau = 0.0\n")
+        code, _, err = run_cli(capsys, "train", str(tmp_path), "--config", str(cfg))
+        assert code == 1
+        assert err == f"mmner: error: {cfg}: tau must be finite and > 0, got 0.0\n"
+        argv = ["train", str(tmp_path), "--config", str(cfg), "--tau", "0.5"]
+        assert merged_train_config(build_parser().parse_args(argv)).tau == 0.5
+
     def test_bad_config_key_fails(self, tmp_path, capsys):
         root = build_overfit_fixture(tmp_path / "data", n_sentences=4)
         cfg = tmp_path / "run.cfg"

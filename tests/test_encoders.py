@@ -8,6 +8,7 @@ import pytest
 
 from mmner import autodiff as ad
 from mmner.autodiff import ConfigError, ContractError, Tensor
+from mmner.collaboration import CrossAttentionBlock
 from mmner.data import UNK_ID
 from mmner.encoders import (
     ConvEncoder,
@@ -131,6 +132,15 @@ class TestTextEncoder:
         with pytest.raises(ConfigError, match="d=10 not divisible by heads=4"):
             ModelConfig(d=10, heads=4)
 
+    @pytest.mark.parametrize("build", [
+        lambda: ModelConfig(heads=0),
+        lambda: SelfAttention(8, 0, np.random.default_rng(0)),
+        lambda: CrossAttentionBlock(8, 0, np.random.default_rng(0)),
+    ], ids=["model_config", "self_attention", "cross_attention"])
+    def test_zero_heads_rejected(self, build):
+        with pytest.raises(ConfigError, match="heads=0"):
+            build()
+
     def test_max_len_without_room_for_a_token_rejected(self):
         with pytest.raises(ConfigError, match="max_len=2 cannot hold CLS"):
             ModelConfig(max_len=2)
@@ -227,12 +237,6 @@ class TestConvEncoder:
         assert enc.grid == 4
         out = enc.encode(np.zeros((1, 3, 32, 32)))
         assert out.shape == (1, 16, 8)
-
-    def test_paper_shaped_config_gives_seven_by_seven(self):
-        enc = make_conv(image=224, conv_stem_kernel=5, conv_stem_stride=4)
-        assert enc.grid == 7
-        out = enc.encode(np.zeros((1, 3, 224, 224)))
-        assert out.shape == (1, 49, 8)
 
     def test_zero_projection_constant_bias(self):
         enc = make_conv()

@@ -577,6 +577,15 @@ class TestTrainLoop:
         assert result.counters["unk_tokens"] == 1
         assert result.counters["truncated_sentences"] == 1
 
+    def test_a_missing_image_is_not_fatal(self, tmp_path):
+        # the flat default image encodes to a zero conv-path embedding row at step 0
+        root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
+        (root / "images" / "ov003.ppm").unlink()
+        result = train(TrainConfig(batch_size=8, epochs=1, lr=5e-3, seed=0), root)
+        assert result.counters["missing_images"] == 1
+        log = result.epoch_logs[0]
+        assert all(math.isfinite(v) for v in (log.loss, log.crf_nll, log.cl_vit, log.cl_conv))
+
     def test_non_finite_loss_term_stops_before_the_update(self, tmp_path, monkeypatch):
         root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
         batch_losses = MultimodalNerModel.batch_losses
