@@ -32,17 +32,13 @@ def continues(prev: str, tag: str) -> bool:
 
 
 class LabelSchema:
-    """Ordered IOB2 tag set plus the synthetic BEGIN transition index."""
+    """Ordered IOB2 tag set and its transition mask."""
 
     tags = ("O",) + tuple(f"{prefix}-{etype}" for etype in ENTITY_TYPES for prefix in "BI")
 
     @property
     def num_labels(self) -> int:
         return len(self.tags)
-
-    @property
-    def begin_index(self) -> int:
-        return self.num_labels
 
     def tag_index(self, tag: str) -> int:
         try:

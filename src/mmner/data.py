@@ -287,9 +287,9 @@ DEFAULT_IMAGE_VALUE = 0.5  # mid-gray; normalizes to exactly zero
 class ImageStore:
     """Loads <stem>.ppm files, resizing and normalizing to (3, R, R).
 
-    Values land in [-1, 1] via (x - 0.5) / 0.5. A missing stem is replaced
-    by flat mid-gray (all zeros after normalization), one array shared by
-    every missing stem, and counted, never raised.
+    Values land in [-1, 1] via (x - 0.5) / 0.5. A missing or empty stem is
+    replaced by flat mid-gray (all zeros after normalization), one array
+    shared by every missing stem, and counted, never raised.
     """
 
     def __init__(self, directory: str | Path | None, resolution: int):
@@ -308,7 +308,7 @@ class ImageStore:
     def load(self, stem: str) -> np.ndarray:
         if stem in self._cache:
             return self._cache[stem]
-        path = self.directory / f"{stem}.ppm" if self.directory is not None else None
+        path = self.directory / f"{stem}.ppm" if self.directory is not None and stem else None
         if path is None or not path.exists():
             self.missing_count += 1
             img = self._default

@@ -9,7 +9,7 @@ difference dominates the comparison at any scale.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -73,8 +73,3 @@ def check_gradients(f: Callable[[], Tensor], params: Mapping[str, Tensor]) -> di
     for p in params.values():
         p.zero_grad()
     return errors
-
-
-def max_error(errors: Iterable[float]) -> float:
-    errors = list(errors)
-    return max(errors) if errors else 0.0

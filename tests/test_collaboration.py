@@ -7,7 +7,6 @@ import pytest
 from mmner import autodiff as ad
 from mmner.autodiff import ConfigError, Tensor
 from mmner.collaboration import CrossAttentionBlock
-from mmner.gradcheck import check_gradients, max_error
 from mmner.selftest import _loop_cross_attention
 
 
@@ -51,16 +50,6 @@ class TestCrossAttention:
         expected = _loop_cross_attention(block, text, visual)
         assert np.max(np.abs(got - expected)) < 1e-10
 
-    def test_key_permutation_invariance(self):
-        rng = np.random.default_rng(3)
-        block = make_block(heads=2)
-        text = rng.normal(size=(3, 8))
-        visual = rng.normal(size=(6, 8))
-        base = block(Tensor(text), Tensor(visual)).data
-        perm = rng.permutation(6)
-        permuted = block(Tensor(text), Tensor(visual[perm])).data
-        assert np.max(np.abs(base - permuted)) < 1e-10
-
     def test_zero_attention_output_reduces_to_text_only_path(self):
         rng = np.random.default_rng(4)
         block = make_block()
@@ -72,18 +61,6 @@ class TestCrossAttention:
         # LN, MLP, LN on the text rows alone
         expected = _loop_cross_attention(block, text, visual)
         assert np.max(np.abs(got - expected)) < 1e-12
-
-    def test_gradient_check_full_block(self):
-        rng = np.random.default_rng(5)
-        block = CrossAttentionBlock(4, 2, np.random.default_rng(55))
-        text = Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True)
-        visual = Tensor(rng.uniform(-1, 1, size=(2, 4)), requires_grad=True)
-        weight = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-        params = dict(block.parameters(), text=text, visual=visual)
-        errors = check_gradients(
-            lambda: ad.tensor_sum(ad.mul(block(text, visual), weight)), params
-        )
-        assert max_error(errors.values()) < 1e-5
 
     def test_indivisible_heads_rejected_at_construction(self):
         with pytest.raises(ConfigError):

@@ -285,6 +285,13 @@ class TestImageStore:
         np.testing.assert_allclose(img, 0.0)  # mid-gray normalizes to 0
         assert store.missing_count == 1
 
+    def test_empty_stem_is_missing_even_with_a_dot_ppm_file(self, tmp_path):
+        # predict --raw and IOB2 blocks without an IMGID line ask for ""
+        write_ppm(tmp_path / ".ppm", np.ones((3, 4, 4)))
+        store = ImageStore(tmp_path, resolution=4)
+        np.testing.assert_array_equal(store.load(""), np.zeros((3, 4, 4)))
+        assert store.missing_count == 1
+
     def test_resizes_to_resolution(self, tmp_path):
         write_ppm(tmp_path / "big.ppm", np.zeros((3, 8, 8)))
         store = ImageStore(tmp_path, resolution=2)

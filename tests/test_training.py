@@ -22,7 +22,7 @@ from mmner.checkpoint import (
     save_checkpoint,
 )
 from mmner.data import Corpus, ImageStore, SentenceExample, Vocabulary, parse_iob2, write_ppm
-from mmner.gradcheck import check_gradients, max_error
+from mmner.gradcheck import check_gradients
 from mmner.metrics import evaluate
 from mmner.data import Batch
 from mmner.model import DECODE_CHUNK, ModelConfig, MultimodalNerModel
