@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from typing import Sequence
 
@@ -95,6 +96,7 @@ class ConfigError(ValueError):
 
 _state = threading.local()
 _creation_seq = itertools.count()
+_versions = itertools.count()
 
 
 def _grad_enabled() -> bool:
@@ -115,30 +117,47 @@ class no_grad:
 
 
 class Tensor:
-    """Dense row-major float64 array, optionally tracked for gradients."""
+    """Dense row-major float64 array, optionally tracked for gradients.
 
-    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
+    `version` is a stamp, unique across all tensors, drawn afresh whenever
+    `data` is rebound (`t.data = a`, and so `t.data += x`). A write through
+    a view (`t.data[i] = v`) cannot be seen, so its writer calls `touch()`;
+    the model's encode memo trusts these stamps."""
+
+    __slots__ = ("_data", "version", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 0:
             arr = np.ascontiguousarray(arr)
-        self.data = arr
+        self._data = arr
+        self.version = next(_versions)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: _Node | None = None
 
+    def _rebind(self, data: np.ndarray) -> None:
+        self._data = data
+        self.touch()
+
+    # a C getter: a `def` property costs about half again as much per read
+    data = property(operator.attrgetter("_data"), _rebind)
+
+    def touch(self) -> None:
+        """Stamp a new version after a write through a view of `data`."""
+        self.version = next(_versions)
+
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return self._data.size
 
     def item(self) -> float:
         if self.data.size != 1:

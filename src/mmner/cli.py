@@ -23,25 +23,9 @@ import numpy as np
 from mmner import __version__
 from mmner.autodiff import ContractError, NumericError
 from mmner.checkpoint import write_atomic
-from mmner.data import (
-    Corpus,
-    CorpusError,
-    ImageStore,
-    SentenceExample,
-    cohens_kappa,
-    dataset_stats,
-    iob2_blocks,
-    read_text,
-    serialize_iob2,
-)
-from mmner.training import (
-    TrainConfig,
-    evaluate_model,
-    load_run,
-    load_split,
-    read_config,
-    train,
-)
+from mmner.data import (Corpus, CorpusError, ImageStore, SentenceExample, cohens_kappa,
+                        dataset_stats, iob2_blocks, read_text, serialize_iob2)
+from mmner.training import TrainConfig, evaluate_model, load_run, load_split, read_config, train
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,10 +114,8 @@ def cmd_eval(args) -> int:
     corpus = load_split(Path(args.data_root), args.split, repair=args.repair)
     if corpus is None:
         raise ContractError(f"no {args.split}.iob2 under {args.data_root}")
-    images = ImageStore(
-        args.images if args.images is not None else Path(args.data_root) / "images",
-        model.config.image_size,
-    )
+    images = ImageStore(args.images if args.images is not None else Path(args.data_root) / "images",
+                        model.config.image_size)
     report = evaluate_model(model, corpus, vocab, images)
     print(report.format_table())
     print()
@@ -193,8 +175,7 @@ def cmd_stats(args) -> int:
 
 def cmd_kappa(args) -> int:
     rows = []
-    for line_no, line in enumerate(
-            read_text(args.table).split("\n"), start=1):
+    for line_no, line in enumerate(read_text(args.table).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

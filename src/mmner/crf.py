@@ -169,13 +169,15 @@ class LinearChainCrf:
         rows, L = len(lengths), self.num_labels
         with ad.no_grad():
             trans = self.effective_transitions().data
+        em, pairs = emissions.data, trans[:L, :L]
         deltas = np.empty((lengths.max(), rows, L))
         backptrs = np.empty(deltas.shape, dtype=np.intp)
-        deltas[0] = trans[self.begin, :L] + emissions.data[:, 0]
-        for i in range(1, len(deltas)):
-            cand = deltas[i - 1][:, :, None] + trans[:L, :L]
-            backptrs[i] = cand.argmax(axis=1)  # argmax picks the lowest index on ties
-            deltas[i] = cand.max(axis=1) + emissions.data[:, i]
+        deltas[0] = trans[self.begin, :L] + em[:, 0]
+        for i in range(1, len(deltas)):  # out= writes save a temporary and a copy per position
+            cand = deltas[i - 1][:, :, None] + pairs
+            cand.argmax(axis=1, out=backptrs[i])  # argmax picks the lowest index on ties
+            np.maximum.reduce(cand, axis=1, out=deltas[i])
+            deltas[i] += em[:, i]
         final = deltas[lengths - 1, np.arange(rows)] + trans[:L, self.end]
         paths = [[int(y)] for y in final.argmax(axis=1)]
         for b, n in enumerate(lengths):

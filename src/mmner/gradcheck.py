@@ -31,7 +31,8 @@ def numeric_gradient(f: Callable[[], float], param: Tensor) -> np.ndarray:
     """Central finite differences (step DEFAULT_H) of scalar f() wrt every entry of param.
 
     f must re-run the forward pass from current parameter values; param.data
-    is perturbed in place and restored.
+    is perturbed in place and restored, each write stamped by `touch()` so
+    the model's encode memo sees it.
     """
     grad = np.zeros_like(param.data)
     flat = param.data.reshape(-1)
@@ -39,10 +40,13 @@ def numeric_gradient(f: Callable[[], float], param: Tensor) -> np.ndarray:
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + DEFAULT_H
+        param.touch()
         f_plus = f()
         flat[i] = orig - DEFAULT_H
+        param.touch()
         f_minus = f()
         flat[i] = orig
+        param.touch()
         gflat[i] = (f_plus - f_minus) / (2.0 * DEFAULT_H)
     return grad
 

@@ -10,7 +10,7 @@ flagged, never NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from mmner.autodiff import ContractError

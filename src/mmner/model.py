@@ -31,17 +31,16 @@ masks, like its outputs, do not depend on its neighbours or its padding.
 
 At inference the model keeps, per path key, a one-entry memo of the last
 encode: a copy of the image stack, the output, and, once the stack has
-repeated, a copy of each of that encoder's parameter arrays. It is
+repeated, the `version` stamp of each of that encoder's parameters. It is
 consulted only when no graph is recorded (no generators, under `no_grad`,
-as in `predict`), and hits only when the image stack and every encoder
-parameter equal their stored copies by value, compared bit for bit (same
-dtype, shape and bytes). Any change to the weights, by reassignment or in
-place, or to the images is therefore a miss, which encodes as usual and
-replaces the entry; graph-recording calls never read or write it. A new
-stack takes no weight snapshot (copying ~1 MB of desk-model weights on
-every call would slow streams of distinct images), so a run of one
-repeated image encodes twice: at its first sighting and at the second,
-which stores the snapshot that later calls hit.
+as in `predict`), and hits only when the image stack equals its copy bit
+for bit and every stamp is unchanged. Stamps are unique and any rebinding
+of `Tensor.data` (`=`, `+=`, Adam, `load_parameters`) draws a new one, so a
+weight change is a miss, as long as a write through a view of `data` calls
+`touch()` after it (as `gradcheck.numeric_gradient` does). A miss encodes
+as usual and replaces the entry; graph-recording calls never read or write
+it. A run of one repeated image encodes twice: at its first sighting, and
+at the second, which stores the stamps that later calls hit.
 """
 
 from __future__ import annotations
@@ -147,8 +146,8 @@ class MultimodalNerModel:
         mask = self.schema.invalid_transition_mask() if config.mask_invalid_transitions else None
         self.crf = LinearChainCrf(self.fused_dim, self.schema.num_labels, rng,
                                   transition_mask=mask)
-        # path key -> (image copy, encoder parameter copies or None, output); see module doc
-        self._encoded: dict[str, tuple[np.ndarray, list[np.ndarray] | None, Tensor]] = {}
+        # path key -> (image copy, encoder parameter versions or None, output); see module doc
+        self._encoded: dict[str, tuple[np.ndarray, tuple[int, ...] | None, Tensor]] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -198,14 +197,13 @@ class MultimodalNerModel:
         if rngs is not None or ad._grad_enabled():
             return encoder.encode(images, rngs)
         entry = self._encoded.get(key)
-        snapshot = None
+        stamps = None
         if entry is not None and _identical(entry[0], images):
-            weights = [p.data for p in encoder.parameters().values()]
-            if entry[1] is not None and all(map(_identical, entry[1], weights)):
+            stamps = tuple(p.version for p in encoder.parameters().values())
+            if entry[1] == stamps:
                 return entry[2]
-            snapshot = [w.copy() for w in weights]
         out = encoder.encode(images)
-        self._encoded[key] = (images.copy(), snapshot, out)
+        self._encoded[key] = (images.copy(), stamps, out)
         return out
 
     def forward_batch(self, token_ids: list[list[int]], images: np.ndarray,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -348,10 +348,8 @@ def train(config: TrainConfig, data_root: str | Path,
     vocab = Vocabulary.from_corpus(train_corpus)
     model_cfg = config.model_config()
     model = MultimodalNerModel(model_cfg, len(vocab), config.seed)
-    images = ImageStore(
-        Path(images_dir) if images_dir is not None else root / "images",
-        model_cfg.image_size,
-    )
+    images = ImageStore(Path(images_dir) if images_dir is not None else root / "images",
+                        model_cfg.image_size)
     params = model.parameters()
     optimizer = Adam(params)
 
@@ -415,11 +413,4 @@ def train(config: TrainConfig, data_root: str | Path,
         "repaired_labels": train_corpus.repaired_labels
         + (dev_corpus.repaired_labels if dev_corpus is not None else 0),
     }
-    return TrainResult(
-        epoch_logs=logs,
-        best_epoch=best_epoch,
-        best_f1=best_f1,
-        final_report=final_report,
-        counters=counters,
-        eval_split=eval_split,
-    )
+    return TrainResult(logs, best_epoch, best_f1, final_report, counters, eval_split)

@@ -5,7 +5,6 @@ import pytest
 
 from mmner.autodiff import ContractError
 from mmner.data import (
-    Batch,
     Corpus,
     CorpusError,
     ImageStore,

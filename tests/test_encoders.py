@@ -15,7 +15,6 @@ from mmner.encoders import (
     ResidualBlock,
     SelfAttention,
     TextEncoder,
-    TransformerLayer,
     VitEncoder,
 )
 from mmner.gradcheck import check_gradients

@@ -19,6 +19,7 @@ from mmner.alignment import contrastive_loss
 from mmner.checkpoint import load_checkpoint, save_checkpoint
 from mmner.data import Batch, ImageStore, Vocabulary, make_batches, parse_iob2
 from mmner.encoders import ConvEncoder, VitEncoder
+from mmner.gradcheck import numeric_gradient
 from mmner.model import DECODE_CHUNK, ModelConfig, MultimodalNerModel
 from mmner.training import TrainConfig, total_loss
 
@@ -133,6 +134,60 @@ def test_one_image_encodes_twice(encode_counts):
     for _ in range(3):
         model.predict(IDS, image)
     assert encode_counts == {"vit": 3, "conv": 2}
+
+
+@pytest.mark.parametrize("name", ["vit.patch_proj", "conv.stem_w"])
+def test_view_write_then_touch_is_seen(name):
+    # a write through a view of `data` bypasses its setter; `touch()` after
+    # it stamps a new version, so the memo misses
+    model = make_model()
+    (image,) = make_images(1)
+    before = memoized_emissions(model, IDS, image)
+    param = model.parameters()[name]
+    param.data[...] = param.data + 0.05
+    param.touch()
+    after = inference_emissions(model, IDS, image)
+    assert not np.array_equal(after, before)
+    np.testing.assert_array_equal(after, graph_emissions(model, IDS, image))
+
+
+def test_numeric_gradient_of_an_encoder_parameter_sees_every_write():
+    # gradcheck perturbs an encoder parameter in place while the memo is live
+    model = make_model()
+    (image,) = make_images(1)
+    memoized_emissions(model, IDS, image)
+    param = model.parameters()["vit.layer1.mlp_b2"]
+
+    def f():
+        return float(inference_emissions(model, IDS, image).sum())
+
+    def f_without_memo():
+        model._encoded.clear()
+        return f()
+
+    grad = numeric_gradient(f, param)
+    assert np.all(grad != 0.0)
+    np.testing.assert_array_equal(grad, numeric_gradient(f_without_memo, param))
+
+
+def test_a_memo_hit_reads_no_weight_bytes():
+    # a hit compares version stamps, so its peak stays below one copy of the
+    # largest ViT weight array
+    model = MultimodalNerModel(ModelConfig(), vocab_size=50, seed=0)
+    size = model.config.image_size
+    images = np.random.default_rng(1).uniform(-1, 1, (1, 3, size, size))
+    with ad.no_grad():
+        for _ in range(2):  # the second sighting stores the stamps
+            model._encode_image("vit", images, None)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out, peak = traced_peak(lambda: model._encode_image("vit", images, None))
+        finally:
+            tracemalloc.stop()
+    assert out is model._encoded["vit"][2]
+    weights = model.paths["vit"].encoder.parameters().values()
+    assert peak < max(p.data.nbytes for p in weights)
 
 
 def test_alternating_images_encode_every_call(encode_counts):
