@@ -56,7 +56,7 @@ def contrastive_loss(text_batch: Tensor, image_batch: Tensor, tau: float) -> Ten
         raise ContractError(f"contrastive batch needs N >= 2, got N={n}")
     tn = _normalize_rows(text_batch)
     im = _normalize_rows(image_batch)
-    logits = ad.mul(ad.matmul(tn, ad.transpose2d(im)), Tensor(1.0 / tau))
+    logits = ad.mul(ad.linear(tn, ad.transpose2d(im)), Tensor(1.0 / tau))
     diag = ad.take_pairs(logits, np.arange(n), np.arange(n))
     text_terms = ad.sub(ad.log_sum_exp(logits, axis=1), diag)   # anchor: text row
     image_terms = ad.sub(ad.log_sum_exp(logits, axis=0), diag)  # anchor: image col

@@ -221,8 +221,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except (ContractError, CorpusError, NumericError, ValueError, OSError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return COMMANDS[args.command](args)
+    except (ContractError, CorpusError, NumericError, FloatingPointError, ValueError,
+            OSError) as exc:
         print(f"mmner: error: {exc}", file=sys.stderr)
         return 1
 

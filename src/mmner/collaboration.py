@@ -3,9 +3,10 @@
 Per head i, with d/m-dimensional projections of queries (text rows) and
 keys/values (visual rows), attention logits are scaled by sqrt(d/m).
 Head outputs are concatenated and mapped by an output matrix (`attend`).
-The block is an `encoders.SublayerBlock` in the `post_ln` ordering, y =
-LN(x + f(x)) for the attention and then the MLP sublayer, yielding
-image-aware token representations with the query shape.
+It is an `encoders.SublayerBlock`, the shape the text and patch layers
+share: it holds and lists its projections and defines `attend`; the base
+class runs attention, then the MLP, each as y = LN(x + f(x)) (`post_ln`),
+giving image-aware token rows of the query shape. `__call__` checks shapes.
 
 A call takes (n, d) queries and (P, d) visual tokens, or a batch of them
 with one leading axis. No key is padded, so none is masked; a padded query
@@ -33,11 +34,10 @@ class CrossAttentionBlock(SublayerBlock):
         check_heads(d, heads)
         self.d = d
         self.heads = heads
-        self.head_dim = d // heads
         # per-head maps stacked on a leading head axis, each (d/m, d)
-        self.wq = _w(rng, (heads, self.head_dim, d))
-        self.wk = _w(rng, (heads, self.head_dim, d))
-        self.wv = _w(rng, (heads, self.head_dim, d))
+        self.wq = _w(rng, (heads, d // heads, d))
+        self.wk = _w(rng, (heads, d // heads, d))
+        self.wv = _w(rng, (heads, d // heads, d))
         self.wo = _w(rng, (d, d))
         super().__init__(d, rng, FUSION_SUBLAYER, mlp_ratio, dropout)
 
@@ -61,6 +61,4 @@ class CrossAttentionBlock(SublayerBlock):
                 or text.shape[-1] != self.d or visual.shape[-1] != self.d):
             raise ShapeError(f"text {text.shape} / visual {visual.shape}: expected "
                              f"(n, {self.d}) / (P, {self.d}), with one shared batch axis or none")
-        x = self._apply(text, lambda t: self.attend(t, visual), self.ln1_g, self.ln1_b,
-                        rngs, lengths)
-        return self._apply(x, self._mlp, self.ln2_g, self.ln2_b, rngs, lengths)
+        return self._sublayers(text, lambda t: self.attend(t, visual), rngs, lengths)

@@ -7,10 +7,13 @@ and every image has `CHANNELS` = 3 channels, as `read_ppm` returns them.
 
 All weights are randomly initialized (normal, std 0.02 for embeddings and
 projection matrices; conv kernels use fan-in scaling; LN affine starts at
-identity). `SublayerBlock` wires every transformer-style block in one of
-three sublayer orderings: the text branch normalizes the sublayer output
-before the residual add, the patch branch the sublayer input, and the
-fusion blocks (`collaboration`) the residual sum.
+identity). Every transformer-style block is a `SublayerBlock`: an attention
+sublayer, then an MLP sublayer, in one of three orderings. The text branch
+normalizes the sublayer output before the residual add, the patch branch
+the sublayer input, and the fusion blocks (`collaboration`) the residual
+sum. A subclass holds its own attention projections, lists them in
+`attention_parameters` and defines `attend`: `TransformerLayer` attends
+over its own rows, `collaboration.CrossAttentionBlock` over visual tokens.
 """
 
 from __future__ import annotations
@@ -58,45 +61,11 @@ def _with_parts(params: dict[str, Tensor], prefix: str, parts) -> dict[str, Tens
     return params
 
 
-class SelfAttention:
-    """Standard multi-head self-attention over (k, d) sequences, optionally
-    batched, padded keys masked out.
-
-    Three affine maps give q, k and v; `ad.attention` runs every head in one
-    node (head i reads and writes columns i*d/m:(i+1)*d/m); an affine output
-    map mixes the heads.
-    """
-
-    def __init__(self, d: int, heads: int, rng: np.random.Generator):
-        check_heads(d, heads)
-        self.heads = heads
-        self.head_dim = d // heads
-        self.wq = _w(rng, (d, d))
-        self.bq = _zeros(d)
-        self.wk = _w(rng, (d, d))
-        self.bk = _zeros(d)
-        self.wv = _w(rng, (d, d))
-        self.bv = _zeros(d)
-        self.wo = _w(rng, (d, d))
-        self.bo = _zeros(d)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "wq": self.wq, "bq": self.bq, "wk": self.wk, "bk": self.bk,
-            "wv": self.wv, "bv": self.bv, "wo": self.wo, "bo": self.bo,
-        }
-
-    def __call__(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
-        q = ad.linear(x, self.wq, self.bq)
-        k = ad.linear(x, self.wk, self.bk)
-        v = ad.linear(x, self.wv, self.bv)
-        return ad.linear(ad.attention(q, k, v, self.heads, key_mask), self.wo, self.bo)
-
-
 class SublayerBlock:
     """An attention sublayer, then an MLP sublayer, each with dropout, a residual
     add and a LayerNorm in `sublayer` order. A subclass draws its attention
-    parameters (`attention_parameters`) before this __init__ draws the MLP's."""
+    projections before this __init__ draws the MLP's, lists them in
+    `attention_parameters` and defines `attend`."""
 
     def __init__(self, d: int, rng: np.random.Generator, sublayer: str,
                  mlp_ratio: int, dropout: float):
@@ -122,30 +91,50 @@ class SublayerBlock:
         h = ad.gelu(ad.linear(x, self.mlp_w1, self.mlp_b1))
         return ad.linear(h, self.mlp_w2, self.mlp_b2)
 
-    def _apply(self, x, f, ln_g, ln_b, rngs, lengths):
-        if self.sublayer == VIT_SUBLAYER:
-            out = ad.dropout(f(ad.layer_norm(x, ln_g, ln_b)), self.dropout, rngs, lengths)
-            return ad.add(out, x)
-        out = ad.dropout(f(x), self.dropout, rngs, lengths)
-        if self.sublayer == TEXT_SUBLAYER:
-            return ad.add(ad.layer_norm(out, ln_g, ln_b), x)
-        return ad.layer_norm(ad.add(out, x), ln_g, ln_b)
+    def _sublayers(self, x: Tensor, attend, rngs, lengths) -> Tensor:
+        """The attention sublayer with f = attend, then the MLP sublayer."""
+        for f, g, b in ((attend, self.ln1_g, self.ln1_b), (self._mlp, self.ln2_g, self.ln2_b)):
+            if self.sublayer == VIT_SUBLAYER:
+                x = ad.add(ad.dropout(f(ad.layer_norm(x, g, b)), self.dropout, rngs, lengths), x)
+                continue
+            out = ad.dropout(f(x), self.dropout, rngs, lengths)
+            x = (ad.add(ad.layer_norm(out, g, b), x) if self.sublayer == TEXT_SUBLAYER
+                 else ad.layer_norm(ad.add(out, x), g, b))
+        return x
 
 
 class TransformerLayer(SublayerBlock):
     """One MHSA + MLP layer in the text or patch ordering, over (rows, d) or
     a padded (B, rows, d) batch. Item i's first lengths[i] rows are real:
-    the rest are masked out of the attention keys and draw no dropout."""
+    the rest are masked out of the attention keys and draw no dropout.
+
+    Three affine maps give q, k and v; `ad.attention` runs every head in one
+    node (head i reads and writes columns i*d/m:(i+1)*d/m); an affine output
+    map mixes the heads.
+    """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
                  sublayer: str, mlp_ratio: int = 4, dropout: float = 0.0):
         if sublayer not in (TEXT_SUBLAYER, VIT_SUBLAYER):
             raise ConfigError(f"unknown sublayer ordering {sublayer!r}")
-        self.attn = SelfAttention(d, heads, rng)
+        check_heads(d, heads)
+        self.heads = heads
+        self.wq, self.bq = _w(rng, (d, d)), _zeros(d)
+        self.wk, self.bk = _w(rng, (d, d)), _zeros(d)
+        self.wv, self.bv = _w(rng, (d, d)), _zeros(d)
+        self.wo, self.bo = _w(rng, (d, d)), _zeros(d)
         super().__init__(d, rng, sublayer, mlp_ratio, dropout)
 
     def attention_parameters(self) -> dict[str, Tensor]:
-        return {f"attn.{k}": v for k, v in self.attn.parameters().items()}
+        return {f"attn.{k}": getattr(self, k)
+                for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+
+    def attend(self, h: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Every head's attention of the rows over the unmasked rows, mapped by wo."""
+        q = ad.linear(h, self.wq, self.bq)
+        k = ad.linear(h, self.wk, self.bk)
+        v = ad.linear(h, self.wv, self.bv)
+        return ad.linear(ad.attention(q, k, v, self.heads, mask), self.wo, self.bo)
 
     def __call__(self, x: Tensor, rngs: list[np.random.Generator] | None = None,
                  lengths: list[int] | None = None) -> Tensor:
@@ -153,8 +142,7 @@ class TransformerLayer(SublayerBlock):
         mask = None
         if lengths is not None and min(lengths) < rows:
             mask = np.arange(rows) < np.asarray(lengths)[:, None]
-        x = self._apply(x, lambda h: self.attn(h, mask), self.ln1_g, self.ln1_b, rngs, lengths)
-        return self._apply(x, self._mlp, self.ln2_g, self.ln2_b, rngs, lengths)
+        return self._sublayers(x, lambda h: self.attend(h, mask), rngs, lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ are invalid regardless of gradient correctness.
 
 oracle_suite: brute-force reference computations — exhaustive path
 enumeration for the CRF, direct summation for the contrastive loss, an
-explicit per-head loop for cross-attention.
+explicit per-head loop for cross-attention (`_loop_attention`, which the
+self-attention unit test shares).
 """
 
 from __future__ import annotations
@@ -348,27 +349,33 @@ def _direct_contrastive(text, image, tau):
     return total / (2 * n)
 
 
+def _loop_attention(queries, keys, maps, biases=None) -> np.ndarray:
+    """Multi-head attention with plain loops: one head and one query row at a
+    time, explicit softmax rows, head outputs concatenated. maps = (wq, wk, wv)
+    give head h's (dh, d) maps at [h]; biases, if given, (bq, bk, bv) its (dh,)."""
+    (wq, wk, wv), dh = maps, len(maps[0][0])
+    bq, bk, bv = biases or [np.zeros((len(wq), dh))] * 3
+    head_outs = np.zeros((len(queries), len(wq) * dh))
+    for h, t in itertools.product(range(len(wq)), range(len(queries))):
+        q = wq[h] @ queries[t] + bq[h]
+        logits = np.array([q @ (wk[h] @ row + bk[h]) for row in keys]) / math.sqrt(dh)
+        e = np.exp(logits - logits.max())
+        a = e / e.sum()
+        out = np.zeros(dh)
+        for s, row in enumerate(keys):
+            out += a[s] * (wv[h] @ row + bv[h])
+        head_outs[t, h * dh:(h + 1) * dh] = out
+    return head_outs
+
+
 def _loop_cross_attention(block: CrossAttentionBlock, text, visual):
     def ln(x, g, b, eps=1e-5):
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         return g * (x - mu) / np.sqrt(var + eps) + b
 
-    n = text.shape[0]
-    dh = block.head_dim
-    head_outs = np.zeros((n, block.heads * dh))
-    for h in range(block.heads):
-        wq, wk, wv = block.wq.data[h], block.wk.data[h], block.wv.data[h]
-        for t in range(n):
-            q = wq @ text[t]
-            logits = np.array([q @ (wk @ row) for row in visual]) / math.sqrt(dh)
-            e = np.exp(logits - logits.max())
-            a = e / e.sum()
-            out = np.zeros(dh)
-            for s, row in enumerate(visual):
-                out += a[s] * (wv @ row)
-            head_outs[t, h * dh:(h + 1) * dh] = out
-    ia = head_outs @ block.wo.data.T
+    maps = (block.wq.data, block.wk.data, block.wv.data)
+    ia = _loop_attention(text, visual, maps) @ block.wo.data.T
     fused = ln(ia + text, block.ln1_g.data, block.ln1_b.data)
     c = math.sqrt(2.0 / math.pi)
     hmid = fused @ block.mlp_w1.data + block.mlp_b1.data

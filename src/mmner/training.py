@@ -323,10 +323,11 @@ def train(config: TrainConfig, data_root: str | Path,
     state either way, so out_dir never changes the numbers. At the end the
     model is restored from the in-memory copy.
 
-    A non-finite loss term, or a NumericError while computing the losses or
-    their gradients, raises NumericError naming the epoch and optimizer step
-    before any parameter is updated; a NumericError in an epoch's eval names
-    that epoch, and one in the final eval says "final eval". The counters
+    A non-finite loss term raises NumericError naming the epoch and optimizer
+    step before any parameter is updated. A NumericError or FloatingPointError
+    (under the CLI's `np.errstate`) anywhere in a step, clipping and Adam
+    included, gets that prefix too; one in an epoch's eval names that epoch,
+    and one in the final eval says "final eval". The counters
     are facts about the data: eval-split tokens outside the vocabulary,
     distinct train/eval sentences longer than max_len - 2 tokens, missing
     images, repaired labels. An out_dir that cannot become a directory fails
@@ -377,15 +378,15 @@ def train(config: TrainConfig, data_root: str | Path,
                         raise NumericError(f"non-finite {name} = {value}")
                 loss = total_loss(crf_nll, cl_vit, cl_conv, config.alpha)
                 backward(loss)
-            except NumericError as exc:
+                clip_global_norm(params)
+                optimizer.step(lr_at(step, total_steps, config.lr))
+            except (NumericError, FloatingPointError) as exc:
                 raise NumericError(f"epoch {epoch} step {step}: {exc}") from None
-            clip_global_norm(params)
-            optimizer.step(lr_at(step, total_steps, config.lr))
             step += 1
             rows.append((loss.item(), *terms.values()))
         try:
             report = evaluate_model(model, eval_corpus, vocab, images)
-        except NumericError as exc:
+        except (NumericError, FloatingPointError) as exc:
             raise NumericError(f"epoch {epoch} eval: {exc}") from None
         f1 = report.overall.f1
         logs.append(EpochLog(epoch, *(sum(column) / len(rows) for column in zip(*rows)), f1))
@@ -400,7 +401,7 @@ def train(config: TrainConfig, data_root: str | Path,
     model.load_parameters(best_arrays)  # the best state, for the final report
     try:
         final_report = evaluate_model(model, eval_corpus, vocab, images)
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         raise NumericError(f"final eval: {exc}") from None
 
     counters = {

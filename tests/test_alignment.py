@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from mmner import autodiff as ad
 from mmner.autodiff import ContractError, Tensor, backward
 from mmner.alignment import ProjectionHead, contrastive_loss
 
@@ -98,3 +99,19 @@ class TestContrastiveLoss:
         backward(contrastive_loss(t, i, tau=0.1))
         assert t.grad is not None and np.abs(t.grad).max() > 0
         assert i.grad is not None and np.abs(i.grad).max() > 0
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_bias_free_linear_logits_equal_matmul_bitwise(self, n):
+        # the loss forms its logits with linear(tn, im^T); matmul, its former
+        # op, computes the same x @ w, g @ w.T and x.T @ g
+        rng = np.random.default_rng(30 + n)
+        tn, im = rng.normal(size=(n, 16)), rng.normal(size=(n, 16))
+        weight = Tensor(rng.normal(size=(n, n)))
+        results = []
+        for op in (ad.matmul, ad.linear):
+            a, b = Tensor(tn, requires_grad=True), Tensor(im, requires_grad=True)
+            logits = op(a, ad.transpose2d(b))
+            backward(ad.tensor_sum(ad.mul(logits, weight)))
+            results.append((logits.data, a.grad, b.grad))
+        for via_matmul, via_linear in zip(*results):
+            np.testing.assert_array_equal(via_matmul, via_linear)

@@ -1,5 +1,6 @@
 """Command-line surface: arguments, exit codes, and file round trips."""
 
+import re
 import shutil
 from dataclasses import fields
 
@@ -111,6 +112,16 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "train", str(root), "--batch", "2")
         assert code == 1
         assert err == "mmner: error: epoch 1 step 0: non-finite cl_vit = nan\n"
+
+    @pytest.mark.parametrize("lr", ["1e10", "1e300"])
+    def test_floating_point_trouble_is_one_named_error(self, tmp_path, capsys, lr):
+        # an overflowing step raises under the CLI's errstate, not a RuntimeWarning
+        # (which the pytest config turns into an error)
+        root = build_overfit_fixture(tmp_path)
+        code, _, err = run_cli(capsys, "train", str(root), "--lr", lr, "--epochs", "2",
+                               "--batch", "8")
+        assert code == 1
+        assert re.fullmatch(r"mmner: error: epoch \d+ (step \d+|eval): [^\n]+\n", err)
 
     def test_preset_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:
@@ -338,6 +349,24 @@ class TestTrainEvalPredict:
                             ex.image_ref or "none", ex.language)
             for ex in read_predict_input(source, raw)]
         assert text == serialize_iob2(Corpus(expected))
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_overflow_outside_training_is_one_line(self, trained_run, capsys, monkeypatch,
+                                                   command):
+        root, out = trained_run
+
+        def overflowing_run(path):  # a float32 checkpoint cannot hold such a weight
+            model, vocab, config = load_run(path)
+            model.crf.emission_w.data[:] = np.finfo(np.float64).max
+            return model, vocab, config
+
+        monkeypatch.setattr(mmner.cli, "load_run", overflowing_run)
+        argv = {"eval": ["eval", str(root), "--checkpoint", str(out), "--split", "train"],
+                "predict": ["predict", str(root / "train.iob2"), "--checkpoint", str(out),
+                            "--images", str(root / "images")]}[command]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert re.fullmatch(r"mmner: error: overflow encountered in \w+\n", err)
 
     def test_eval_rejects_preset_line(self, trained_run, tmp_path, capsys):
         # run directories written before the preset option was removed carry
@@ -610,3 +639,63 @@ class TestConfigPrecedence:
         assert not config.use_vit and not config.use_resnet
         assert model.paths == {}
         assert model.crf.emission_w.shape[0] == model.config.d
+
+
+class TestRaiseSites:
+    """Bad input that only a CLI run reaches: exit 1 and one named line on stderr."""
+
+    def test_bad_boolean_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("use_vit = maybe\n")
+        code, _, err = run_cli(capsys, "train", str(tmp_path), "--config", str(cfg))
+        assert code == 1
+        assert err == f"mmner: error: {cfg}:1: key use_vit: expected boolean, got 'maybe'\n"
+
+    def test_alpha_out_of_range(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "train", str(tmp_path), "--alpha", "2")
+        assert code == 1
+        assert err == "mmner: error: alpha must be in [0, 1], got 2.0\n"
+
+    def test_data_root_without_train_split(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "train", str(tmp_path))
+        assert code == 1
+        assert err == f"mmner: error: no training data at {tmp_path / 'train.iob2'}\n"
+
+    def test_checkpoint_shorter_than_a_header(self, trained_run, tmp_path, capsys):
+        root, out = trained_run
+        bad_run = tmp_path / "run"
+        shutil.copytree(out, bad_run)
+        (bad_run / "model.ckpt").write_bytes(b"MMNE")
+        code, _, err = run_cli(capsys, "eval", str(root), "--checkpoint", str(bad_run),
+                               "--split", "train")
+        assert code == 1
+        assert err == (f"mmner: error: {bad_run / 'model.ckpt'}: "
+                       "file too short to be a checkpoint\n")
+
+    def test_ppm_without_pixels(self, trained_run, tmp_path, capsys):
+        root, out = trained_run
+        (tmp_path / "ov000.ppm").write_bytes(b"P6\n0 4\n255\n")
+        code, _, err = run_cli(capsys, "predict", str(root / "train.iob2"),
+                               "--checkpoint", str(out), "--images", str(tmp_path))
+        assert code == 1
+        assert err == f"mmner: error: {tmp_path / 'ov000.ppm'}: bad dimensions 0x4\n"
+
+    def test_negative_kappa_count(self, tmp_path, capsys):
+        table = tmp_path / "t.txt"
+        table.write_text("3 -1\n2 4\n")
+        code, _, err = run_cli(capsys, "kappa", str(table))
+        assert code == 1
+        assert err == f"mmner: error: {table}: agreement counts must be >= 0\n"
+
+    def test_config_without_a_path_the_checkpoint_has(self, trained_run, tmp_path, capsys):
+        root, out = trained_run
+        bad_run = tmp_path / "run"
+        shutil.copytree(out, bad_run)
+        config = (bad_run / "config.cfg").read_text()
+        assert "use_vit = true\n" in config
+        (bad_run / "config.cfg").write_text(config.replace("use_vit = true", "use_vit = false"))
+        code, _, err = run_cli(capsys, "eval", str(root), "--checkpoint", str(bad_run),
+                               "--split", "train")
+        assert code == 1
+        assert err == ("mmner: error: checkpoint/model mismatch (missing [], unexpected "
+                       "['vit.layer0.attn.bk', 'vit.layer0.attn.bo', 'vit.layer0.attn.bq'])\n")

@@ -1,8 +1,6 @@
 """Text, patch, and convolution encoder contracts, and the shape
 constraints `ModelConfig` checks for them."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,49 +9,34 @@ from mmner.autodiff import ConfigError, ContractError, Tensor
 from mmner.collaboration import CrossAttentionBlock
 from mmner.data import UNK_ID
 from mmner.encoders import (
+    TEXT_SUBLAYER,
     ConvEncoder,
     ResidualBlock,
-    SelfAttention,
     TextEncoder,
+    TransformerLayer,
     VitEncoder,
 )
 from mmner.gradcheck import check_gradients
 from mmner.model import ModelConfig
-
-
-def oracle_self_attention(attn: SelfAttention, x: np.ndarray) -> np.ndarray:
-    """Re-implements multi-head self-attention with plain loops: one head and
-    one query row at a time, explicit softmax rows, concatenation, output map."""
-    n, d = x.shape
-    dh = attn.head_dim
-    head_outs = np.zeros((n, d))
-    for i in range(attn.heads):
-        cols = slice(i * dh, (i + 1) * dh)
-        wq, wk, wv = attn.wq.data[:, cols], attn.wk.data[:, cols], attn.wv.data[:, cols]
-        bq, bk, bv = attn.bq.data[cols], attn.bk.data[cols], attn.bv.data[cols]
-        for t in range(n):
-            q = x[t] @ wq + bq
-            logits = np.array([q @ (x[s] @ wk + bk) for s in range(n)]) / math.sqrt(dh)
-            e = np.exp(logits - logits.max())
-            a = e / e.sum()
-            out = np.zeros(dh)
-            for s in range(n):
-                out += a[s] * (x[s] @ wv + bv)
-            head_outs[t, cols] = out
-    return head_outs @ attn.wo.data + attn.bo.data
+from mmner.selftest import _loop_attention
 
 
 class TestSelfAttention:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_matches_per_head_loop_oracle(self, heads):
         rng = np.random.default_rng(20 + heads)
-        attn = SelfAttention(8, heads, np.random.default_rng(heads))
+        layer = TransformerLayer(8, heads, np.random.default_rng(heads), TEXT_SUBLAYER)
         # non-trivial parameter values, biases included
-        for p in attn.parameters().values():
+        for p in layer.attention_parameters().values():
             p.data += rng.normal(0.0, 0.2, p.shape)
         x = rng.normal(size=(5, 8))
-        got = attn(Tensor(x)).data
-        assert np.max(np.abs(got - oracle_self_attention(attn, x))) < 1e-10
+        got = layer.attend(Tensor(x)).data
+        # head i reads columns i*dh:(i+1)*dh of each map and bias
+        cols = [slice(i * 8 // heads, (i + 1) * 8 // heads) for i in range(heads)]
+        maps = [[w.data[:, c].T for c in cols] for w in (layer.wq, layer.wk, layer.wv)]
+        biases = [[b.data[c] for c in cols] for b in (layer.bq, layer.bk, layer.bv)]
+        expected = _loop_attention(x, x, maps, biases) @ layer.wo.data + layer.bo.data
+        assert np.max(np.abs(got - expected)) < 1e-10
 
 
 def make_text(vocab=10, d=8, layers=1, heads=2, seed=0):
@@ -104,8 +87,8 @@ class TestTextEncoder:
         # LN(0) = 0, so each sublayer is exactly the identity.
         enc = make_text(layers=1)
         layer = enc.layers[0]
-        layer.attn.wo.data[:] = 0.0
-        layer.attn.bo.data[:] = 0.0
+        layer.wo.data[:] = 0.0
+        layer.bo.data[:] = 0.0
         layer.mlp_w2.data[:] = 0.0
         layer.mlp_b2.data[:] = 0.0
         rng = np.random.default_rng(2)
@@ -133,7 +116,7 @@ class TestTextEncoder:
 
     @pytest.mark.parametrize("build", [
         lambda: ModelConfig(heads=0),
-        lambda: SelfAttention(8, 0, np.random.default_rng(0)),
+        lambda: TransformerLayer(8, 0, np.random.default_rng(0), TEXT_SUBLAYER),
         lambda: CrossAttentionBlock(8, 0, np.random.default_rng(0)),
     ], ids=["model_config", "self_attention", "cross_attention"])
     def test_zero_heads_rejected(self, build):
@@ -202,8 +185,8 @@ class TestVitEncoder:
     def test_pre_ln_residual_identity_is_exact(self):
         enc = make_vit(layers=1, seed=7)
         layer = enc.layers[0]
-        layer.attn.wo.data[:] = 0.0
-        layer.attn.bo.data[:] = 0.0
+        layer.wo.data[:] = 0.0
+        layer.bo.data[:] = 0.0
         layer.mlp_w2.data[:] = 0.0
         layer.mlp_b2.data[:] = 0.0
         rng = np.random.default_rng(8)

@@ -1,7 +1,11 @@
 """Every imported name is read somewhere in its module: an `ast` scan of
 each `.py` file under src/, tests/ and perfbench/. `from __future__`
 imports and the re-exports of an `__init__.py` are exempt, and a name a
-module lists in `__all__` or quotes in an annotation counts as read."""
+module lists in `__all__` or quotes in an annotation counts as read.
+
+Every module-level function and class in src/ is read, as a name or an
+attribute, by some top-level statement of src/ other than its own
+definition; `KEPT_FOR_CALLERS_OUTSIDE_SRC` lists the exceptions."""
 
 import ast
 from pathlib import Path
@@ -59,3 +63,44 @@ def test_scan_sees_an_unused_import():
     read = read_names(tree)
     assert [(n, line) for n, line in imported_names(tree) if n not in read] == [
         ("os", 1), ("List", 3)]
+
+
+# definitions src/ never reads, each with the reason it stays
+KEPT_FOR_CALLERS_OUTSIDE_SRC = {
+    "write_ppm": "the test fixtures write their images with it; read_ppm is its inverse",
+}
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Each name loaded and each attribute named anywhere under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def unread_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """f"{module}:{line}: {name}" for each module-level def or class that no
+    other top-level statement of any module reads."""
+    statements = [(label, node) for label, tree in modules.items() for node in tree.body]
+    reads = [names_read(node) for _, node in statements]
+    return [f"{label}:{node.lineno}: {node.name}"
+            for i, (label, node) in enumerate(statements)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not any(node.name in r for j, r in enumerate(reads) if j != i)]
+
+
+def test_every_src_definition_is_read_in_src():
+    modules = {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted((ROOT / "src").rglob("*.py"))}
+    unread = [hit for hit in unread_definitions(modules)
+              if hit.rsplit(": ", 1)[1] not in KEPT_FOR_CALLERS_OUTSIDE_SRC]
+    assert not unread, "defined in src/ but never read there:\n" + "\n".join(unread)
+
+
+def test_scan_sees_an_unread_definition():
+    modules = {
+        "a.py": ast.parse("def used():\n    return 1\n\ndef recursive(n):\n"
+                          "    return recursive(n - 1)\n\nclass Unused:\n    pass\n"),
+        "b.py": ast.parse("import a\nx = a.used()\n"),
+    }
+    assert unread_definitions(modules) == ["a.py:4: recursive", "a.py:7: Unused"]
