@@ -411,10 +411,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         data += b.data
     out = Tensor(data)
     if _tracked(x, w, b):
-        xd, wd = x.data, w.data
+        # only the gradients a parent takes are computed, and only what they read is kept
+        xd = x.data.reshape(-1, w.shape[0]) if w.requires_grad else None
+        wd = w.data if x.requires_grad else None
+        d_out, db = w.shape[1], b is not None and b.requires_grad
         def _bw(g):
-            g2 = g.reshape(-1, wd.shape[1])
-            return g @ wd.T, xd.reshape(-1, wd.shape[0]).T @ g2, g2.sum(axis=0)
+            g2 = g.reshape(-1, d_out)
+            return (None if wd is None else g @ wd.T, None if xd is None else xd.T @ g2,
+                    g2.sum(axis=0) if db else None)
         _record(out, (x, w, b), _bw)
     return out
 

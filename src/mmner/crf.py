@@ -171,16 +171,16 @@ class LinearChainCrf:
             trans = self.effective_transitions().data
         em, pairs = emissions.data, trans[:L, :L]
         deltas = np.empty((lengths.max(), rows, L))
-        backptrs = np.empty(deltas.shape, dtype=np.intp)
         deltas[0] = trans[self.begin, :L] + em[:, 0]
-        for i in range(1, len(deltas)):  # out= writes save a temporary and a copy per position
-            cand = deltas[i - 1][:, :, None] + pairs
-            cand.argmax(axis=1, out=backptrs[i])  # argmax picks the lowest index on ties
-            np.maximum.reduce(cand, axis=1, out=deltas[i])
+        for i in range(1, len(deltas)):  # an out= write saves a temporary and a copy per position
+            np.maximum.reduce(deltas[i - 1][:, :, None] + pairs, axis=1, out=deltas[i])
             deltas[i] += em[:, i]
+        # back[i][b][y]: sentence b's best label at i before label y at i + 1,
+        # the lowest index on ties (argmax)
+        back = (deltas[:-1, :, :, None] + pairs).argmax(axis=2).tolist()
         final = deltas[lengths - 1, np.arange(rows)] + trans[:L, self.end]
-        paths = [[int(y)] for y in final.argmax(axis=1)]
-        for b, n in enumerate(lengths):
-            for i in range(n - 1, 0, -1):
-                paths[b].append(int(backptrs[i, b, paths[b][-1]]))
-        return [(path[::-1], float(best)) for path, best in zip(paths, final.max(axis=1))]
+        paths = [[y] for y in final.argmax(axis=1).tolist()]
+        for b, n in enumerate(lengths.tolist()):
+            for i in range(n - 2, -1, -1):
+                paths[b].append(back[i][b][paths[b][-1]])
+        return [(path[::-1], best) for path, best in zip(paths, final.max(axis=1).tolist())]

@@ -11,9 +11,11 @@ identity). Every transformer-style block is a `SublayerBlock`: an attention
 sublayer, then an MLP sublayer, in one of three orderings. The text branch
 normalizes the sublayer output before the residual add, the patch branch
 the sublayer input, and the fusion blocks (`collaboration`) the residual
-sum. A subclass holds its own attention projections, lists them in
-`attention_parameters` and defines `attend`: `TransformerLayer` attends
-over its own rows, `collaboration.CrossAttentionBlock` over visual tokens.
+sum. Its one attention sublayer, `attend`, maps queries and keys/values
+through (d_in, d_out) matrices `wq`, `wk`, `wv` with optional biases, runs
+`ad.attention` and maps the heads by `wo`. A subclass draws and lists those
+maps: `TransformerLayer` attends over its own rows, with biases and a key
+mask, and `collaboration.CrossAttentionBlock` over visual tokens, without.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ def _with_parts(params: dict[str, Tensor], prefix: str, parts) -> dict[str, Tens
 
 class SublayerBlock:
     """An attention sublayer, then an MLP sublayer, each with dropout, a residual
-    add and a LayerNorm in `sublayer` order. A subclass draws its attention
-    projections before this __init__ draws the MLP's, lists them in
-    `attention_parameters` and defines `attend`."""
+    add and a LayerNorm in `sublayer` order. A subclass sets `heads` and draws
+    its attention maps `wq`, `wk`, `wv`, `wo` and biases `bq` ... `bo` (None
+    for none) before this __init__ draws the MLP's, and lists them in
+    `attention_parameters`."""
 
     def __init__(self, d: int, rng: np.random.Generator, sublayer: str,
                  mlp_ratio: int, dropout: float):
@@ -87,6 +90,16 @@ class SublayerBlock:
             "ln2_g": self.ln2_g, "ln2_b": self.ln2_b,
         }
 
+    def attend(self, x: Tensor, kv: Tensor | None = None,
+               mask: np.ndarray | None = None) -> Tensor:
+        """Every head's attention of x's rows over kv's unmasked rows (x's own
+        when kv is None), mapped by wo. Head i reads and writes columns
+        i*d/m:(i+1)*d/m of each map."""
+        kv = x if kv is None else kv
+        heads = ad.attention(ad.linear(x, self.wq, self.bq), ad.linear(kv, self.wk, self.bk),
+                             ad.linear(kv, self.wv, self.bv), self.heads, mask)
+        return ad.linear(heads, self.wo, self.bo)
+
     def _mlp(self, x: Tensor) -> Tensor:
         h = ad.gelu(ad.linear(x, self.mlp_w1, self.mlp_b1))
         return ad.linear(h, self.mlp_w2, self.mlp_b2)
@@ -106,12 +119,7 @@ class SublayerBlock:
 class TransformerLayer(SublayerBlock):
     """One MHSA + MLP layer in the text or patch ordering, over (rows, d) or
     a padded (B, rows, d) batch. Item i's first lengths[i] rows are real:
-    the rest are masked out of the attention keys and draw no dropout.
-
-    Three affine maps give q, k and v; `ad.attention` runs every head in one
-    node (head i reads and writes columns i*d/m:(i+1)*d/m); an affine output
-    map mixes the heads.
-    """
+    the rest are masked out of the attention keys and draw no dropout."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
                  sublayer: str, mlp_ratio: int = 4, dropout: float = 0.0):
@@ -129,20 +137,13 @@ class TransformerLayer(SublayerBlock):
         return {f"attn.{k}": getattr(self, k)
                 for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
 
-    def attend(self, h: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Every head's attention of the rows over the unmasked rows, mapped by wo."""
-        q = ad.linear(h, self.wq, self.bq)
-        k = ad.linear(h, self.wk, self.bk)
-        v = ad.linear(h, self.wv, self.bv)
-        return ad.linear(ad.attention(q, k, v, self.heads, mask), self.wo, self.bo)
-
     def __call__(self, x: Tensor, rngs: list[np.random.Generator] | None = None,
                  lengths: list[int] | None = None) -> Tensor:
         rows = x.shape[-2]
         mask = None
         if lengths is not None and min(lengths) < rows:
             mask = np.arange(rows) < np.asarray(lengths)[:, None]
-        return self._sublayers(x, lambda h: self.attend(h, mask), rngs, lengths)
+        return self._sublayers(x, lambda h: self.attend(h, mask=mask), rngs, lengths)
 
 
 # ---------------------------------------------------------------------------

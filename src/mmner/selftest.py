@@ -349,22 +349,25 @@ def _direct_contrastive(text, image, tau):
     return total / (2 * n)
 
 
-def _loop_attention(queries, keys, maps, biases=None) -> np.ndarray:
+def _loop_attention(queries, keys, maps, heads, biases=None) -> np.ndarray:
     """Multi-head attention with plain loops: one head and one query row at a
     time, explicit softmax rows, head outputs concatenated. maps = (wq, wk, wv)
-    give head h's (dh, d) maps at [h]; biases, if given, (bq, bk, bv) its (dh,)."""
-    (wq, wk, wv), dh = maps, len(maps[0][0])
-    bq, bk, bv = biases or [np.zeros((len(wq), dh))] * 3
-    head_outs = np.zeros((len(queries), len(wq) * dh))
-    for h, t in itertools.product(range(len(wq)), range(len(queries))):
-        q = wq[h] @ queries[t] + bq[h]
-        logits = np.array([q @ (wk[h] @ row + bk[h]) for row in keys]) / math.sqrt(dh)
+    are (d, d) and biases, if given, (bq, bk, bv) are (d,); head h reads
+    columns h*dh:(h+1)*dh of each, dh = d / heads."""
+    d = len(maps[0])
+    dh = d // heads
+    (wq, wk, wv), (bq, bk, bv) = maps, biases or [np.zeros(d)] * 3
+    head_outs = np.zeros((len(queries), d))
+    for h, t in itertools.product(range(heads), range(len(queries))):
+        c = slice(h * dh, (h + 1) * dh)
+        q = queries[t] @ wq[:, c] + bq[c]
+        logits = np.array([q @ (row @ wk[:, c] + bk[c]) for row in keys]) / math.sqrt(dh)
         e = np.exp(logits - logits.max())
         a = e / e.sum()
         out = np.zeros(dh)
         for s, row in enumerate(keys):
-            out += a[s] * (wv[h] @ row + bv[h])
-        head_outs[t, h * dh:(h + 1) * dh] = out
+            out += a[s] * (row @ wv[:, c] + bv[c])
+        head_outs[t, c] = out
     return head_outs
 
 
@@ -375,7 +378,7 @@ def _loop_cross_attention(block: CrossAttentionBlock, text, visual):
         return g * (x - mu) / np.sqrt(var + eps) + b
 
     maps = (block.wq.data, block.wk.data, block.wv.data)
-    ia = _loop_attention(text, visual, maps) @ block.wo.data.T
+    ia = _loop_attention(text, visual, maps, block.heads) @ block.wo.data
     fused = ln(ia + text, block.ln1_g.data, block.ln1_b.data)
     c = math.sqrt(2.0 / math.pi)
     hmid = fused @ block.mlp_w1.data + block.mlp_b1.data

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from mmner import autodiff as ad
-from mmner.autodiff import ContractError, NumericError, Tensor, backward
+from mmner.autodiff import ConfigError, ContractError, NumericError, Tensor, backward
 from mmner.checkpoint import canonicalize, load_checkpoint, save_checkpoint, write_atomic
 from mmner.data import Corpus, ImageStore, Vocabulary, make_batches, parse_iob2, read_text
 from mmner.metrics import EvalReport, evaluate
@@ -293,13 +293,17 @@ def load_run(out_dir: str | Path) -> tuple[MultimodalNerModel, Vocabulary, Train
 
     The model is built undrawn (seed None: no random init, no generator)
     and `load_parameters`, the one check of names, order and shapes, fills
-    every parameter from the checkpoint."""
+    every parameter from the checkpoint; a mismatch error names its file."""
     out_dir = Path(out_dir)
     config = read_config(out_dir / "config.cfg", {})
     tokens = read_text(out_dir / "vocab.txt").split("\n")
     vocab = Vocabulary([t for t in tokens if t])
     model = MultimodalNerModel(config.model_config(), len(vocab), None)
-    model.load_parameters(load_checkpoint(out_dir / "model.ckpt"))
+    arrays = load_checkpoint(out_dir / "model.ckpt")
+    try:
+        model.load_parameters(arrays)
+    except ConfigError as exc:
+        raise ConfigError(f"{out_dir / 'model.ckpt'}: {exc}") from None
     return model, vocab, config
 
 

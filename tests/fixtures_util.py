@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mmner.autodiff import Tensor
 from mmner.data import write_ppm
 
 FIRST_NAMES = ["Ana", "Boris", "Carla", "Derek", "Elena", "Farid", "Gina", "Hugo"]
@@ -14,6 +15,23 @@ FILLERS = [
     "the", "reporters", "gathered", "at", "sunset", "while", "locals", "watched",
     "a", "parade", "passed", "by", "slowly", "then", "stopped",
 ]
+
+
+def stacked_fusion_layout(params: dict, heads: int) -> dict:
+    """Named parameters (Tensors or arrays) as Tensors, with each fusion
+    block's maps in the layout checkpoints held before the maps were stored
+    as `ad.linear` reads them: wq, wk and wv as (heads, d/heads, d) stacks of
+    per-head maps, that is w.T split by rows, and wo transposed."""
+    stacked = {}
+    for name, value in params.items():
+        w = value.data if isinstance(value, Tensor) else value
+        key, _, role = name.partition(".")
+        if key.endswith("_fusion") and role in ("wq", "wk", "wv"):
+            w = w.T.reshape(heads, w.shape[0] // heads, w.shape[0])
+        elif key.endswith("_fusion") and role == "wo":
+            w = w.T
+        stacked[name] = Tensor(w)
+    return stacked
 
 
 def _noise_image(rng, base_rgb, size=16):

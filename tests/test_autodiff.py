@@ -385,6 +385,27 @@ def test_no_bias_matches_a_zero_bias_bitwise(op, x_shape, w_shape, bias):
         np.testing.assert_array_equal(without, zero)
 
 
+@pytest.mark.parametrize("x_shape", [(2, 3, 4), (4,)])
+@pytest.mark.parametrize("takes", ["w", "x", "b"])
+def test_linear_computes_only_the_gradients_its_parents_take(x_shape, takes):
+    """linear's closure gives None for an operand that takes no gradient or
+    is absent, and for the others the gradients of the call where all three
+    take one, bit for bit."""
+    rng = np.random.default_rng(7)
+    x_data, w_data, b_data = _rand(rng, x_shape), _rand(rng, (4, 5)), _rand(rng, 5)
+    g = _rand(rng, x_shape[:-1] + (5,))
+    full = ad.linear(*(Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data)))
+    expected = full._node.backward(g)
+    x, w = Tensor(x_data, requires_grad=takes == "x"), Tensor(w_data, requires_grad=takes == "w")
+    b = Tensor(b_data, requires_grad=True) if takes == "b" else None
+    got = ad.linear(x, w, b)._node.backward(g)
+    for slot, name in enumerate("xwb"):
+        if name == takes:
+            np.testing.assert_array_equal(got[slot], expected[slot])
+        else:
+            assert got[slot] is None
+
+
 def test_every_differentiable_op_has_a_gradient_case():
     """gradient_suite runs selftest's op table, which holds an `op.<name>`
     case for every op in `autodiff.__all__`: deleting an op deletes its case."""

@@ -7,12 +7,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fixtures_util import build_overfit_fixture
+from fixtures_util import build_overfit_fixture, stacked_fusion_layout
 
 import mmner.cli
 import mmner.training
 from mmner import autodiff as ad
 from mmner.autodiff import NumericError
+from mmner.checkpoint import load_checkpoint, save_checkpoint
 from mmner.cli import build_parser, main, merged_train_config, read_predict_input
 from mmner.data import (Corpus, ImageStore, SentenceExample, Vocabulary, parse_iob2,
                         serialize_iob2)
@@ -392,7 +393,8 @@ class TestTrainEvalPredict:
         code, text, err = run_cli(capsys, "predict", str(root / "train.iob2"),
                                   "--checkpoint", str(short))
         assert code == 1 and text == ""
-        assert len(err.splitlines()) == 1 and err.startswith("mmner: error: parameter text.")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"mmner: error: {short / 'model.ckpt'}: parameter text.")
         assert "vocab.txt" in err
 
 
@@ -697,5 +699,22 @@ class TestRaiseSites:
         code, _, err = run_cli(capsys, "eval", str(root), "--checkpoint", str(bad_run),
                                "--split", "train")
         assert code == 1
-        assert err == ("mmner: error: checkpoint/model mismatch (missing [], unexpected "
+        assert err == (f"mmner: error: {bad_run / 'model.ckpt'}: checkpoint/model mismatch "
+                       "(missing [], unexpected "
                        "['vit.layer0.attn.bk', 'vit.layer0.attn.bo', 'vit.layer0.attn.bq'])\n")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_run_with_stacked_fusion_maps_is_refused(self, trained_run, tmp_path, capsys,
+                                                     command):
+        # a run directory whose checkpoint holds the fusion maps as per-head stacks
+        root, out = trained_run
+        old_run = tmp_path / "run"
+        shutil.copytree(out, old_run)
+        save_checkpoint(stacked_fusion_layout(load_checkpoint(out / "model.ckpt"), heads=4),
+                        old_run / "model.ckpt")
+        args = ([str(root), "--split", "train"] if command == "eval"
+                else [str(root / "train.iob2")])
+        code, text, err = run_cli(capsys, command, *args, "--checkpoint", str(old_run))
+        assert code == 1 and text == ""
+        assert err == (f"mmner: error: {old_run / 'model.ckpt'}: parameter vit_fusion.wq: "
+                       "checkpoint shape (4, 16, 64) vs model (64, 64)\n")

@@ -199,6 +199,20 @@ class TestViterbi:
         assert score == exp_score == 1.0
         assert path == exp_path == [1, 0]
 
+    def test_ragged_tie_heavy_batch_matches_enumeration(self):
+        # half-integer scores tie often and sum exactly: each sentence of a
+        # ragged batch gets the enumeration's path and score, ties included
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            crf = make_crf(3, trial)
+            crf.transitions.data[:] = rng.integers(-2, 3, crf.transitions.shape) * 0.5
+            lengths = rng.integers(1, 5, 3).tolist()
+            em = rng.integers(-2, 3, (3, max(lengths), 3)) * 0.5
+            got = crf.viterbi(Tensor(em), lengths)
+            for b, n in enumerate(lengths):
+                assert got[b] == oracle_best_path(
+                    _enum_scores(em[b, :n], crf.transitions.data, crf.begin, crf.end))
+
     def test_viterbi_score_bounds_gold_score(self):
         for seed in range(10):
             rng = np.random.default_rng(200 + seed)

@@ -31,11 +31,9 @@ class TestSelfAttention:
             p.data += rng.normal(0.0, 0.2, p.shape)
         x = rng.normal(size=(5, 8))
         got = layer.attend(Tensor(x)).data
-        # head i reads columns i*dh:(i+1)*dh of each map and bias
-        cols = [slice(i * 8 // heads, (i + 1) * 8 // heads) for i in range(heads)]
-        maps = [[w.data[:, c].T for c in cols] for w in (layer.wq, layer.wk, layer.wv)]
-        biases = [[b.data[c] for c in cols] for b in (layer.bq, layer.bk, layer.bv)]
-        expected = _loop_attention(x, x, maps, biases) @ layer.wo.data + layer.bo.data
+        maps = (layer.wq.data, layer.wk.data, layer.wv.data)
+        biases = (layer.bq.data, layer.bk.data, layer.bv.data)
+        expected = _loop_attention(x, x, maps, heads, biases) @ layer.wo.data + layer.bo.data
         assert np.max(np.abs(got - expected)) < 1e-10
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixtures_util import build_overfit_fixture
+from fixtures_util import build_overfit_fixture, stacked_fusion_layout
 from test_crf import batch_of_one
 
 from mmner import autodiff as ad
@@ -343,6 +343,15 @@ def test_desk_model_checkpoint_bytes_are_pinned(tmp_path):
     model = MultimodalNerModel(TrainConfig(seed=0).model_config(), vocab_size=50, seed=0)
     save_checkpoint(model.parameters(), tmp_path / "model.ckpt")
     data = (tmp_path / "model.ckpt").read_bytes()
+    assert len(data) == 1_493_437
+    assert hashlib.sha256(data).hexdigest() == (
+        "bb34a534e443cebee95daf977fbb875409c479f585ac5f491be9a6c32e8ab42b")
+    # with the fusion maps re-stacked into per-head maps, the same parameters
+    # give the file pinned for that layout byte for byte: both layouts hold
+    # the same draws, names and order
+    save_checkpoint(stacked_fusion_layout(model.parameters(), model.config.heads),
+                    tmp_path / "stacked.ckpt")
+    data = (tmp_path / "stacked.ckpt").read_bytes()
     assert len(data) == 1_493_461
     assert hashlib.sha256(data).hexdigest() == (
         "71b19640e21ae309bcf77b6f4e7b42dee9c82a00b6c51d0eec357a2f1effc5fe")
@@ -550,3 +559,20 @@ def test_backward_of_a_desk_batch_frees_as_it_sweeps(tmp_path):
         tracemalloc.stop()
     grad_bytes = sum(p.grad.nbytes for p in params if p.grad is not None)
     assert peak < grad_bytes + 1_000_000, (peak, grad_bytes)
+
+
+def test_no_parameter_reaches_its_op_through_a_reshape_or_transpose(tmp_path, monkeypatch):
+    """Every parameter is stored in the layout the op that reads it takes:
+    one desk-model training batch hands none to `ad.reshape` or
+    `ad.transpose2d`."""
+    loss, params = desk_batch_loss(tmp_path)
+    ids = {id(p) for p in params}
+    seen = []
+    for name in ("reshape", "transpose2d"):
+        def spy(a, *args, op=getattr(ad, name), name=name):
+            seen.append((name, id(a) in ids))
+            return op(a, *args)
+        monkeypatch.setattr(ad, name, spy)
+    loss()
+    assert {name for name, _ in seen} == {"reshape", "transpose2d"}  # the spies saw calls
+    assert [name for name, is_param in seen if is_param] == []
