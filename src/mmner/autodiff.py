@@ -9,7 +9,7 @@ needs none is None), a closure mapping its gradient to its parents'
 gradients, its own gradient while backward runs, and a creation number.
 Each closure keeps only what its backward reads: shapes for add, sub,
 reshape, transpose2d, slicing, concat, stack, sums and means; masks for
-relu, maximum_scalar and dropout; inputs for linear, matmul, mul, gelu,
+relu, maximum_scalar and dropout; inputs for linear, mul, gelu,
 pow_scalar, conv2d and attention; softmax, log_sum_exp and layer_norm
 their normalized values. So an activation no backward reads is freed,
 by reference counting alone, as soon as the forward code drops it.
@@ -25,12 +25,14 @@ take_pairs, embedding_gather, concat, stack), reductions and
 normalization (tensor_sum, mean, softmax, log_sum_exp, layer_norm), conv2d
 over an (N, C, H, W) batch as one matrix product whose im2col columns the
 graph does not keep, and multi-head scaled dot-product attention as one
-node.
+node. matmul is linear behind a 2-d check and neg is mul by -1;
+take_pairs and embedding_gather check their indices, then share one gather.
 attention(q, k, v, heads, key_mask) gives head i columns i*dh:(i+1)*dh of
 q, k and v (dh = d / heads) and writes its output to the same columns,
 i.e. head outputs side by side, with an optional batch axis; masked keys
 get weight exactly 0. softmax and attention share one max-shifted numpy
-softmax. dropout draws each batch item's mask from that item's generator.
+softmax and its gradient. dropout draws each batch item's mask from that
+item's generator.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class NumericError(ArithmeticError):
+class NumericError(FloatingPointError):
     """Input values make the operation numerically undefined."""
 
 
@@ -308,10 +310,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    if _tracked(a):
-        _record(out, (a,), lambda g: (-g,))
-    return out
+    return mul(a, Tensor(-1.0))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -393,11 +392,7 @@ def dropout(a: Tensor, p: float, rngs: Sequence[np.random.Generator] | None,
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data)
-    if _tracked(a, b):
-        x, y = a.data, b.data
-        _record(out, (a, b), lambda g: (g @ y.T, x.T @ g))
-    return out
+    return linear(a, b)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -461,6 +456,19 @@ def _slice(a: Tensor, key) -> Tensor:
     return out
 
 
+def _gather(a: Tensor, index) -> Tensor:
+    """a.data[index] for a checked advanced index; the gradient scatter-adds back."""
+    out = Tensor(a.data[index])
+    if _tracked(a):
+        a_shape = a.shape
+        def _bw(g):
+            buf = np.zeros(a_shape)
+            np.add.at(buf, index, g)
+            return (buf,)
+        _record(out, (a,), _bw)
+    return out
+
+
 def take_pairs(a: Tensor, rows, cols) -> Tensor:
     """Gather a[rows[k], cols[k]] into a 1-d tensor; gradient scatter-adds."""
     rows = np.asarray(rows, dtype=np.intp)
@@ -470,15 +478,7 @@ def take_pairs(a: Tensor, rows, cols) -> Tensor:
     if rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]
                       or cols.min() < 0 or cols.max() >= a.shape[1]):
         raise ContractError("take_pairs: index out of range")
-    out = Tensor(a.data[rows, cols])
-    if _tracked(a):
-        a_shape = a.shape
-        def _bw(g):
-            buf = np.zeros(a_shape)
-            np.add.at(buf, (rows, cols), g)
-            return (buf,)
-        _record(out, (a,), _bw)
-    return out
+    return _gather(a, (rows, cols))
 
 
 def embedding_gather(table: Tensor, indices) -> Tensor:
@@ -488,15 +488,7 @@ def embedding_gather(table: Tensor, indices) -> Tensor:
         raise ShapeError(f"embedding_gather: table {table.shape}, indices rank {idx.ndim}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ContractError("embedding_gather: index out of range")
-    out = Tensor(table.data[idx])
-    if _tracked(table):
-        table_shape = table.shape
-        def _bw(g):
-            buf = np.zeros(table_shape)
-            np.add.at(buf, idx, g)
-            return (buf,)
-        _record(out, (table,), _bw)
-    return out
+    return _gather(table, idx)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -570,6 +562,11 @@ def _softmax_array(x: np.ndarray, axis: int, op: str,
     return e
 
 
+def _softmax_grad(s: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient g at s = softmax(x) along `axis`, taken back to x."""
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax along `axis`; each slice sums to 1."""
     if a.shape[axis] < 1:
@@ -577,10 +574,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     s = _softmax_array(a.data, axis, "softmax")
     out = Tensor(s)
     if _tracked(a):
-        def _bw(g):
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            return (s * (g - dot),)
-        _record(out, (a,), _bw)
+        _record(out, (a,), lambda g: (_softmax_grad(s, g, axis),))
     return out
 
 
@@ -635,7 +629,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         def _bw(g):
             gh = _split_heads(g, heads)
             ds = np.matmul(gh, vh.swapaxes(-1, -2))
-            dlogits = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * scale
+            dlogits = _softmax_grad(s, ds, -1) * scale
             return (_merge_heads(np.matmul(dlogits, kh)),
                     _merge_heads(np.matmul(dlogits.swapaxes(-1, -2), qh)),
                     _merge_heads(np.matmul(s.swapaxes(-1, -2), gh)))

@@ -3,17 +3,14 @@
 Layout (all integers little-endian):
 
     magic      7 bytes   b"2MNER1\\n"
-    version    uint32    2 (1 is still read)
+    version    uint32    2
     records    repeated  name_len uint32 | name utf-8 | rank uint32
                          | dims uint32 x rank | payload float32 x prod(dims)
     checksum   uint64    over every record byte: BLAKE2b with an 8-byte
-                         digest read as a little-endian integer (version 2),
-                         or FNV-1a 64 (version 1)
+                         digest read as a little-endian integer
 
-The two versions differ only in the checksum; a version-1 file loads to
-the same arrays. Saving always writes version 2. Reading version 1 stays
-on purpose: run directories saved before the switch to BLAKE2b hold
-version-1 files, and perfbench's tracing wraps `fnv1a_64` by name.
+Any other version is refused, 1 (an FNV-1a 64 checksum) included;
+`fnv1a_64` stays only because perfbench's tracing wraps it by name.
 
 Parameters are stored at float32 precision; saving canonicalizes the live
 tensors to the same precision (`canonicalize`) so that a save -> load round
@@ -119,12 +116,11 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     if blob[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
     (version,) = struct.unpack_from("<I", blob, len(MAGIC))
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    checksum = fnv1a_64 if version == 1 else blake2b_64
     records = memoryview(blob)[len(MAGIC) + 4:-8]  # a view: no copy of the payload
     (stored_sum,) = struct.unpack_from("<Q", blob, len(blob) - 8)
-    if checksum(records) != stored_sum:
+    if blake2b_64(records) != stored_sum:
         raise CheckpointError(f"{path}: checksum mismatch (corrupt checkpoint)")
 
     params: dict[str, np.ndarray] = {}

@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from mmner import __version__
-from mmner.autodiff import ContractError, NumericError
+from mmner.autodiff import ContractError
 from mmner.checkpoint import write_atomic
-from mmner.data import (Corpus, CorpusError, ImageStore, SentenceExample, cohens_kappa,
+from mmner.data import (Corpus, ImageStore, SentenceExample, cohens_kappa,
                         dataset_stats, iob2_blocks, read_text, serialize_iob2)
 from mmner.training import TrainConfig, evaluate_model, load_run, load_split, read_config, train
 
@@ -223,8 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return COMMANDS[args.command](args)
-    except (ContractError, CorpusError, NumericError, FloatingPointError, ValueError,
-            OSError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:
         print(f"mmner: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,10 @@
 """Linear-chain CRF: path scoring, exact log-partition, NLL, Viterbi.
 
-Boundary handling uses synthetic BEGIN/END tags appended to the label
-set, so every path picks up a start bonus T[BEGIN, y1] and an end bonus
-T[y_n, END]. Structurally impossible transition cells are held at a
-large negative constant rather than -inf to keep log-space arithmetic
-finite.
+Boundary handling uses one synthetic tag, index L, appended to the label
+set: every path picks up a start bonus T[L, y1] from row L and an end
+bonus T[y_n, L] from column L; only [L, L] is never read. Forbidden
+transitions are masked with a large negative constant rather than -inf
+to keep log-space arithmetic finite.
 
 Each computation takes padded (B, n, L) emissions and the sentence
 lengths; padded rows are computed, never read, and get a zero gradient.
@@ -67,10 +67,10 @@ class LabelSchema:
         return fixed, len(bad)
 
     def invalid_transition_mask(self) -> np.ndarray:
-        """(L+2)x(L+2) additive mask, NEG_INF where a tag does not continue
-        its predecessor; the BEGIN row asks as if "O" came before."""
-        mask = np.zeros((self.num_labels + 2, self.num_labels + 2))
-        for i, prev in enumerate(self.tags + ("O",)):  # row num_labels is BEGIN
+        """(L+1)x(L+1) additive mask, NEG_INF where a tag does not continue
+        its predecessor; the boundary row L asks as if "O" came before."""
+        mask = np.zeros((self.num_labels + 1, self.num_labels + 1))
+        for i, prev in enumerate(self.tags + ("O",)):  # row num_labels is the start
             for j, tag in enumerate(self.tags):
                 if not continues(prev, tag):
                     mask[i, j] = NEG_INF
@@ -78,10 +78,11 @@ class LabelSchema:
 
 
 class LinearChainCrf:
-    """Emission affine plus (L+2)x(L+2) transition table over label ids.
+    """Emission affine plus (L+1)x(L+1) transition table over label ids.
 
-    The BEGIN column and END row are never read by any computation and are
-    pinned at NEG_INF. An optional additive mask (from
+    Row L holds the start scores, column L the end scores. It is the
+    (L+2)x(L+2) draw of a BEGIN/END table less its END row and BEGIN column,
+    so a seed gives the same model. An optional additive mask (from
     LabelSchema.invalid_transition_mask) hard-forbids invalid IOB2 moves.
     """
 
@@ -90,15 +91,11 @@ class LinearChainCrf:
         if num_labels < 1 or input_dim < 1:
             raise ad.ConfigError(f"bad CRF dims: input {input_dim}, labels {num_labels}")
         self.num_labels = num_labels
-        self.begin = num_labels
-        self.end = num_labels + 1
-        size = num_labels + 2
+        size = num_labels + 1
         self.emission_w = Tensor(rng.normal(0.0, 0.02, (input_dim, num_labels)), requires_grad=True)
         self.emission_b = Tensor(np.zeros(num_labels), requires_grad=True)
-        trans = rng.normal(0.0, 0.01, (size, size))
-        trans[:, self.begin] = NEG_INF
-        trans[self.end, :] = NEG_INF
-        self.transitions = Tensor(trans, requires_grad=True)
+        draw = rng.normal(0.0, 0.01, (size + 1, size + 1))
+        self.transitions = Tensor(np.delete(draw[:size], num_labels, axis=1), requires_grad=True)
         if transition_mask is not None and transition_mask.shape != (size, size):
             raise ShapeError(f"transition mask {transition_mask.shape} vs {(size, size)}")
         self._mask = None if transition_mask is None else Tensor(transition_mask)
@@ -133,14 +130,14 @@ class LinearChainCrf:
         return lengths
 
     def score(self, emissions: Tensor, lengths, paths: list[list[int]]) -> Tensor:
-        """Sum over the batch of each path's emissions and BEGIN->y1, adjacent, y_n->END moves."""
+        """Sum over the batch of each path's emissions and L->y1, adjacent, y_n->L moves."""
         lengths = self._check(emissions, lengths, paths)
         rows, n, L = emissions.shape
         trans = self.effective_transitions()
         positions = np.concatenate([b * n + np.arange(m) for b, m in enumerate(lengths)])
         em_terms = ad.take_pairs(emissions.reshape(rows * n, L), positions, np.concatenate(paths))
-        tr_terms = ad.take_pairs(trans, np.concatenate([[self.begin, *p] for p in paths]),
-                                 np.concatenate([[*p, self.end] for p in paths]))
+        tr_terms = ad.take_pairs(trans, np.concatenate([[L, *p] for p in paths]),
+                                 np.concatenate([[*p, L] for p in paths]))
         return ad.add(ad.tensor_sum(em_terms), ad.tensor_sum(tr_terms))
 
     def log_partition(self, emissions: Tensor, lengths) -> Tensor:
@@ -149,13 +146,13 @@ class LinearChainCrf:
         rows, L = len(lengths), self.num_labels
         trans = self.effective_transitions()
         pairs = trans[:L, :L]
-        alphas = [ad.add(trans[self.begin, :L], emissions[:, 0])]
+        alphas = [ad.add(trans[L, :L], emissions[:, 0])]
         for i in range(1, lengths.max()):
             scores = ad.add(alphas[-1].reshape(rows, L, 1), pairs)
             alphas.append(ad.add(ad.log_sum_exp(scores, axis=1), emissions[:, i]))
         stacked = ad.stack(alphas).reshape(-1, L)  # row i * B + b is sentence b's alpha at i
         last = ad.embedding_gather(stacked, (lengths - 1) * rows + np.arange(rows))
-        return ad.log_sum_exp(ad.add(last, trans[:L, self.end]), axis=1)
+        return ad.log_sum_exp(ad.add(last, trans[:L, L]), axis=1)
 
     def nll(self, emissions: Tensor, lengths, paths: list[list[int]]) -> Tensor:
         """Mean negative log-likelihood of the gold paths over the batch; always >= 0."""
@@ -171,14 +168,14 @@ class LinearChainCrf:
             trans = self.effective_transitions().data
         em, pairs = emissions.data, trans[:L, :L]
         deltas = np.empty((lengths.max(), rows, L))
-        deltas[0] = trans[self.begin, :L] + em[:, 0]
+        deltas[0] = trans[L, :L] + em[:, 0]
         for i in range(1, len(deltas)):  # an out= write saves a temporary and a copy per position
             np.maximum.reduce(deltas[i - 1][:, :, None] + pairs, axis=1, out=deltas[i])
             deltas[i] += em[:, i]
         # back[i][b][y]: sentence b's best label at i before label y at i + 1,
         # the lowest index on ties (argmax)
         back = (deltas[:-1, :, :, None] + pairs).argmax(axis=2).tolist()
-        final = deltas[lengths - 1, np.arange(rows)] + trans[:L, self.end]
+        final = deltas[lengths - 1, np.arange(rows)] + trans[:L, L]
         paths = [[y] for y in final.argmax(axis=1).tolist()]
         for b, n in enumerate(lengths.tolist()):
             for i in range(n - 2, -1, -1):

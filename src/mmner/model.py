@@ -181,7 +181,8 @@ class MultimodalNerModel:
         for name, tensor in params.items():
             arr = arrays[name]
             if tuple(arr.shape) != tensor.shape:
-                hint = (" (label schema mismatch?)" if name.startswith("crf.") else
+                hint = (" (a different label schema, or the older (L+2)x(L+2) CRF layout?)"
+                        if name.startswith("crf.") else
                         " (vocab.txt does not match the checkpoint?)"
                         if name == "text.token_table" else "")
                 raise ConfigError(

@@ -214,14 +214,15 @@ def gradient_suite() -> list[CheckResult]:
 # enumeration / direct-summation oracles
 
 
-def _enum_scores(em, trans, begin, end):
+def _enum_scores(em, trans, boundary):
+    """(path, score) for all L^n paths; row `boundary` starts them, column `boundary` ends them."""
     n, L = em.shape
     for path in itertools.product(range(L), repeat=n):
-        s = trans[begin, path[0]] + em[0, path[0]]
+        s = trans[boundary, path[0]] + em[0, path[0]]
         for i in range(1, n):
             s = s + trans[path[i - 1], path[i]]
             s = s + em[i, path[i]]
-        yield path, s + trans[path[-1], end]
+        yield path, s + trans[path[-1], boundary]
 
 
 def oracle_log_partition(scores) -> float:
@@ -240,12 +241,12 @@ def oracle_best_path(scores) -> tuple[list[int], float]:
 
 
 def _crf_instance(n: int, L: int, trial: int) -> tuple[LinearChainCrf, np.ndarray]:
-    """Random L-label CRF (normal BEGIN, END and label-to-label transitions)
+    """Random L-label CRF (normal start, end and label-to-label transitions)
     and (n, L) emissions N(0, 1) times 2; oracle_suite runs trials 0-19."""
     rng = np.random.default_rng(7000 + 100 * n + 10 * L + trial)
     crf = LinearChainCrf(2, L, np.random.default_rng(trial))
-    crf.transitions.data[crf.begin, :L] = rng.normal(size=L)
-    crf.transitions.data[:L, crf.end] = rng.normal(size=L)
+    crf.transitions.data[L, :L] = rng.normal(size=L)
+    crf.transitions.data[:L, L] = rng.normal(size=L)
     crf.transitions.data[:L, :L] = rng.normal(size=(L, L))
     return crf, rng.normal(size=(n, L)) * 2.0
 
@@ -263,7 +264,7 @@ def oracle_suite() -> list[CheckResult]:
     viterbi_ok = True
     for n, L, trial in itertools.product(range(1, 6), range(2, 6), range(20)):
         crf, em = _crf_instance(n, L, trial)
-        scores = list(_enum_scores(em, crf.transitions.data, crf.begin, crf.end))
+        scores = list(_enum_scores(em, crf.transitions.data, L))
         log_z = crf.log_partition(Tensor(em[None]), [len(em)]).item()
         worst = max(worst, abs(log_z - oracle_log_partition(scores)))
         values = np.array([s for _, s in scores])

@@ -328,8 +328,8 @@ def train(config: TrainConfig, data_root: str | Path,
     model is restored from the in-memory copy.
 
     A non-finite loss term raises NumericError naming the epoch and optimizer
-    step before any parameter is updated. A NumericError or FloatingPointError
-    (under the CLI's `np.errstate`) anywhere in a step, clipping and Adam
+    step before any parameter is updated. A FloatingPointError (a NumericError,
+    or numpy's under the CLI's `np.errstate`) anywhere in a step, clipping and Adam
     included, gets that prefix too; one in an epoch's eval names that epoch,
     and one in the final eval says "final eval". The counters
     are facts about the data: eval-split tokens outside the vocabulary,
@@ -384,13 +384,13 @@ def train(config: TrainConfig, data_root: str | Path,
                 backward(loss)
                 clip_global_norm(params)
                 optimizer.step(lr_at(step, total_steps, config.lr))
-            except (NumericError, FloatingPointError) as exc:
+            except FloatingPointError as exc:
                 raise NumericError(f"epoch {epoch} step {step}: {exc}") from None
             step += 1
             rows.append((loss.item(), *terms.values()))
         try:
             report = evaluate_model(model, eval_corpus, vocab, images)
-        except (NumericError, FloatingPointError) as exc:
+        except FloatingPointError as exc:
             raise NumericError(f"epoch {epoch} eval: {exc}") from None
         f1 = report.overall.f1
         logs.append(EpochLog(epoch, *(sum(column) / len(rows) for column in zip(*rows)), f1))
@@ -405,7 +405,7 @@ def train(config: TrainConfig, data_root: str | Path,
     model.load_parameters(best_arrays)  # the best state, for the final report
     try:
         final_report = evaluate_model(model, eval_corpus, vocab, images)
-    except (NumericError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         raise NumericError(f"final eval: {exc}") from None
 
     counters = {

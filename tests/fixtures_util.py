@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from mmner.autodiff import Tensor
+from mmner.crf import NEG_INF
 from mmner.data import write_ppm
 
 FIRST_NAMES = ["Ana", "Boris", "Carla", "Derek", "Elena", "Farid", "Gina", "Hugo"]
@@ -32,6 +33,23 @@ def stacked_fusion_layout(params: dict, heads: int) -> dict:
             w = w.T
         stacked[name] = Tensor(w)
     return stacked
+
+
+def begin_end_crf_layout(params: dict) -> dict:
+    """Named parameters (Tensors or arrays) as Tensors, with the CRF table in
+    the (L+2)x(L+2) layout checkpoints held before one boundary tag took the
+    place of BEGIN and END: a NEG_INF BEGIN column at L, a NEG_INF END row,
+    and the end scores (column L of the (L+1)x(L+1) table) in column L+1."""
+    old = {}
+    for name, value in params.items():
+        w = value.data if isinstance(value, Tensor) else value
+        if name == "crf.transitions":
+            table = np.full((len(w) + 1, len(w) + 1), NEG_INF)
+            table[:-1, :-2] = w[:, :-1]
+            table[:-1, -1] = w[:, -1]
+            w = table
+        old[name] = Tensor(w)
+    return old
 
 
 def _noise_image(rng, base_rgb, size=16):

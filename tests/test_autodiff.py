@@ -3,6 +3,7 @@ cases live in `mmner.selftest`; this file checks that every op has one."""
 
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -404,6 +405,38 @@ def test_linear_computes_only_the_gradients_its_parents_take(x_shape, takes):
             np.testing.assert_array_equal(got[slot], expected[slot])
         else:
             assert got[slot] is None
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ad.take_pairs(Tensor(np.zeros((3, 4))), [0, 1], [2]), ShapeError,
+     "take_pairs: tensor (3, 4), rows (2,), cols (1,)"),
+    (lambda: ad.take_pairs(Tensor(np.zeros((3, 4))), [0, 2], [3, 4]), ContractError,
+     "take_pairs: index out of range"),
+    (lambda: ad.embedding_gather(Tensor(np.zeros((5, 3))), np.zeros((2, 2, 2), int)), ShapeError,
+     "embedding_gather: table (5, 3), indices rank 3"),
+    (lambda: ad.embedding_gather(Tensor(np.zeros((5, 3))), [4, -1]), ContractError,
+     "embedding_gather: index out of range"),
+])
+def test_gather_refuses_bad_indices(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_aliases_record_the_backward_of_the_op_they_call():
+    # matmul is linear and neg is mul; the two gathers share one body
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    bodies = {
+        "matmul": ad.matmul(a, Tensor(np.ones((3, 2)))),
+        "neg": ad.neg(a),
+        "take_pairs": ad.take_pairs(a, [0, 1], [2, 0]),
+        "embedding_gather": ad.embedding_gather(a, [1, 0]),
+    }
+    assert {op: out._node.backward.__qualname__ for op, out in bodies.items()} == {
+        "matmul": "linear.<locals>._bw",
+        "neg": "_broadcasting.<locals>._bw",
+        "take_pairs": "_gather.<locals>._bw",
+        "embedding_gather": "_gather.<locals>._bw",
+    }
 
 
 def test_every_differentiable_op_has_a_gradient_case():

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fixtures_util import build_overfit_fixture, stacked_fusion_layout
+from fixtures_util import begin_end_crf_layout, build_overfit_fixture, stacked_fusion_layout
 
 import mmner.cli
 import mmner.training
@@ -703,18 +703,36 @@ class TestRaiseSites:
                        "(missing [], unexpected "
                        "['vit.layer0.attn.bk', 'vit.layer0.attn.bo', 'vit.layer0.attn.bq'])\n")
 
+    @staticmethod
+    def run_old_layout(trained_run, tmp_path, capsys, command, layout):
+        """`command` on a copy of the trained run whose checkpoint is re-saved
+        as layout(arrays); returns the copy and the CLI's exit code, stdout, stderr."""
+        root, out = trained_run
+        old_run = tmp_path / "run"
+        shutil.copytree(out, old_run)
+        save_checkpoint(layout(load_checkpoint(out / "model.ckpt")), old_run / "model.ckpt")
+        args = ([str(root), "--split", "train"] if command == "eval"
+                else [str(root / "train.iob2")])
+        return old_run, *run_cli(capsys, command, *args, "--checkpoint", str(old_run))
+
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_run_with_stacked_fusion_maps_is_refused(self, trained_run, tmp_path, capsys,
                                                      command):
         # a run directory whose checkpoint holds the fusion maps as per-head stacks
-        root, out = trained_run
-        old_run = tmp_path / "run"
-        shutil.copytree(out, old_run)
-        save_checkpoint(stacked_fusion_layout(load_checkpoint(out / "model.ckpt"), heads=4),
-                        old_run / "model.ckpt")
-        args = ([str(root), "--split", "train"] if command == "eval"
-                else [str(root / "train.iob2")])
-        code, text, err = run_cli(capsys, command, *args, "--checkpoint", str(old_run))
+        old_run, code, text, err = self.run_old_layout(
+            trained_run, tmp_path, capsys, command,
+            lambda arrays: stacked_fusion_layout(arrays, heads=4))
         assert code == 1 and text == ""
         assert err == (f"mmner: error: {old_run / 'model.ckpt'}: parameter vit_fusion.wq: "
                        "checkpoint shape (4, 16, 64) vs model (64, 64)\n")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_run_with_begin_end_crf_table_is_refused(self, trained_run, tmp_path, capsys,
+                                                     command):
+        # a run directory saved while the CRF table had BEGIN and END tags
+        old_run, code, text, err = self.run_old_layout(
+            trained_run, tmp_path, capsys, command, begin_end_crf_layout)
+        assert code == 1 and text == ""
+        assert err == (f"mmner: error: {old_run / 'model.ckpt'}: parameter crf.transitions: "
+                       "checkpoint shape (11, 11) vs model (10, 10) "
+                       "(a different label schema, or the older (L+2)x(L+2) CRF layout?)\n")

@@ -2,21 +2,22 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mmner import autodiff as ad
-from mmner.autodiff import ContractError, ShapeError, Tensor, backward
+from mmner.autodiff import ConfigError, ContractError, ShapeError, Tensor, backward
 from mmner.crf import NEG_INF, LabelSchema, LinearChainCrf
 from mmner.gradcheck import rel_error
 from mmner.metrics import extract_spans
 from mmner.selftest import _crf_instance, _enum_scores, oracle_best_path, oracle_log_partition
 
 
-def oracle_marginals(em, trans, begin, end):
+def oracle_marginals(em, trans, boundary):
     """Per-position label marginals summed over the enumeration of all L^n paths."""
-    scores = list(_enum_scores(em, trans, begin, end))
+    scores = list(_enum_scores(em, trans, boundary))
     log_z = oracle_log_partition(scores)
     marg = np.zeros(em.shape)
     for path, s in scores:
@@ -36,6 +37,31 @@ def batch_of_one(em):
 def make_crf(num_labels, seed, input_dim=4, mask=None):
     return LinearChainCrf(input_dim, num_labels, np.random.default_rng(seed),
                           transition_mask=mask)
+
+
+class TestConstruction:
+    def test_table_is_the_begin_end_draw_less_its_end_row_and_begin_column(self):
+        # one boundary tag L: row L is the start scores, column L the end scores
+        draw = np.random.default_rng(9)
+        draw.normal(size=(4, 3))  # the emission weights come first
+        old = draw.normal(0.0, 0.01, (5, 5))  # BEGIN = 3, END = 4
+        crf = make_crf(3, 9)
+        assert crf.transitions.shape == (4, 4)
+        np.testing.assert_array_equal(crf.transitions.data[:, :3], old[:4, :3])
+        np.testing.assert_array_equal(crf.transitions.data[:, 3], old[:4, 4])
+        assert not hasattr(crf, "begin") and not hasattr(crf, "end")
+
+    @pytest.mark.parametrize("input_dim, labels", [(0, 3), (4, 0)])
+    def test_bad_dims(self, input_dim, labels):
+        with pytest.raises(ConfigError,
+                           match=f"^bad CRF dims: input {input_dim}, labels {labels}$"):
+            make_crf(labels, 0, input_dim=input_dim)
+
+    def test_mask_of_the_begin_end_layout_is_refused(self):
+        L = LabelSchema().num_labels
+        message = f"transition mask ({L + 2}, {L + 2}) vs ({L + 1}, {L + 1})"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            make_crf(L, 0, mask=np.zeros((L + 2, L + 2)))
 
 
 class TestScore:
@@ -61,12 +87,13 @@ class TestScore:
         # Re-gather the terms by hand and re-sum with the same grouping
         # (all emission terms, then all transition terms).
         em_terms = np.array([em.data[i, y] for i, y in enumerate(path)])
-        hops = [(crf.begin, path[0])] + list(zip(path, path[1:])) + [(path[-1], crf.end)]
+        edge = crf.num_labels  # the boundary tag
+        hops = [(edge, path[0])] + list(zip(path, path[1:])) + [(path[-1], edge)]
         tr_terms = np.array([crf.transitions.data[a, b] for a, b in hops])
         expected = np.sum(em_terms) + np.sum(tr_terms)
         assert crf.score(*batch_of_one(em), [path]).item() == expected
         # and against the sequential walk within float tolerance
-        walk = dict(_enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))[tuple(path)]
+        walk = dict(_enum_scores(em.data, crf.transitions.data, crf.num_labels))[tuple(path)]
         assert crf.score(*batch_of_one(em), [path]).item() == pytest.approx(walk, abs=1e-12)
 
     def test_label_out_of_range(self):
@@ -90,7 +117,7 @@ class TestLogPartition:
         for trial in range(20, 40):  # beyond the instances oracle_suite runs
             crf, em = _crf_instance(n, L, trial)
             expected = oracle_log_partition(
-                _enum_scores(em, crf.transitions.data, crf.begin, crf.end))
+                _enum_scores(em, crf.transitions.data, crf.num_labels))
             assert abs(crf.log_partition(*batch_of_one(em)).item() - expected) < 1e-8
 
     def test_constant_emission_shift(self):
@@ -128,7 +155,7 @@ class TestNll:
             crf = make_crf(L, seed)
             em = Tensor(rng.normal(size=(n, L)))
             path = list(rng.integers(0, L, size=n))
-            scores = dict(_enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))
+            scores = dict(_enum_scores(em.data, crf.transitions.data, crf.num_labels))
             log_z = oracle_log_partition(scores.items())
             p_gold = math.exp(scores[tuple(path)] - log_z)
             got = crf.nll(*batch_of_one(em), [path]).item()
@@ -143,7 +170,7 @@ class TestNll:
             log_z = crf.log_partition(*batch_of_one(em)).item()
             total = sum(
                 math.exp(s - log_z)
-                for _, s in _enum_scores(em.data, crf.transitions.data, crf.begin, crf.end)
+                for _, s in _enum_scores(em.data, crf.transitions.data, crf.num_labels)
             )
             assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -155,7 +182,7 @@ class TestNll:
         path = [2, 0, 3]
         loss = crf.nll(*batch_of_one(em), [path])
         backward(loss)
-        marg = oracle_marginals(em.data, crf.transitions.data, crf.begin, crf.end)
+        marg = oracle_marginals(em.data, crf.transitions.data, crf.num_labels)
         onehot = np.zeros((n, L))
         onehot[np.arange(n), path] = 1.0
         assert rel_error(em.grad, marg - onehot) < 1e-8
@@ -181,7 +208,7 @@ class TestViterbi:
             crf, em = _crf_instance(n, L, trial)
             [(path, score)] = crf.viterbi(*batch_of_one(em))
             exp_path, exp_score = oracle_best_path(
-                _enum_scores(em, crf.transitions.data, crf.begin, crf.end))
+                _enum_scores(em, crf.transitions.data, crf.num_labels))
             assert path == exp_path
             assert score == exp_score
 
@@ -195,7 +222,7 @@ class TestViterbi:
         em = Tensor(np.zeros((2, 2)))
         [(path, score)] = crf.viterbi(*batch_of_one(em))
         exp_path, exp_score = oracle_best_path(
-            _enum_scores(em.data, crf.transitions.data, crf.begin, crf.end))
+            _enum_scores(em.data, crf.transitions.data, crf.num_labels))
         assert score == exp_score == 1.0
         assert path == exp_path == [1, 0]
 
@@ -211,7 +238,7 @@ class TestViterbi:
             got = crf.viterbi(Tensor(em), lengths)
             for b, n in enumerate(lengths):
                 assert got[b] == oracle_best_path(
-                    _enum_scores(em[b, :n], crf.transitions.data, crf.begin, crf.end))
+                    _enum_scores(em[b, :n], crf.transitions.data, crf.num_labels))
 
     def test_viterbi_score_bounds_gold_score(self):
         for seed in range(10):
@@ -258,7 +285,7 @@ class TestLabelSchema:
         schema = LabelSchema()
         mask = schema.invalid_transition_mask()
         i_per = schema.tag_index("I-PER")
-        assert mask[schema.num_labels, i_per] == NEG_INF  # the BEGIN row
+        assert mask[schema.num_labels, i_per] == NEG_INF  # the start row
         assert mask[schema.tag_index("B-PER"), i_per] == 0.0
         assert mask[schema.tag_index("O"), i_per] == NEG_INF
 
@@ -286,7 +313,7 @@ class TestLabelSchema:
         for b, tag in enumerate(schema.tags):
             for a, prev in enumerate(schema.tags):
                 assert (mask[a, b] == NEG_INF) == (1 in schema.iob2_violations([prev, tag]))
-            begin_forbids = mask[schema.num_labels, b] == NEG_INF  # the BEGIN row
+            begin_forbids = mask[schema.num_labels, b] == NEG_INF  # the start row
             assert begin_forbids == (schema.iob2_violations([tag]) == [0])
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixtures_util import build_overfit_fixture, stacked_fusion_layout
+from fixtures_util import begin_end_crf_layout, build_overfit_fixture, stacked_fusion_layout
 from test_crf import batch_of_one
 
 from mmner import autodiff as ad
@@ -343,13 +343,20 @@ def test_desk_model_checkpoint_bytes_are_pinned(tmp_path):
     model = MultimodalNerModel(TrainConfig(seed=0).model_config(), vocab_size=50, seed=0)
     save_checkpoint(model.parameters(), tmp_path / "model.ckpt")
     data = (tmp_path / "model.ckpt").read_bytes()
+    assert len(data) == 1_493_353
+    assert hashlib.sha256(data).hexdigest() == (
+        "bc2a86a0d6c01404494a5e004ca415d29092ea4504ae8bca2fa429301faff0c0")
+    # rebuilt in each older layout, the same parameters give the file pinned
+    # for that layout byte for byte, so every layout holds the same draws,
+    # names and order: first the CRF table with BEGIN and END tags...
+    begin_end = begin_end_crf_layout(model.parameters())
+    save_checkpoint(begin_end, tmp_path / "begin_end.ckpt")
+    data = (tmp_path / "begin_end.ckpt").read_bytes()
     assert len(data) == 1_493_437
     assert hashlib.sha256(data).hexdigest() == (
         "bb34a534e443cebee95daf977fbb875409c479f585ac5f491be9a6c32e8ab42b")
-    # with the fusion maps re-stacked into per-head maps, the same parameters
-    # give the file pinned for that layout byte for byte: both layouts hold
-    # the same draws, names and order
-    save_checkpoint(stacked_fusion_layout(model.parameters(), model.config.heads),
+    # ...then, on top of it, the fusion maps re-stacked into per-head maps
+    save_checkpoint(stacked_fusion_layout(begin_end, model.config.heads),
                     tmp_path / "stacked.ckpt")
     data = (tmp_path / "stacked.ckpt").read_bytes()
     assert len(data) == 1_493_461

@@ -215,7 +215,8 @@ class TestCheckpoint:
         records = blob[len(MAGIC) + 4:-8]
         assert blob[-8:] == hashlib.blake2b(records, digest_size=8).digest()
 
-    def test_version_1_still_loads(self, tmp_path):
+    def test_version_1_is_refused(self, tmp_path):
+        # a well-formed version-1 file, FNV-1a 64 checksum and all
         params = self.make_params()
         records = b""
         for name in sorted(params):
@@ -225,11 +226,9 @@ class TestCheckpoint:
         path = tmp_path / "v1.ckpt"
         path.write_bytes(MAGIC + struct.pack("<I", 1) + records
                          + struct.pack("<Q", fnv1a_64(records)))
-        loaded = load_checkpoint(path)
-        assert set(loaded) == set(params)
-        for name, tensor in params.items():
-            np.testing.assert_array_equal(
-                loaded[name], tensor.data.astype(np.float32).astype(np.float64))
+        with pytest.raises(CheckpointError,
+                           match=rf"^{re.escape(str(path))}: unsupported version 1$"):
+            load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
