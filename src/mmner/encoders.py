@@ -11,11 +11,12 @@ identity). Every transformer-style block is a `SublayerBlock`: an attention
 sublayer, then an MLP sublayer, in one of three orderings. The text branch
 normalizes the sublayer output before the residual add, the patch branch
 the sublayer input, and the fusion blocks (`collaboration`) the residual
-sum. Its one attention sublayer, `attend`, maps queries and keys/values
-through (d_in, d_out) matrices `wq`, `wk`, `wv` with optional biases, runs
-`ad.attention` and maps the heads by `wo`. A subclass draws and lists those
-maps: `TransformerLayer` attends over its own rows, with biases and a key
-mask, and `collaboration.CrossAttentionBlock` over visual tokens, without.
+sum. The block draws and lists every map it holds: its one attention
+sublayer, `attend`, maps queries and keys/values through (d_in, d_out)
+matrices `wq`, `wk`, `wv`, each with a bias or none, runs `ad.attention`
+and maps the heads by `wo`. `TransformerLayer` attends over its own rows,
+with biases and a key mask, and `collaboration.CrossAttentionBlock` over
+visual tokens, without biases.
 """
 
 from __future__ import annotations
@@ -65,15 +66,18 @@ def _with_parts(params: dict[str, Tensor], prefix: str, parts) -> dict[str, Tens
 
 class SublayerBlock:
     """An attention sublayer, then an MLP sublayer, each with dropout, a residual
-    add and a LayerNorm in `sublayer` order. A subclass sets `heads` and draws
-    its attention maps `wq`, `wk`, `wv`, `wo` and biases `bq` ... `bo` (None
-    for none) before this __init__ draws the MLP's, and lists them in
-    `attention_parameters`."""
+    add and a LayerNorm in `sublayer` order. The attention maps `wq`, `wk`,
+    `wv`, `wo` are drawn first, as (d_in, d_out) matrices, with zero biases
+    `bq` ... `bo` when `bias` is true and None otherwise."""
 
-    def __init__(self, d: int, rng: np.random.Generator, sublayer: str,
-                 mlp_ratio: int, dropout: float):
+    def __init__(self, d: int, heads: int, rng: np.random.Generator, sublayer: str,
+                 mlp_ratio: int, dropout: float, bias: bool):
+        check_heads(d, heads)
+        self.heads = heads
         self.sublayer = sublayer
         self.dropout = dropout
+        self.wq, self.wk, self.wv, self.wo = (_w(rng, (d, d)) for _ in range(4))
+        self.bq, self.bk, self.bv, self.bo = (_zeros(d) if bias else None for _ in range(4))
         self.ln1_g, self.ln1_b = _ones(d), _zeros(d)
         self.mlp_w1 = _w(rng, (d, mlp_ratio * d))
         self.mlp_b1 = _zeros(mlp_ratio * d)
@@ -83,7 +87,8 @@ class SublayerBlock:
 
     def parameters(self) -> dict[str, Tensor]:
         return {
-            **self.attention_parameters(),
+            **{f"attn.{k}": v for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+               if (v := getattr(self, k)) is not None},
             "ln1_g": self.ln1_g, "ln1_b": self.ln1_b,
             "mlp_w1": self.mlp_w1, "mlp_b1": self.mlp_b1,
             "mlp_w2": self.mlp_w2, "mlp_b2": self.mlp_b2,
@@ -125,17 +130,7 @@ class TransformerLayer(SublayerBlock):
                  sublayer: str, mlp_ratio: int = 4, dropout: float = 0.0):
         if sublayer not in (TEXT_SUBLAYER, VIT_SUBLAYER):
             raise ConfigError(f"unknown sublayer ordering {sublayer!r}")
-        check_heads(d, heads)
-        self.heads = heads
-        self.wq, self.bq = _w(rng, (d, d)), _zeros(d)
-        self.wk, self.bk = _w(rng, (d, d)), _zeros(d)
-        self.wv, self.bv = _w(rng, (d, d)), _zeros(d)
-        self.wo, self.bo = _w(rng, (d, d)), _zeros(d)
-        super().__init__(d, rng, sublayer, mlp_ratio, dropout)
-
-    def attention_parameters(self) -> dict[str, Tensor]:
-        return {f"attn.{k}": getattr(self, k)
-                for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+        super().__init__(d, heads, rng, sublayer, mlp_ratio, dropout, bias=True)
 
     def __call__(self, x: Tensor, rngs: list[np.random.Generator] | None = None,
                  lengths: list[int] | None = None) -> Tensor:

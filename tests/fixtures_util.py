@@ -18,6 +18,22 @@ FILLERS = [
 ]
 
 
+def bare_fusion_layout(params: dict) -> dict:
+    """Named parameters (Tensors or arrays) as Tensors, with each fusion
+    block's attention maps in the layout checkpoints held before every
+    `SublayerBlock` drew its own maps: named `{key}_fusion.w{q,k,v,o}`,
+    without the `attn.` prefix, and transposed, as each was drawn as a
+    (d_out, d_in) matrix and stored as its transpose."""
+    old = {}
+    for name, value in params.items():
+        w = value.data if isinstance(value, Tensor) else value
+        key, _, role = name.partition(".")
+        if key.endswith("_fusion") and role.startswith("attn."):
+            name, w = f"{key}.{role.removeprefix('attn.')}", w.T
+        old[name] = Tensor(w)
+    return old
+
+
 def stacked_fusion_layout(params: dict, heads: int) -> dict:
     """Named parameters (Tensors or arrays) as Tensors, with each fusion
     block's maps in the layout checkpoints held before the maps were stored

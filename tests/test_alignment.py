@@ -3,12 +3,13 @@ oracle, scale invariance, the closed form and both gradient checks are
 `mmner.selftest` checks, asserted by c01 and c03."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mmner import autodiff as ad
-from mmner.autodiff import ContractError, Tensor, backward
+from mmner.autodiff import ContractError, ShapeError, Tensor, backward
 from mmner.alignment import ProjectionHead, contrastive_loss
 
 
@@ -84,13 +85,20 @@ class TestContrastiveLoss:
         assert np.isfinite(tt.grad).all() and np.isfinite(it.grad).all()
 
     def test_single_pair_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^contrastive batch needs N >= 2, got N=1$"):
             contrastive_loss(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))), tau=1.0)
 
     def test_bad_temperature(self):
         x = Tensor(np.ones((2, 4)))
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^temperature must be > 0, got 0\.0$"):
             contrastive_loss(x, x, tau=0.0)
+
+    @pytest.mark.parametrize("text_shape, image_shape", [((3, 4), (3, 5)), ((2, 3, 4), (2, 3, 4))],
+                             ids=["unequal", "three_d"])
+    def test_bad_shapes_rejected(self, text_shape, image_shape):
+        message = f"contrastive_loss: {text_shape} vs {image_shape}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            contrastive_loss(Tensor(np.ones(text_shape)), Tensor(np.ones(image_shape)), tau=1.0)
 
     def test_gradients_flow_to_both_sides(self):
         rng = np.random.default_rng(6)

@@ -7,7 +7,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fixtures_util import begin_end_crf_layout, build_overfit_fixture, stacked_fusion_layout
+from fixtures_util import (
+    bare_fusion_layout,
+    begin_end_crf_layout,
+    build_overfit_fixture,
+    stacked_fusion_layout,
+)
 
 import mmner.cli
 import mmner.training
@@ -715,16 +720,29 @@ class TestRaiseSites:
                 else [str(root / "train.iob2")])
         return old_run, *run_cli(capsys, command, *args, "--checkpoint", str(old_run))
 
+    BARE_FUSION_NAMES = ("checkpoint/model mismatch (missing ['conv_fusion.attn.wk', "
+                         "'conv_fusion.attn.wo', 'conv_fusion.attn.wq'], unexpected "
+                         "['conv_fusion.wk', 'conv_fusion.wo', 'conv_fusion.wq'])\n")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_run_with_bare_fusion_names_is_refused(self, trained_run, tmp_path, capsys,
+                                                   command):
+        # a run directory saved while the fusion maps had no `attn.` prefix
+        old_run, code, text, err = self.run_old_layout(
+            trained_run, tmp_path, capsys, command, bare_fusion_layout)
+        assert code == 1 and text == ""
+        assert err == f"mmner: error: {old_run / 'model.ckpt'}: {self.BARE_FUSION_NAMES}"
+
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_run_with_stacked_fusion_maps_is_refused(self, trained_run, tmp_path, capsys,
                                                      command):
-        # a run directory whose checkpoint holds the fusion maps as per-head stacks
+        # a run directory whose checkpoint holds the fusion maps as per-head
+        # stacks, under the bare names they had then
         old_run, code, text, err = self.run_old_layout(
             trained_run, tmp_path, capsys, command,
-            lambda arrays: stacked_fusion_layout(arrays, heads=4))
+            lambda arrays: stacked_fusion_layout(bare_fusion_layout(arrays), heads=4))
         assert code == 1 and text == ""
-        assert err == (f"mmner: error: {old_run / 'model.ckpt'}: parameter vit_fusion.wq: "
-                       "checkpoint shape (4, 16, 64) vs model (64, 64)\n")
+        assert err == f"mmner: error: {old_run / 'model.ckpt'}: {self.BARE_FUSION_NAMES}"
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_run_with_begin_end_crf_table_is_refused(self, trained_run, tmp_path, capsys,

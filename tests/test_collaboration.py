@@ -1,11 +1,13 @@
 """Cross-attention block vs the explicit per-head loop oracle shipped in
 `mmner.selftest`."""
 
+import re
+
 import numpy as np
 import pytest
 
 from mmner import autodiff as ad
-from mmner.autodiff import ConfigError, Tensor
+from mmner.autodiff import ConfigError, ShapeError, Tensor
 from mmner.collaboration import CrossAttentionBlock
 from mmner.selftest import _loop_cross_attention
 
@@ -65,3 +67,15 @@ class TestCrossAttention:
     def test_indivisible_heads_rejected_at_construction(self):
         with pytest.raises(ConfigError):
             CrossAttentionBlock(10, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("text_shape, visual_shape", [
+        ((4, 8), (8,)),
+        ((1, 2, 4, 8), (1, 2, 3, 8)),
+        ((2, 4, 8), (3, 5, 8)),
+        ((4, 8), (3, 6)),
+    ], ids=["one_d_visual", "four_d_text", "unequal_batch_axes", "wrong_width"])
+    def test_bad_shapes_rejected_with_the_blocks_message(self, text_shape, visual_shape):
+        message = (f"text {text_shape} / visual {visual_shape}: expected (n, 8) / (P, 8), "
+                   "with one shared batch axis or none")
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            make_block()(Tensor(np.ones(text_shape)), Tensor(np.ones(visual_shape)))

@@ -1,6 +1,8 @@
 """Text, patch, and convolution encoder contracts, and the shape
 constraints `ModelConfig` checks for them."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,14 +29,33 @@ class TestSelfAttention:
         rng = np.random.default_rng(20 + heads)
         layer = TransformerLayer(8, heads, np.random.default_rng(heads), TEXT_SUBLAYER)
         # non-trivial parameter values, biases included
-        for p in layer.attention_parameters().values():
-            p.data += rng.normal(0.0, 0.2, p.shape)
+        for name, p in layer.parameters().items():
+            if name.startswith("attn."):
+                p.data += rng.normal(0.0, 0.2, p.shape)
         x = rng.normal(size=(5, 8))
         got = layer.attend(Tensor(x)).data
         maps = (layer.wq.data, layer.wk.data, layer.wv.data)
         biases = (layer.bq.data, layer.bk.data, layer.bv.data)
         expected = _loop_attention(x, x, maps, heads, biases) @ layer.wo.data + layer.bo.data
         assert np.max(np.abs(got - expected)) < 1e-10
+
+    def test_self_and_cross_attention_draw_the_same_maps(self):
+        # both blocks draw their maps first and keep each as drawn, in
+        # (d_in, d_out) layout: the k-th map is the k-th (d, d) draw
+        layer = TransformerLayer(8, 2, np.random.default_rng(3), TEXT_SUBLAYER)
+        block = CrossAttentionBlock(8, 2, np.random.default_rng(3))
+        draws = np.random.default_rng(3)
+        for name in ("wq", "wk", "wv", "wo"):
+            expected = draws.normal(0.0, 0.02, (8, 8))
+            np.testing.assert_array_equal(getattr(layer, name).data, expected)
+            np.testing.assert_array_equal(getattr(block, name).data, expected)
+
+    def test_unknown_sublayer_ordering_fails_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="^unknown sublayer ordering 'x'$"):
+            TransformerLayer(8, 2, rng, "x")
+        assert rng.bit_generator.state == state
 
 
 def make_text(vocab=10, d=8, layers=1, heads=2, seed=0):
@@ -157,6 +178,12 @@ class TestVitEncoder:
 
     def test_patch_size_not_checked_without_the_vit(self):
         ModelConfig(image_size=32, patch_size=5, use_vit=False)
+
+    def test_image_of_another_size_rejected(self):
+        enc = make_vit(image=32, patch=8, layers=0)
+        with pytest.raises(ContractError, match=re.escape(
+                "image shape (2, 3, 16, 16) vs configured (..., 3, 32, 32)") + "$"):
+            enc.extract_patches(np.zeros((2, 3, 16, 16)))
 
     def test_patch_extraction_raster_order(self):
         enc = make_vit(image=4, patch=2, layers=0, d=2, heads=1)

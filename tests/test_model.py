@@ -11,7 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixtures_util import begin_end_crf_layout, build_overfit_fixture, stacked_fusion_layout
+from fixtures_util import (
+    bare_fusion_layout,
+    begin_end_crf_layout,
+    build_overfit_fixture,
+    stacked_fusion_layout,
+)
 from test_crf import batch_of_one
 
 from mmner import autodiff as ad
@@ -304,8 +309,8 @@ def test_sentence_nll_does_not_depend_on_its_neighbours():
 PATH_FLAGS = [(True, True), (True, False), (False, True), (False, False)]
 LAYER = ["attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
          "ln1_g", "ln1_b", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "ln2_g", "ln2_b"]
-FUSION = ["wq", "wk", "wv", "wo", "ln1_g", "ln1_b", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
-          "ln2_g", "ln2_b"]
+FUSION = ["attn.wq", "attn.wk", "attn.wv", "attn.wo", "ln1_g", "ln1_b", "mlp_w1", "mlp_b1",
+          "mlp_w2", "mlp_b2", "ln2_g", "ln2_b"]
 HEAD = ["w1", "b1", "w2", "b2"]
 # each stage's first block changes width and carries a shortcut projection
 CONV = ["stem_w", "stem_b", "proj_w", "proj_b"] + [
@@ -343,13 +348,20 @@ def test_desk_model_checkpoint_bytes_are_pinned(tmp_path):
     model = MultimodalNerModel(TrainConfig(seed=0).model_config(), vocab_size=50, seed=0)
     save_checkpoint(model.parameters(), tmp_path / "model.ckpt")
     data = (tmp_path / "model.ckpt").read_bytes()
+    assert len(data) == 1_493_393
+    assert hashlib.sha256(data).hexdigest() == (
+        "e2e7ea5844b66c2ce74b50e39dc552b8d9c4a9456aa8f6ecf8c3ac0ce51acd01")
+    # rebuilt in each older layout, the same parameters give the file pinned
+    # for that layout byte for byte, so every layout holds the same draws,
+    # names and order: first the fusion maps under bare names, transposed...
+    bare = bare_fusion_layout(model.parameters())
+    save_checkpoint(bare, tmp_path / "bare.ckpt")
+    data = (tmp_path / "bare.ckpt").read_bytes()
     assert len(data) == 1_493_353
     assert hashlib.sha256(data).hexdigest() == (
         "bc2a86a0d6c01404494a5e004ca415d29092ea4504ae8bca2fa429301faff0c0")
-    # rebuilt in each older layout, the same parameters give the file pinned
-    # for that layout byte for byte, so every layout holds the same draws,
-    # names and order: first the CRF table with BEGIN and END tags...
-    begin_end = begin_end_crf_layout(model.parameters())
+    # ...then, on top of it, the CRF table with BEGIN and END tags...
+    begin_end = begin_end_crf_layout(bare)
     save_checkpoint(begin_end, tmp_path / "begin_end.ckpt")
     data = (tmp_path / "begin_end.ckpt").read_bytes()
     assert len(data) == 1_493_437
