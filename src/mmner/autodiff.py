@@ -98,7 +98,7 @@ class ConfigError(ValueError):
 
 _state = threading.local()
 _creation_seq = itertools.count()
-_versions = itertools.count()
+_writes = 0  # advanced by every write to a Tensor's data; see Tensor
 
 
 def _grad_enabled() -> bool:
@@ -121,19 +121,18 @@ class no_grad:
 class Tensor:
     """Dense row-major float64 array, optionally tracked for gradients.
 
-    `version` is a stamp, unique across all tensors, drawn afresh whenever
-    `data` is rebound (`t.data = a`, and so `t.data += x`). A write through
-    a view (`t.data[i] = v`) cannot be seen, so its writer calls `touch()`;
-    the model's encode memo trusts these stamps."""
+    Every rebinding of `data` (`t.data = a`, and so `t.data += x`) advances
+    the module's one write counter, `_writes`. A write through a view
+    (`t.data[i] = v`) cannot be seen, so its writer calls `touch()`, which
+    advances it too; the model's encode memo trusts this counter."""
 
-    __slots__ = ("_data", "version", "grad", "requires_grad", "_node", "__weakref__")
+    __slots__ = ("_data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 0:
             arr = np.ascontiguousarray(arr)
         self._data = arr
-        self.version = next(_versions)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: _Node | None = None
@@ -146,8 +145,9 @@ class Tensor:
     data = property(operator.attrgetter("_data"), _rebind)
 
     def touch(self) -> None:
-        """Stamp a new version after a write through a view of `data`."""
-        self.version = next(_versions)
+        """Count a write through a view of `data`."""
+        global _writes
+        _writes += 1
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -328,7 +328,7 @@ def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3))), formed in
     one temporary; the backward recomputes the tanh from x (Chen et al., arXiv 1604.06174)."""
     x = a.data
-    y = x * x
+    y = np.asarray(x * x)  # a 0-d product is a numpy scalar, which `out=` refuses
     y *= x
     y *= 0.044715
     y += x
@@ -373,11 +373,11 @@ def dropout(a: Tensor, p: float, rngs: Sequence[np.random.Generator] | None,
         raise ContractError(f"dropout rate must be in [0, 1), got {p}")
     if rngs is None or p == 0.0:
         return a
-    if len(rngs) != a.shape[0]:
-        raise ContractError("dropout needs one rng per item of the leading axis")
+    if a.ndim == 0 or len(rngs) != a.shape[0]:
+        raise ContractError(f"dropout needs one rng per leading item: {len(rngs)} for {a.shape}")
     keep = np.zeros(a.shape, dtype=bool)
     for i, rng in enumerate(rngs):
-        rows = keep[i] if lengths is None else keep[i, :lengths[i]]
+        rows = keep[i, ...] if lengths is None else keep[i, :lengths[i]]  # a view, even at 0-d
         rows[...] = rng.random(rows.shape) >= p
     out = Tensor(a.data * (keep / (1.0 - p)))
     if _tracked(a):

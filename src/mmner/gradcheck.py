@@ -31,7 +31,7 @@ def numeric_gradient(f: Callable[[], float], param: Tensor) -> np.ndarray:
     """Central finite differences (step DEFAULT_H) of scalar f() wrt every entry of param.
 
     f must re-run the forward pass from current parameter values; param.data
-    is perturbed in place and restored, each write stamped by `touch()` so
+    is perturbed in place and restored, each write counted by `touch()` so
     the model's encode memo sees it.
     """
     grad = np.zeros_like(param.data)

@@ -30,17 +30,17 @@ sentence i draws its dropout masks from its own, rngs[i], in a fixed order
 masks, like its outputs, do not depend on its neighbours or its padding.
 
 At inference the model keeps, per path key, a one-entry memo of the last
-encode: a copy of the image stack, the output, and, once the stack has
-repeated, the `version` stamp of each of that encoder's parameters. It is
-consulted only when no graph is recorded (no generators, under `no_grad`,
-as in `predict`), and hits only when the image stack equals its copy bit
-for bit and every stamp is unchanged. Stamps are unique and any rebinding
-of `Tensor.data` (`=`, `+=`, Adam, `load_parameters`) draws a new one, so a
-weight change is a miss, as long as a write through a view of `data` calls
-`touch()` after it (as `gradcheck.numeric_gradient` does). A miss encodes
-as usual and replaces the entry; graph-recording calls never read or write
-it. A run of one repeated image encodes twice: at its first sighting, and
-at the second, which stores the stamps that later calls hit.
+encode: a copy of the image stack, autodiff's write counter as it stood
+before the encode, and the output. It is consulted only when no graph is
+recorded (no generators, under `no_grad`, as in `predict`), and hits only
+when the counter is unchanged and the image stack equals its copy bit for
+bit. Every rebinding of a `Tensor.data` (`=`, `+=`, Adam,
+`load_parameters`) advances the counter, and so does `touch()`, which a
+write through a view of `data` must call (as `gradcheck.numeric_gradient`
+does); so any write is a miss. The parameters are fixed Tensor objects
+(Adam and the checkpoint hold them by name), so no weight changes unseen.
+A miss encodes as usual and replaces the entry; graph-recording calls
+never read or write it.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ class MultimodalNerModel:
         mask = self.schema.invalid_transition_mask() if config.mask_invalid_transitions else None
         self.crf = LinearChainCrf(self.fused_dim, self.schema.num_labels, rng,
                                   transition_mask=mask)
-        # path key -> (image copy, encoder parameter versions or None, output); see module doc
-        self._encoded: dict[str, tuple[np.ndarray, tuple[int, ...] | None, Tensor]] = {}
+        # path key -> (image copy, write counter, output); see module doc
+        self._encoded: dict[str, tuple[np.ndarray, int, Tensor]] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -198,13 +198,11 @@ class MultimodalNerModel:
         if rngs is not None or ad._grad_enabled():
             return encoder.encode(images, rngs)
         entry = self._encoded.get(key)
-        stamps = None
-        if entry is not None and _identical(entry[0], images):
-            stamps = tuple(p.version for p in encoder.parameters().values())
-            if entry[1] == stamps:
-                return entry[2]
+        if entry is not None and entry[1] == ad._writes and _identical(entry[0], images):
+            return entry[2]
+        writes = ad._writes  # read before the encode
         out = encoder.encode(images)
-        self._encoded[key] = (images.copy(), stamps, out)
+        self._encoded[key] = (images.copy(), writes, out)
         return out
 
     def forward_batch(self, token_ids: list[list[int]], images: np.ndarray,

@@ -204,6 +204,17 @@ class TestElementwise:
         with pytest.raises(ContractError):
             ad.dropout(Tensor([1.0]), p=1.0, rngs=[np.random.default_rng(0)])
 
+    def test_dropout_of_a_scalar_is_a_contract_error(self):
+        with pytest.raises(ContractError) as exc:
+            ad.dropout(Tensor(1.0), p=0.5, rngs=[np.random.default_rng(0)])
+        assert str(exc.value) == "dropout needs one rng per leading item: 1 for ()"
+
+    def test_dropout_of_a_vector_draws_each_item_from_its_generator(self):
+        out = ad.dropout(Tensor(np.ones(6)), p=0.5,
+                         rngs=[np.random.default_rng([4, i]) for i in range(6)])
+        keep = [np.random.default_rng([4, i]).random() >= 0.5 for i in range(6)]
+        np.testing.assert_array_equal(out.data, np.where(keep, 2.0, 0.0))
+
     def test_embedding_gather_rows(self):
         table = Tensor(np.arange(15.0).reshape(5, 3))
         out = ad.embedding_gather(table, [4, 0])
@@ -575,6 +586,17 @@ def test_gelu_matches_reference_bitwise(n):
     np.testing.assert_array_equal(a.data, x)
 
 
+def test_gelu_of_a_scalar():
+    x = np.array([0.7, -1.3])
+    y_ref, dy_ref = reference_gelu(x)
+    for i, value in enumerate(x):
+        a = Tensor(value, requires_grad=True)
+        out = ad.gelu(a)
+        backward(out)
+        assert out.shape == () and out.item() == y_ref[i]
+        assert a.grad == dy_ref[i]
+
+
 class TestDeterminism:
     def test_bitwise_identical_forward_and_gradients(self):
         def run():
@@ -596,6 +618,9 @@ class TestDeterminism:
 class TestRelError:
     def test_zero_against_zero(self):
         assert rel_error(np.zeros(3), np.zeros(3)) == 0.0
+
+    def test_empty_arrays_agree(self):
+        assert rel_error(np.zeros((2, 0)), np.zeros((2, 0))) == 0.0
 
     def test_scale_aware(self):
         assert rel_error(np.array([100.0]), np.array([100.001])) < 2e-5

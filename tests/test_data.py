@@ -154,6 +154,16 @@ class TestIob2Errors:
         assert [ex.language for ex in corpus.examples] == ["en", "unk"]
 
 
+@pytest.mark.parametrize("tokens, labels, message", [
+    (["a", "b"], ["O"], "2 tokens vs 1 labels"),
+    ([], [], "empty sentence"),
+])
+def test_sentence_example_refuses_a_bad_pair(tokens, labels, message):
+    with pytest.raises(ContractError) as exc:
+        SentenceExample(tokens, labels, "img")
+    assert str(exc.value) == message
+
+
 class TestIob2Blocks:
     def test_headers_only_in_header_position(self):
         text = ("\n\nLANG:xx\nLANG: fr \nIMGID: s1 \nLANG:en\nIMGID:s2\nA\tO\n \n"

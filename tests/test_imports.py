@@ -6,7 +6,8 @@ module lists in `__all__` or quotes in an annotation counts as read.
 Every module-level function and class in src/, and every method of such
 a class other than a dunder, is read as a name or an attribute somewhere
 in src/ outside its own definition; `KEPT_FOR_CALLERS_OUTSIDE_SRC` lists
-the exceptions."""
+the exceptions, and each of them must still be unread in src/ and read
+under tests/ or perfbench/."""
 
 import ast
 from collections import Counter
@@ -102,12 +103,37 @@ def unread_definitions(modules: dict[str, ast.Module]) -> list[str]:
             if reads[node.name] == names_read(node)[node.name]]
 
 
+def stale_entries(kept, src: dict[str, ast.Module], outside: dict[str, ast.Module]) -> list[str]:
+    """Each kept name that src/ now reads or no longer defines, and each
+    that no module of `outside` reads as a name, an attribute or a string
+    (perfbench patches functions by name)."""
+    unread = {hit.rsplit(": ", 1)[1] for hit in unread_definitions(src)}
+    reads = Counter()
+    for tree in outside.values():
+        reads += names_read(tree)
+        reads.update(n.value for n in ast.walk(tree)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return ([f"{name}: not an unread definition of src/" for name in kept if name not in unread]
+            + [f"{name}: read by no test or perfbench file" for name in kept
+               if not reads[name.rsplit(".", 1)[-1]]])
+
+
+def parsed(*tops: str) -> dict[str, ast.Module]:
+    """Every .py file under the given top directories but this one, parsed."""
+    return {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8"))
+            for top in tops for p in sorted((ROOT / top).rglob("*.py"))
+            if p != Path(__file__).resolve()}
+
+
 def test_every_src_definition_is_read_in_src():
-    modules = {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8"))
-               for p in sorted((ROOT / "src").rglob("*.py"))}
-    unread = [hit for hit in unread_definitions(modules)
+    unread = [hit for hit in unread_definitions(parsed("src"))
               if hit.rsplit(": ", 1)[1] not in KEPT_FOR_CALLERS_OUTSIDE_SRC]
     assert not unread, "defined in src/ but never read there:\n" + "\n".join(unread)
+
+
+def test_every_kept_definition_is_still_needed():
+    stale = stale_entries(KEPT_FOR_CALLERS_OUTSIDE_SRC, parsed("src"), parsed("tests", "perfbench"))
+    assert not stale, "stale in KEPT_FOR_CALLERS_OUTSIDE_SRC:\n" + "\n".join(stale)
 
 
 def test_scan_sees_an_unread_definition():
@@ -117,6 +143,18 @@ def test_scan_sees_an_unread_definition():
         "b.py": ast.parse("import a\nx = a.used()\n"),
     }
     assert unread_definitions(modules) == ["a.py:4: recursive", "a.py:7: Unused"]
+
+
+def test_scan_sees_a_stale_kept_entry():
+    src = {"a.py": ast.parse(
+        "def helper():\n    return 1\n\ndef used():\n    return 2\n\nx = used()\n\n"
+        "def orphan():\n    return 3\n\ndef patched():\n    return 4\n\n"
+        "class K:\n    def m(self):\n        return 0\n")}
+    outside = {"t.py": ast.parse("import a\na.helper()\na.used()\na.K().m()\n"
+                                 "patch(a, 'patched')\n")}
+    kept = ["helper", "used", "orphan", "patched", "K.m"]
+    assert stale_entries(kept, src, outside) == [
+        "used: not an unread definition of src/", "orphan: read by no test or perfbench file"]
 
 
 def test_scan_sees_an_unread_method():

@@ -80,6 +80,11 @@ class TestEvaluate:
         assert not s.undefined
         assert min(s.precision, s.recall) <= s.f1 <= max(s.precision, s.recall)
 
+    def test_predicted_type_outside_the_schema_is_refused(self):
+        with pytest.raises(ContractError) as exc:
+            evaluate([["B-PER", "O"]], [["B-PER", "B-FOO"]])
+        assert str(exc.value) == "span type 'FOO' not in schema ('PER', 'LOC', 'ORG', 'MISC')"
+
     def test_overall_counts_are_sums_of_types(self):
         gold = [["B-PER", "O", "B-LOC"], ["B-MISC", "O", "B-ORG"]]
         pred = [["B-PER", "B-PER", "O"], ["O", "B-MISC", "B-ORG"]]

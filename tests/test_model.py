@@ -26,7 +26,7 @@ from mmner.data import Batch, ImageStore, Vocabulary, make_batches, parse_iob2
 from mmner.encoders import ConvEncoder, VitEncoder
 from mmner.gradcheck import numeric_gradient
 from mmner.model import DECODE_CHUNK, ModelConfig, MultimodalNerModel
-from mmner.training import TrainConfig, total_loss
+from mmner.training import Adam, TrainConfig, total_loss
 
 CONFIG = ModelConfig(d=8, text_layers=1, vit_layers=2, heads=2, max_len=12,
                      mlp_ratio=2, image_size=16, patch_size=8,
@@ -56,7 +56,7 @@ def inference_emissions(model, ids, image):
 
 
 def memoized_emissions(model, ids, image):
-    """Inference twice on one image, so the memo holds a weight snapshot."""
+    """Inference twice on one image, the second a memo hit."""
     first = inference_emissions(model, ids, image)
     np.testing.assert_array_equal(inference_emissions(model, ids, image), first)
     return first
@@ -125,26 +125,51 @@ def test_in_place_image_edit_is_seen():
     np.testing.assert_array_equal(after, graph_emissions(model, IDS, image))
 
 
-def test_one_image_encodes_twice(encode_counts):
-    # The first sighting stores no weight snapshot; the second encodes again
-    # and stores one, which every later call hits.
+def test_one_image_encodes_once(encode_counts):
+    # The first sighting stores the entry that every later call hits.
     model = make_model()
     (image,) = make_images(1)
     tags = [model.predict(IDS, image) for _ in range(10)]
-    assert encode_counts == {"vit": 2, "conv": 2}
+    assert encode_counts == {"vit": 1, "conv": 1}
     assert all(t == tags[0] for t in tags)
     model.predict(IDS, image.copy())  # equal by value, not the same object
-    assert encode_counts == {"vit": 2, "conv": 2}
-    model.paths["vit"].encoder.patch_proj.data += 0.05  # a miss on the ViT path only
+    assert encode_counts == {"vit": 1, "conv": 1}
+    model.paths["vit"].encoder.patch_proj.data += 0.05  # any write is a miss on both paths
     for _ in range(3):
         model.predict(IDS, image)
-    assert encode_counts == {"vit": 3, "conv": 2}
+    assert encode_counts == {"vit": 2, "conv": 2}
+
+
+def test_a_memo_hit_calls_no_parameters(monkeypatch, encode_counts):
+    model = make_model()
+    (image,) = make_images(1)
+    tags = model.predict(IDS, image)
+
+    def refuse(self):
+        raise AssertionError("a memo hit listed parameters")
+
+    for cls in (MultimodalNerModel, VitEncoder, ConvEncoder):
+        monkeypatch.setattr(cls, "parameters", refuse)
+    assert model.predict(IDS, image) == tags
+    assert encode_counts == {"vit": 1, "conv": 1}
+
+
+def test_an_adam_step_between_predicts_is_seen():
+    model = make_model()
+    (image,) = make_images(1)
+    before = memoized_emissions(model, IDS, image)
+    params = model.parameters()
+    ad.backward(ad.tensor_sum(emissions_of(model, IDS, image)))
+    Adam(params).step(lr=0.01)
+    after = inference_emissions(model, IDS, image)
+    assert not np.array_equal(after, before)
+    np.testing.assert_array_equal(after, graph_emissions(model, IDS, image))
 
 
 @pytest.mark.parametrize("name", ["vit.patch_proj", "conv.stem_w"])
 def test_view_write_then_touch_is_seen(name):
     # a write through a view of `data` bypasses its setter; `touch()` after
-    # it stamps a new version, so the memo misses
+    # it advances the write counter, so the memo misses
     model = make_model()
     (image,) = make_images(1)
     before = memoized_emissions(model, IDS, image)
@@ -176,13 +201,13 @@ def test_numeric_gradient_of_an_encoder_parameter_sees_every_write():
 
 
 def test_a_memo_hit_reads_no_weight_bytes():
-    # a hit compares version stamps, so its peak stays below one copy of the
+    # a hit compares a write counter, so its peak stays below one copy of the
     # largest ViT weight array
     model = MultimodalNerModel(ModelConfig(), vocab_size=50, seed=0)
     size = model.config.image_size
     images = np.random.default_rng(1).uniform(-1, 1, (1, 3, size, size))
     with ad.no_grad():
-        for _ in range(2):  # the second sighting stores the stamps
+        for _ in range(2):  # the first sighting stores the entry, the second hits
             model._encode_image("vit", images, None)
         gc.collect()
         tracemalloc.start()

@@ -13,7 +13,7 @@ import pytest
 from fixtures_util import build_overfit_fixture
 
 from mmner import autodiff as ad
-from mmner.autodiff import ContractError, NumericError, Tensor, backward
+from mmner.autodiff import ConfigError, ContractError, NumericError, Tensor, backward
 from mmner.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -633,6 +633,14 @@ class TestTrainLoop:
         arrays["crf.emission_b"] = np.zeros(5)  # wrong label count
         with pytest.raises(Exception, match="schema"):
             model.load_parameters(arrays)
+
+    def test_other_crf_names_rejected(self):
+        model = MultimodalNerModel(tiny_model_config(), vocab_size=8, seed=0)
+        arrays = {k: p.data for k, p in model.parameters().items()}
+        arrays["crf.table"] = arrays.pop("crf.transitions")
+        with pytest.raises(ConfigError) as exc:
+            model.load_parameters(arrays)
+        assert str(exc.value) == "checkpoint label set does not match this model's schema"
 
 
 class HalfWrite:
