@@ -124,7 +124,10 @@ class Tensor:
     Every rebinding of `data` (`t.data = a`, and so `t.data += x`) advances
     the module's one write counter, `_writes`. A write through a view
     (`t.data[i] = v`) cannot be seen, so its writer calls `touch()`, which
-    advances it too; the model's encode memo trusts this counter."""
+    advances it too; the model's encode memo trusts this counter. The two
+    writers of parameters write in place: Adam's `p.data -= delta` is a
+    rebinding to the same array, and gradcheck's `numeric_gradient` writes
+    entries through a view and calls `touch()` after each."""
 
     __slots__ = ("_data", "grad", "requires_grad", "_node", "__weakref__")
 
@@ -222,11 +225,22 @@ def _tracked(*tensors: Tensor | None) -> bool:
     return _grad_enabled() and any(t is not None and t.requires_grad for t in tensors)
 
 
-def _accum(target: "_Node | Tensor", g: np.ndarray) -> None:
-    if target.grad is None:
-        target.grad = np.array(g, dtype=np.float64)  # a copy: later sums add into it in place
-    else:
+def _accum(target: "_Node | Tensor", g: np.ndarray, incoming: np.ndarray) -> None:
+    """Add g, a gradient a closure returned for its `incoming` gradient,
+    into target. Repeat sums add in place, so a first gradient must be an
+    array nothing else holds. An interior node keeps a fresh C-contiguous
+    array from the closure as it is; anything else is copied in g's memory
+    order, always a leaf's `.grad` (clipping scales it in place) and
+    `incoming` itself (add hands it to both parents; the loss shares it with
+    its `.grad`). A kept array has the layout its copy would have, so every
+    sum is bitwise the same as with a copy."""
+    if target.grad is not None:
         target.grad += g
+    elif (type(target) is _Node and g is not incoming and type(g) is np.ndarray
+          and g.flags.owndata and g.flags.c_contiguous):
+        target.grad = g
+    else:
+        target.grad = np.array(g, dtype=np.float64)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -271,7 +285,7 @@ def backward(loss: Tensor) -> None:
         if node.grad is not None:
             for parent, g in zip(node.parents, node.backward(node.grad)):
                 if parent is not None:
-                    _accum(parent, g)
+                    _accum(parent, g, node.grad)
         node.parents, node.backward, node.grad = (), _consumed, None
 
 
@@ -324,26 +338,44 @@ def relu(a: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c (x + 0.044715 x^3)) in one new array, an array even for 0-d x."""
+    t = np.asarray(x * x)  # a 0-d product is a numpy scalar, which `out=` refuses
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    return t
+
+
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3))), formed in
-    one temporary; the backward recomputes the tanh from x (Chen et al., arXiv 1604.06174)."""
+    one temporary; the backward recomputes the tanh from x (Chen et al., arXiv 1604.06174)
+    and forms the derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
+    in three, in that expression's order of operations."""
     x = a.data
-    y = np.asarray(x * x)  # a 0-d product is a numpy scalar, which `out=` refuses
-    y *= x
-    y *= 0.044715
-    y += x
-    y *= _GELU_C
-    np.tanh(y, out=y)
+    y = _gelu_tanh(x)
     y += 1.0
     y *= x
     y *= 0.5
     out = Tensor(y)
     if _tracked(a):
         def _bw(g):
-            t = np.tanh(_GELU_C * (x * x * x * 0.044715 + x))  # the forward's steps, in order
-            dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x**2)
-            grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-            return (g * grad,)
+            t = _gelu_tanh(x)
+            s = np.asarray(t * t)
+            np.subtract(1.0, s, out=s)
+            h = np.asarray(x * 0.5)
+            h *= s  # 0.5 x (1 - t^2)
+            np.square(x, out=s)
+            s *= 3.0 * 0.044715
+            s += 1.0
+            s *= _GELU_C
+            h *= s
+            t += 1.0
+            t *= 0.5
+            t += h  # the derivative
+            return (g * t,)
         _record(out, (a,), _bw)
     return out
 
@@ -563,8 +595,12 @@ def _softmax_array(x: np.ndarray, axis: int, op: str,
 
 
 def _softmax_grad(s: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """The gradient g at s = softmax(x) along `axis`, taken back to x."""
-    return s * (g - (g * s).sum(axis=axis, keepdims=True))
+    """The gradient g at s = softmax(x) along `axis`, taken back to x:
+    s * (g - sum(g * s)), formed in one new array."""
+    dx = g * s
+    np.subtract(g, dx.sum(axis=axis, keepdims=True), out=dx)
+    dx *= s
+    return dx
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -629,7 +665,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         def _bw(g):
             gh = _split_heads(g, heads)
             ds = np.matmul(gh, vh.swapaxes(-1, -2))
-            dlogits = _softmax_grad(s, ds, -1) * scale
+            dlogits = _softmax_grad(s, ds, -1)
+            dlogits *= scale
             return (_merge_heads(np.matmul(dlogits, kh)),
                     _merge_heads(np.matmul(dlogits.swapaxes(-1, -2), qh)),
                     _merge_heads(np.matmul(s.swapaxes(-1, -2), gh)))
@@ -658,27 +695,33 @@ _LAYER_NORM_EPS = 1e-5
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1, then gamma * x + beta."""
+    """Normalize the last axis to mean 0 / variance 1, then gamma * x + beta.
+    The forward forms xhat and the output in two new arrays, the backward
+    its three gradients in two, each in the order of operations of
+    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))."""
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
         raise ShapeError("layer_norm over empty last axis")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma {gamma.shape} / beta {beta.shape} vs d={d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
-    xhat = xc * inv
-    out = Tensor(gamma.data * xhat + beta.data)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = np.square(xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + _LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(gamma.data, xhat, out=y)
+    y += beta.data
+    out = Tensor(y)
     if _tracked(x, gamma, beta):
         gd = gamma.data
         def _bw(g):
             lead = tuple(range(g.ndim - 1))
-            dxhat = g * gd
-            dx = inv * (dxhat
-                        - dxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-            return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+            dx = g * gd
+            t = dx * xhat
+            m = t.mean(axis=-1, keepdims=True)
+            dx -= dx.mean(axis=-1, keepdims=True)
+            dx -= np.multiply(xhat, m, out=t)
+            dx *= inv
+            return dx, np.multiply(g, xhat, out=t).sum(axis=lead), g.sum(axis=lead)
         _record(out, (x, gamma, beta), _bw)
     return out
 

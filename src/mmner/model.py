@@ -34,13 +34,15 @@ encode: a copy of the image stack, autodiff's write counter as it stood
 before the encode, and the output. It is consulted only when no graph is
 recorded (no generators, under `no_grad`, as in `predict`), and hits only
 when the counter is unchanged and the image stack equals its copy bit for
-bit. Every rebinding of a `Tensor.data` (`=`, `+=`, Adam,
+bit. Every rebinding of a `Tensor.data` (`=`, `+=`, Adam's in-place `-=`,
 `load_parameters`) advances the counter, and so does `touch()`, which a
 write through a view of `data` must call (as `gradcheck.numeric_gradient`
 does); so any write is a miss. The parameters are fixed Tensor objects
 (Adam and the checkpoint hold them by name), so no weight changes unseen.
-A miss encodes as usual and replaces the entry; graph-recording calls
-never read or write it.
+A miss encodes as usual and replaces the entry. A graph-recording call (or
+one given generators) never reads the memo and drops its path's entry: no
+training-time encode could hit it, and the next optimizer step makes it a
+miss, so it would only keep an image copy and an encoder output alive.
 """
 
 from __future__ import annotations
@@ -168,8 +170,10 @@ class MultimodalNerModel:
         return params
 
     def load_parameters(self, arrays: dict[str, np.ndarray]) -> None:
-        """Fill every parameter from `arrays` by name, checking names and shapes;
-        a float32 array, as `load_checkpoint` gives, is widened once as it is assigned."""
+        """Fill every parameter from `arrays` by name, checking names and shapes.
+        Each parameter gets a C-contiguous float64 copy it owns, so an in-place
+        write (Adam, gradcheck) never reaches the caller's array; a float32
+        array, as `load_checkpoint` gives, is widened in that one copy."""
         params = self.parameters()
         missing = sorted(set(params) - set(arrays))
         extra = sorted(set(arrays) - set(params))
@@ -187,7 +191,7 @@ class MultimodalNerModel:
                         if name == "text.token_table" else "")
                 raise ConfigError(
                     f"parameter {name}: checkpoint shape {arr.shape} vs model {tensor.shape}{hint}")
-            tensor.data = np.ascontiguousarray(arr, dtype=np.float64)
+            tensor.data = np.array(arr, dtype=np.float64, order="C")
             tensor.grad = None
 
     # -- forward ------------------------------------------------------------
@@ -196,6 +200,7 @@ class MultimodalNerModel:
                       rngs: list[np.random.Generator] | None) -> Tensor:
         encoder = self.paths[key].encoder
         if rngs is not None or ad._grad_enabled():
+            self._encoded.pop(key, None)
             return encoder.encode(images, rngs)
         entry = self._encoded.get(key)
         if entry is not None and entry[1] == ad._writes and _identical(entry[0], images):

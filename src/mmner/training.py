@@ -158,7 +158,10 @@ def lr_at(step: int, total_steps: int, base_lr: float) -> float:
 
 
 class Adam:
-    """Standard bias-corrected Adam over a named parameter dict."""
+    """Standard bias-corrected Adam over a named parameter dict. A step
+    writes each parameter's array in place (`p.data -= delta`, which counts
+    the write), forming every temporary in two scratch arrays per parameter
+    in the order of operations of p - lr * m_hat / (sqrt(v_hat) + eps)."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = params
@@ -176,11 +179,21 @@ class Adam:
                 g = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
+            delta, denom = np.empty_like(p.data), np.empty_like(p.data)  # arrays even at 0-d
+            np.multiply(g, 1.0 - BETA1, out=delta)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += delta
+            np.multiply(g, 1.0 - BETA2, out=delta)
+            delta *= g
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            v += delta
+            np.divide(m, bc1, out=delta)
+            delta *= lr
+            np.divide(v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            delta /= denom
+            p.data -= delta
             p.grad = None
 
 

@@ -18,8 +18,8 @@ from mmner.autodiff import (
     Tensor,
     backward,
 )
-from mmner.gradcheck import rel_error
-from mmner.selftest import _op_cases
+from mmner.gradcheck import check_gradients, rel_error
+from mmner.selftest import GRAD_TOL, _op_cases
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -315,6 +315,50 @@ class TestBackwardBasics:
         assert h.grad is None and g.grad is None
         assert x.grad is not None and w.grad is not None
         np.testing.assert_array_equal(loss.grad, 1.0)
+
+
+class TestGradientAccumulation:
+    def test_an_interior_node_keeps_a_fresh_array_as_its_gradient(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        h = ad.mul(x, Tensor(2.0))
+        out = ad.mul(h, Tensor(3.0))
+        returned, received = [], []
+        closures = out._node.backward, h._node.backward
+        out._node.backward = lambda g: returned.extend(closures[0](g)) or returned
+        h._node.backward = lambda g: received.append(g) or closures[1](g)
+        backward(ad.tensor_sum(out))
+        assert received[0] is returned[0]
+        np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+
+    def test_add_hands_two_interior_parents_two_arrays(self):
+        # add(s, r) hands its incoming gradient to s and r, and s hands it
+        # on to p and q; r's gradient is added into p's while q waits for its
+        # sweep, so one shared array would give q 6 instead of 1, and x 30
+        x = Tensor(np.ones(3), requires_grad=True)
+        p, q = ad.mul(x, Tensor(2.0)), ad.mul(x, Tensor(3.0))
+        r = ad.mul(p, Tensor(5.0))
+        s = ad.add(p, q)
+        loss = ad.tensor_sum(ad.add(s, r))
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full(3, 15.0))
+        np.testing.assert_array_equal(loss.grad, 1.0)
+
+
+@pytest.mark.parametrize("op, shapes", [
+    (ad.layer_norm, [(5,), (5,), (5,)]),
+    (ad.layer_norm, [(2, 3, 5), (5,), (5,)]),
+    (lambda a: ad.softmax(a, axis=0), [(4, 5)]),
+], ids=["layer_norm_1d", "layer_norm_batched_3d", "softmax_axis_0"])
+def test_kernel_gradients_on_the_shapes_they_take(op, shapes):
+    """Finite differences at the gradient suite's tolerance, on shapes its
+    op table does not cover: the output, x's shape, is summed against U(-1, 1) weights."""
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        leaves = [Tensor(rng.uniform(-1, 1, shape), requires_grad=True) for shape in shapes]
+        w = Tensor(rng.uniform(-1, 1, shapes[0]))
+        errors = check_gradients(lambda: ad.tensor_sum(ad.mul(op(*leaves), w)),
+                                 {f"p{i}": t for i, t in enumerate(leaves)})
+        assert max(errors.values()) < GRAD_TOL, (seed, errors)
 
 
 def per_image_conv(x, w, b, stride, padding):

@@ -115,6 +115,19 @@ def test_load_parameters_is_seen():
     np.testing.assert_array_equal(after, graph_emissions(twin, IDS, image))
 
 
+def test_load_parameters_copies_what_it_is_given():
+    # a parameter written in place (as Adam and gradcheck write) must not
+    # reach the caller's float64 arrays
+    model = make_model()
+    arrays = {k: p.data.copy() for k, p in make_model(7).parameters().items()}
+    given = {k: a.copy() for k, a in arrays.items()}
+    model.load_parameters(arrays)
+    for name, param in model.parameters().items():
+        param.data[...] = param.data + 1.0
+        param.touch()
+        np.testing.assert_array_equal(arrays[name], given[name])
+
+
 def test_in_place_image_edit_is_seen():
     model = make_model()
     (image,) = make_images(1)
@@ -237,6 +250,19 @@ def test_batch_losses_encode_once_per_sentence(encode_counts, train):
                   label_ids=[[0] * len(t) for t in ids], images=[image] * 4)
     model.batch_losses(batch, streams(4) if train else None)
     assert encode_counts == {"vit": 1, "conv": 1}
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_a_graph_recording_batch_losses_leaves_no_memo(train):
+    # the next optimizer step would make the entry a miss; until then it
+    # would only hold an image copy and an encoder output alive
+    model = make_model()
+    (image,) = make_images(1)
+    model.predict(IDS, image)
+    assert set(model._encoded) == {"vit", "conv"}
+    batch = Batch(token_ids=[IDS, [3, 4]], label_ids=[[0] * 4, [0] * 2], images=[image] * 2)
+    model.batch_losses(batch, streams(2) if train else None)
+    assert model._encoded == {}
 
 
 def streams(n, seed=3):

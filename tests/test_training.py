@@ -30,6 +30,9 @@ import mmner.checkpoint
 import mmner.model
 import mmner.training
 from mmner.training import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     Adam,
     TrainConfig,
     clip_global_norm,
@@ -84,6 +87,35 @@ class TestAdam:
         opt.step(lr=0.1)
         assert p.grad is None
 
+    def test_step_writes_each_parameter_in_place_as_the_textbook_update(self):
+        # the arrays stay the same objects, each write is counted, and the
+        # values are bitwise those of the out-of-place update
+        rng = np.random.default_rng(11)
+        params = {"w": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=4), requires_grad=True),
+                  "s": Tensor(0.5, requires_grad=True),
+                  "idle": Tensor(rng.normal(size=2), requires_grad=True)}
+        arrays = {k: p.data for k, p in params.items()}
+        expected = {k: a.copy() for k, a in arrays.items()}
+        m = {k: np.zeros_like(a) for k, a in arrays.items()}
+        v = {k: np.zeros_like(a) for k, a in arrays.items()}
+        opt = Adam(params)
+        for t in range(1, 4):
+            lr = 0.01 * t
+            for k, p in params.items():
+                p.grad = None if k == "idle" else rng.normal(size=p.shape)
+                g = np.zeros(p.shape) if p.grad is None else p.grad
+                m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
+                v[k] = BETA2 * v[k] + (1.0 - BETA2) * g * g
+                expected[k] = expected[k] - lr * (m[k] / (1.0 - BETA1**t)) / (
+                    np.sqrt(v[k] / (1.0 - BETA2**t)) + ADAM_EPS)
+            writes = ad._writes
+            opt.step(lr)
+            assert ad._writes >= writes + len(params)
+            for k, p in params.items():
+                assert p.data is arrays[k]
+                np.testing.assert_array_equal(p.data, expected[k])
+
 
 class TestClip:
     def test_norm_reduced_to_max(self):
@@ -92,6 +124,18 @@ class TestClip:
         norm = clip_global_norm({"p": p})
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(p.grad) == pytest.approx(1.0)
+
+    def test_leaves_fed_one_array_by_add_are_each_scaled_once(self):
+        # add's closure returns one array for both parents; each leaf's
+        # `.grad` is its own copy, so clipping scales each exactly once
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        backward(ad.tensor_sum(ad.mul(ad.add(a, b), Tensor(10.0))))
+        assert not np.shares_memory(a.grad, b.grad)
+        norm = clip_global_norm({"a": a, "b": b})
+        assert norm == math.sqrt(600.0)
+        for p in (a, b):
+            np.testing.assert_array_equal(p.grad, np.full(3, 10.0 * (1.0 / norm)))
 
     def test_small_gradients_untouched(self):
         p = Tensor(np.zeros(2), requires_grad=True)
@@ -476,6 +520,22 @@ class TestBatchedEval:
             assert evaluate_model(model, permuted, vocab, images).kv_lines() == report
 
 
+# final parameter digest and (loss, crf_nll, cl_vit, cl_conv) per epoch of
+# TestTrainLoop's pinned runs
+PINNED_RUNS = {
+    "tiny": ("5c4996cc086a5bc13ff4886fccc5095c8cb864d04a1827fc64c47035ee038bc1", [
+        (9.408714028545228, 10.854151321628215, 1.9281044560189733, 1.6988604001943055),
+        (8.9395492644028, 10.461943997418789, 1.3989422083971763, 1.4510281239416554),
+        (8.61059762448683, 10.068820227920519, 1.391309098885492, 1.3863981118665831),
+    ]),
+    "desk": ("56eb3eece90208c465e95389aa1a0de0bebdeb0ec1cfe42ccf1033b5da1e7750", [
+        (8.552998875302144, 9.875606368598248, 1.800651055837796, 1.4619178462799218),
+        (6.934859914781598, 7.214603963553552, 4.417063828714453, 1.3988198909793268),
+        (6.247774518195799, 6.857580401126242, 2.414080232026236, 1.3944707544477941),
+    ]),
+}
+
+
 class TestTrainLoop:
     def test_two_runs_identical(self, tmp_path):
         root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
@@ -488,6 +548,36 @@ class TestTrainLoop:
         assert [l.loss for l in a.epoch_logs] == [l.loss for l in b.epoch_logs]
         assert [l.eval_f1 for l in a.epoch_logs] == [l.eval_f1 for l in b.epoch_logs]
         assert a.final_report.kv_lines() == b.final_report.kv_lines()
+
+    @pytest.mark.parametrize("model", ["tiny", "desk"])
+    def test_seeded_short_run_is_pinned_bitwise(self, tmp_path, monkeypatch, model):
+        """A seeded train() with both visual paths, contrastive terms and
+        dropout 0.1, of the tiny model and of the desk model: the parameters
+        after the last optimizer step and the epoch losses, pinned bit for
+        bit. Code that claims to change no number is held to these; they
+        hold for one numpy and BLAS build, and another may round differently."""
+        class PinnedConfig(TrainConfig):
+            def model_config(self):
+                if model == "tiny":
+                    return tiny_model_config(dropout=self.dropout)
+                return super().model_config()
+
+        class Recorded(Adam):
+            def step(self, lr):
+                super().step(lr)
+                digest = hashlib.sha256()
+                for name, p in self.params.items():
+                    digest.update(name.encode() + p.data.tobytes())
+                steps.append(digest.hexdigest())
+
+        steps = []
+        monkeypatch.setattr(mmner.training, "Adam", Recorded)
+        root = build_overfit_fixture(tmp_path / "data", n_sentences=8)
+        config = PinnedConfig(**vars(tiny_train_config(epochs=3, batch_size=4, dropout=0.1)))
+        result = train(config, root)
+        digest, losses = PINNED_RUNS[model]
+        assert len(steps) == 6 and steps[-1] == digest
+        assert [(l.loss, l.crf_nll, l.cl_vit, l.cl_conv) for l in result.epoch_logs] == losses
 
     def test_out_dir_does_not_change_training(self, tmp_path):
         # Each new best is canonicalized to float32 precision whether or not
